@@ -49,7 +49,13 @@ from .swap import (
     mm_swap_closed,
     mm_swap_numeric,
 )
-from .teleport import GainSearchResult, induced_channel, optimize_gain, teleport_oracle
+from .teleport import (
+    GainSearchResult,
+    induced_channel,
+    optimize_gain,
+    optimize_gains,
+    teleport_oracle,
+)
 from .transducer import (
     DqtChannelPoint,
     TransducerParams,
@@ -99,6 +105,7 @@ __all__ = [
     "mm_swap_closed",
     "mm_swap_numeric",
     "optimize_gain",
+    "optimize_gains",
     "output_mo_covariance",
     "q_lb_bandwidth_integrated",
     "q_lb_displacement",

@@ -9,6 +9,7 @@ so a config may consist of nothing but the experiment name.
 
 import configparser
 import csv
+import functools
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -26,7 +27,7 @@ from .capacity import (
 )
 from .entanglement import duan_quantity, entanglement_of_formation, entanglement_rate
 from .swap import apply_optical_loss, click_rate, mm_standard_form
-from .teleport import induced_channel, optimize_gain
+from .teleport import induced_channel, optimize_gains
 from .transducer import (
     TransducerParams,
     dqt_channel,
@@ -131,6 +132,40 @@ def _source_form(pt: dict):
     return output_mo_covariance(p, method="closed")
 
 
+class _PointFailure(Exception):
+    """Raised from the error of a block's point; its argument is the point's index."""
+
+
+def _each(fn, points: list) -> list:
+    """``fn`` at each point of a block, None where the point is unstable."""
+    out = []
+    for i, pt in enumerate(points):
+        try:
+            out.append(fn(pt))
+        except _UnstablePoint:
+            out.append(None)
+        except (ValueError, ArithmeticError) as exc:
+            raise _PointFailure(i) from exc
+    return out
+
+
+def _pointwise(fn):
+    """Block evaluator that applies the one-point evaluator ``fn`` to each point."""
+    return functools.wraps(fn)(functools.partial(_each, fn))
+
+
+def _optimize(forms: list) -> list:
+    """One batched gain search over the stable forms of a block.
+
+    Returns (kappa_opt, q_lb_opt) per form, None where the form is None.
+    """
+    stable = [f for f in forms if f is not None]
+    kappa, q = optimize_gains(*(np.array([getattr(f, x) for f in stable]) for x in "uvw"))
+    found = iter(zip(kappa.tolist(), q.tolist()))
+    return [None if f is None else next(found) for f in forms]
+
+
+@_pointwise
 def _eval_fig1a(pt):
     ch = dqt_channel(_params(pt, "red"))
     boundary = dqt_capacity_boundary(pt["zeta_o"], pt["zeta_e"])
@@ -144,19 +179,24 @@ def _eval_fig1a(pt):
     }
 
 
-def _eval_capacity_map(pt):
-    form = _source_form(pt)
-    res = optimize_gain(form)
-    return {
-        "u": form.u,
-        "v": form.v,
-        "w": form.w,
-        "q_lb_eqt": res.q_lb_opt,
-        "kappa_opt": res.kappa_opt,
-        "boundary": dqt_capacity_boundary(pt["zeta_o"], pt["zeta_e"]),
-    }
+def _eval_capacity_map(points):
+    forms = _each(_source_form, points)
+    return [
+        None
+        if form is None
+        else {
+            "u": form.u,
+            "v": form.v,
+            "w": form.w,
+            "q_lb_eqt": gain[1],
+            "kappa_opt": gain[0],
+            "boundary": dqt_capacity_boundary(pt["zeta_o"], pt["zeta_e"]),
+        }
+        for pt, form, gain in zip(points, forms, _optimize(forms))
+    ]
 
 
+@_pointwise
 def _eval_fig2a(pt):
     form = _source_form(pt)
     ch = induced_channel(form, pt["kappa"])
@@ -173,6 +213,7 @@ def _eval_fig2a(pt):
     }
 
 
+@_pointwise
 def _eval_fig2d(pt):
     form = _source_form(pt)
     return {
@@ -183,23 +224,33 @@ def _eval_fig2d(pt):
     }
 
 
+def _mm_form(pt):
+    return mm_standard_form(apply_optical_loss(_source_form(pt), pt["tau"]))
+
+
+@_pointwise
 def _eval_fig4a(pt):
-    mm = mm_standard_form(apply_optical_loss(_source_form(pt), pt["tau"]))
+    mm = _mm_form(pt)
     return {"u_mm": mm.u, "w_mm": mm.w, "e_f_mm": entanglement_of_formation(mm)}
 
 
-def _eval_fig4b(pt):
-    mm = mm_standard_form(apply_optical_loss(_source_form(pt), pt["tau"]))
-    res = optimize_gain(mm)
-    return {
-        "u_mm": mm.u,
-        "w_mm": mm.w,
-        "q_lb_mm": res.q_lb_opt,
-        "kappa_opt": res.kappa_opt,
-        "boundary": dqt_capacity_boundary(pt["zeta_o"], pt["zeta_e"]),
-    }
+def _eval_fig4b(points):
+    forms = _each(_mm_form, points)
+    return [
+        None
+        if mm is None
+        else {
+            "u_mm": mm.u,
+            "w_mm": mm.w,
+            "q_lb_mm": gain[1],
+            "kappa_opt": gain[0],
+            "boundary": dqt_capacity_boundary(pt["zeta_o"], pt["zeta_e"]),
+        }
+        for pt, mm, gain in zip(points, forms, _optimize(forms))
+    ]
 
 
+@_pointwise
 def _eval_fig5a(pt):
     p = _params(pt, "blue")
     if not stability_check(p):
@@ -208,6 +259,7 @@ def _eval_fig5a(pt):
     return {"r_t": r_t, "r_B": r_b}
 
 
+@_pointwise
 def _eval_fig5b(pt):
     p = _params(pt, "blue")
     if not stability_check(p):
@@ -215,12 +267,11 @@ def _eval_fig5b(pt):
     return {"e_r": entanglement_rate(p, pt["tau"])}
 
 
-def _eval_custom(pt):
+def _custom_point(pt):
     ch = dqt_channel(_params(pt, "red"))
     form = apply_optical_loss(_source_form(pt), pt["tau"])
-    res = optimize_gain(form)
     mm = mm_standard_form(form)
-    return {
+    metrics = {
         "eta0": ch.eta,
         "q_lb_dqt": q_lb_loss_amp(ch.eta, ch.n_e),
         "u": form.u,
@@ -228,11 +279,19 @@ def _eval_custom(pt):
         "w": form.w,
         "duan": duan_quantity(form),
         "e_f": entanglement_of_formation(form),
-        "q_lb_eqt": res.q_lb_opt,
-        "kappa_opt": res.kappa_opt,
         "e_f_mm": entanglement_of_formation(mm),
-        "q_lb_mm": optimize_gain(mm).q_lb_opt,
     }
+    return metrics, form, mm
+
+
+def _eval_custom(points):
+    found = _each(_custom_point, points)
+    stable = [f for f in found if f is not None]
+    # the lossy source and its swapped form share one search
+    gains = _optimize([f[1] for f in stable] + [f[2] for f in stable])
+    for (metrics, _, _), (kappa, q), (_, q_mm) in zip(stable, gains, gains[len(stable):]):
+        metrics.update(q_lb_eqt=q, kappa_opt=kappa, q_lb_mm=q_mm)
+    return [None if f is None else f[0] for f in found]
 
 
 def _axes_cc() -> tuple:
@@ -251,6 +310,13 @@ def _axes_fig5() -> tuple:
 
 @dataclass(frozen=True)
 class ExperimentSpec:
+    """A registered experiment.
+
+    ``evaluate`` takes a block of grid points, each a dict of parameter
+    values, and returns one metrics dict per point, None where the point is
+    unstable.
+    """
+
     name: str
     metrics: tuple
     evaluate: callable
@@ -447,8 +513,8 @@ def parse_config(path) -> SweepConfig:
                 raise ConfigError(f"[fixed] {key}: unknown parameter")
             fixed[key] = _parse_float("fixed", key, raw)
     for zeta in ("zeta_o", "zeta_e"):
-        if not 0.0 <= fixed[zeta] <= 1.0:
-            raise ConfigError(f"[fixed] {zeta}: must lie in [0, 1]")
+        if not 0.0 < fixed[zeta] <= 1.0:
+            raise ConfigError(f"[fixed] {zeta}: must lie in (0, 1]")
 
     axes = []
     for section in parser.sections():
@@ -490,19 +556,19 @@ def _grid_points(config: SweepConfig):
                 yield (float(a), float(b))
 
 
-def _evaluate_point(experiment: str, fixed: dict, axis_names: tuple, coords: tuple):
-    spec = EXPERIMENTS[experiment]
-    point = dict(fixed)
-    point.update(zip(axis_names, coords))
+def _evaluate_block(experiment: str, fixed: dict, axis_names: tuple, block: list) -> list:
+    """Metrics of each point of a block of grid coordinates, None where unstable.
+
+    A ValueError or ArithmeticError at a point is raised as NumericalError
+    naming the experiment and the point's axis values.
+    """
+    points = [{**fixed, **dict(zip(axis_names, coords))} for coords in block]
     try:
-        metrics = spec.evaluate(point)
-        return True, metrics
-    except _UnstablePoint:
-        return False, {}
-
-
-def _worker(args):
-    return _evaluate_point(*args)
+        return EXPERIMENTS[experiment].evaluate(points)
+    except _PointFailure as failure:
+        coords = block[failure.args[0]]
+        where = ", ".join(f"{n}={_format_value(c)}" for n, c in zip(axis_names, coords))
+        raise NumericalError(f"{experiment} at {where}: {failure.__cause__}") from failure
 
 
 def _format_value(value) -> str:
@@ -516,10 +582,26 @@ def _format_value(value) -> str:
     return f"{value:.12g}"
 
 
+# blocks each pool worker gets on average: several, so that rows of cheap
+# unstable points do not leave a worker idle while another finishes
+_BLOCKS_PER_JOB = 4
+
+
+def _row_blocks(points: list, axes: tuple, count: int) -> list:
+    """Split row-major grid points into at most ``count`` contiguous blocks of
+    whole rows (a row is one value of the first axis)."""
+    width = axes[1].points if len(axes) == 2 else 1
+    rows = len(points) // width
+    count = min(count, rows)
+    cuts = [width * (rows * i // count) for i in range(count + 1)]
+    return [points[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
+
+
 def run_sweep(config: SweepConfig, out_dir=None, jobs: int = 1) -> SweepResult:
     """Evaluate the configured grid and write the CSV file.
 
-    Grid points are independent and may be evaluated in parallel; rows are
+    The experiment evaluates the whole grid as one block, or, with ``jobs``
+    above 1, contiguous blocks of rows spread over a process pool.  Rows are
     always written in deterministic row-major axis order with fixed
     12-significant-digit formatting, so identical configs produce
     byte-identical files.  Unstable source points keep their axis columns,
@@ -528,22 +610,21 @@ def run_sweep(config: SweepConfig, out_dir=None, jobs: int = 1) -> SweepResult:
     spec = EXPERIMENTS[config.experiment]
     axis_names = tuple(axis.name for axis in config.axes)
     points = list(_grid_points(config))
-    tasks = [(config.experiment, config.fixed, axis_names, coords) for coords in points]
-
+    evaluate = functools.partial(_evaluate_block, config.experiment, config.fixed, axis_names)
     if jobs > 1:
-        chunk = max(1, len(tasks) // (jobs * 8))
+        blocks = _row_blocks(points, config.axes, jobs * _BLOCKS_PER_JOB)
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(_worker, tasks, chunksize=chunk))
+            outcomes = [m for block in pool.map(evaluate, blocks) for m in block]
     else:
-        outcomes = [_worker(t) for t in tasks]
+        outcomes = evaluate(points)
 
     header = list(axis_names) + ["stable"] + list(spec.metrics)
     rows = []
-    for coords, (stable, metrics) in zip(points, outcomes):
+    for coords, metrics in zip(points, outcomes):
         row = [_format_value(c) for c in coords]
-        row.append("1" if stable else "0")
+        row.append("0" if metrics is None else "1")
         for name in spec.metrics:
-            row.append(_format_value(metrics.get(name)) if stable else "")
+            row.append("" if metrics is None else _format_value(metrics.get(name)))
         rows.append(tuple(row))
 
     out_path = Path(config.output)

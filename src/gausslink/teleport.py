@@ -7,7 +7,9 @@ thermal amplifier above it, and a random displacement channel at kappa = 1
 whose noise variance is exactly the Duan combination u + v - 2w.
 """
 
+import functools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,6 +28,7 @@ __all__ = [
     "GainSearchResult",
     "induced_channel",
     "optimize_gain",
+    "optimize_gains",
     "teleport_oracle",
 ]
 
@@ -35,7 +38,11 @@ _UNIT_GAIN_TOL = 1e-9
 
 GAIN_SEARCH_RANGE = (1e-3, 10.0)
 _COARSE_POINTS = 400
+# lanes per coarse-scan chunk: keeps its (lanes, 402) temporaries at ~26 kB;
+# 32-lane chunks raised the peak RSS of a row-by-row 100x100 map by ~1 MB
+_SCAN_LANES = 8
 _GOLDEN_TOL = 1e-6
+_PHI = (np.sqrt(5.0) - 1.0) / 2.0
 
 
 def induced_channel(form: TwoModeStandardForm, kappa: float) -> BosonicChannelKind:
@@ -52,12 +59,17 @@ def induced_channel(form: TwoModeStandardForm, kappa: float) -> BosonicChannelKi
     return BosonicChannelKind(kind, kappa**2, max(n_e, 0.0))
 
 
-def _bounds_at_gains(form: TwoModeStandardForm, kappas: np.ndarray) -> np.ndarray:
-    """Clamped capacity lower bound at each gain, vectorized."""
+def _bounds_at_gains(form, kappas: np.ndarray) -> np.ndarray:
+    """Clamped capacity lower bound at each gain, vectorized.
+
+    ``form`` is a standard form, or any object whose ``u``, ``v`` and ``w``
+    broadcast against ``kappas``, such as the lanes of a batched search.
+    """
     u, v, w = form.u, form.v, form.w
     k = np.asarray(kappas, dtype=float)
     noise = v * k**2 + u - 2.0 * w * k
-    out = np.zeros_like(k)
+    k = np.broadcast_to(k, noise.shape)
+    out = np.zeros_like(noise)
     unit = np.abs(k - 1.0) < _UNIT_GAIN_TOL
     if np.any(unit):
         sigma = noise[unit]
@@ -83,47 +95,130 @@ class GainSearchResult:
     channel: BosonicChannelKind
 
 
+class _Lanes(NamedTuple):
+    """The standard forms of a batched search, one per lane."""
+
+    u: np.ndarray
+    v: np.ndarray
+    w: np.ndarray
+
+    def take(self, idx) -> "_Lanes":
+        return _Lanes(self.u[idx], self.v[idx], self.w[idx])
+
+    def column(self) -> "_Lanes":
+        return _Lanes(self.u[:, None], self.v[:, None], self.w[:, None])
+
+
+@functools.cache
+def _coarse_grid() -> np.ndarray:
+    """The coarse gains every lane of a search scans, with the seed kappa = 1.
+
+    A read-only constant built on the first search, not at import: building
+    it pulls about 0.5 MB of numpy code into resident memory, which processes
+    that never search gains should not pay for.
+    """
+    grid = np.sort(np.append(np.geomspace(*GAIN_SEARCH_RANGE, _COARSE_POINTS), 1.0))
+    grid.flags.writeable = False
+    return grid
+
+
+def _coarse_scan(lanes: _Lanes, extra: np.ndarray) -> tuple:
+    """Best node of each lane's coarse grid, with the nodes either side of it.
+
+    A lane's grid is `_coarse_grid()` plus its node in `extra`: its seed w/v,
+    or, for an unseeded lane, a repeat of the last node, which moves neither
+    its first maximum nor its upper bracket.  Lanes are scanned `_SCAN_LANES`
+    at a time to bound the temporaries.  Returns the best value, its gain,
+    and the lower and upper bracket, one of each per lane.
+    """
+    n = lanes.u.size
+    best_q, best_k, a, b = (np.empty(n) for _ in range(4))
+    coarse = _coarse_grid()
+    last = coarse.size
+    for lo in range(0, n, _SCAN_LANES):
+        part = slice(lo, lo + _SCAN_LANES)
+        rows = np.arange(extra[part].size)
+        grid = np.column_stack([np.broadcast_to(coarse, (rows.size, last)), extra[part]])
+        grid.sort(axis=1)
+        vals = _bounds_at_gains(lanes.take(part).column(), grid)
+        best = np.argmax(vals, axis=1)
+        best_q[part] = vals[rows, best]
+        best_k[part] = grid[rows, best]
+        a[part] = grid[rows, np.maximum(best - 1, 0)]
+        b[part] = grid[rows, np.minimum(best + 1, last)]
+    return best_q, best_k, a, b
+
+
+def _golden_section(lanes: _Lanes, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Midpoint of each lane's bracket [a, b] after golden-section refinement.
+
+    All lanes advance together: each takes the steps, with the arithmetic, of
+    a one-lane search, and drops out once its bracket is within _GOLDEN_TOL.
+    Overwrites `a` and `b`.
+    """
+    x1 = b - _PHI * (b - a)
+    x2 = a + _PHI * (b - a)
+    f1, f2 = _bounds_at_gains(lanes, x1), _bounds_at_gains(lanes, x2)
+    live = np.flatnonzero(b - a > _GOLDEN_TOL)
+    while live.size:
+        up = f1[live] < f2[live]
+        lu, ld = live[up], live[~up]
+        a[lu], x1[lu], f1[lu] = x1[lu], x2[lu], f2[lu]
+        b[ld], x2[ld], f2[ld] = x2[ld], x1[ld], f1[ld]
+        x2[lu] = a[lu] + _PHI * (b[lu] - a[lu])
+        x1[ld] = b[ld] - _PHI * (b[ld] - a[ld])
+        probe = _bounds_at_gains(lanes.take(live), np.where(up, x2[live], x1[live]))
+        f2[lu], f1[ld] = probe[up], probe[~up]
+        live = live[b[live] - a[live] > _GOLDEN_TOL]
+    return 0.5 * (a + b)
+
+
+def optimize_gains(u, v, w) -> tuple:
+    """Maximize the induced-channel capacity lower bound over the gain, per form.
+
+    ``u``, ``v`` and ``w`` hold one standard form per lane.  Each lane is
+    scanned on 400 log-spaced gains in [1e-3, 10] plus the seeds kappa = 1
+    and kappa = w/v (minimizer of the channel noise, when inside the range),
+    then its best bracket is refined by golden-section search down to 1e-6
+    in kappa.  The winner is the best of the refined midpoint, the seeds and
+    the best coarse gain, the larger gain on a tie.  A lane on which no gain
+    opens the channel gets the zero bound at unit gain.  Lanes do not
+    interact: each result equals that of a one-lane search.
+
+    Returns (kappa_opt, q_lb_opt) as arrays, one entry per lane.
+    """
+    lanes = _Lanes(*(np.asarray(x, dtype=float).reshape(-1) for x in (u, v, w)))
+    lo, hi = GAIN_SEARCH_RANGE
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = lanes.w / lanes.v
+    seeded = (lanes.v > 0) & (lo < ratio) & (ratio < hi)
+    best_q, best_k, a, b = _coarse_scan(lanes, np.where(seeded, ratio, _coarse_grid()[-1]))
+
+    kappa, q = np.ones_like(best_q), np.zeros_like(best_q)
+    found = np.flatnonzero(best_q > 0.0)
+    if found.size:
+        sub = lanes.take(found)
+        mid = _golden_section(sub, a[found], b[found])
+        # an unseeded lane repeats the candidate kappa = 1, which cannot change its pick
+        seeds = np.where(seeded[found], ratio[found], 1.0)
+        cand_k = np.column_stack([mid, np.ones_like(mid), seeds, best_k[found]])
+        cand_q = _bounds_at_gains(sub.column(), cand_k)
+        top = cand_q.max(axis=1)
+        kappa[found] = np.where(cand_q == top[:, None], cand_k, -np.inf).max(axis=1)
+        q[found] = top
+    return kappa, q
+
+
 def optimize_gain(form: TwoModeStandardForm) -> GainSearchResult:
     """Maximize the induced-channel capacity lower bound over the gain.
 
-    Coarse search on 400 log-spaced gains in [1e-3, 10] plus the seeds
-    kappa = w/v (minimizer of the channel noise) and kappa = 1, followed by
-    golden-section refinement of the best bracket down to 1e-6 in kappa.
-    Returns the zero bound at unit gain when no gain opens the channel.
+    A thin wrapper over one lane of the array form `optimize_gains(u, v, w)`,
+    which searches many standard forms at once, one lane per form, with each
+    lane's result bit-identical to the search of its form alone.  See it for
+    the search; the result adds the channel induced at the optimal gain.
     """
-    lo, hi = GAIN_SEARCH_RANGE
-    grid = np.geomspace(lo, hi, _COARSE_POINTS)
-    seeds = [1.0]
-    if form.v > 0 and lo < form.w / form.v < hi:
-        seeds.append(form.w / form.v)
-    grid = np.sort(np.concatenate([grid, seeds]))
-    vals = _bounds_at_gains(form, grid)
-    best = int(np.argmax(vals))
-    if vals[best] <= 0.0:
-        return GainSearchResult(1.0, 0.0, induced_channel(form, 1.0))
-
-    a = grid[max(best - 1, 0)]
-    b = grid[min(best + 1, len(grid) - 1)]
-    phi = (np.sqrt(5.0) - 1.0) / 2.0
-
-    def f(k):
-        return float(_bounds_at_gains(form, np.array([k]))[0])
-
-    x1 = b - phi * (b - a)
-    x2 = a + phi * (b - a)
-    f1, f2 = f(x1), f(x2)
-    while b - a > _GOLDEN_TOL:
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + phi * (b - a)
-            f2 = f(x2)
-        else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - phi * (b - a)
-            f1 = f(x1)
-    candidates = [(f(k), k) for k in (0.5 * (a + b), *seeds, grid[best])]
-    q_opt, k_opt = max(candidates)
-    return GainSearchResult(float(k_opt), float(q_opt), induced_channel(form, float(k_opt)))
+    kappa, q = (float(x[0]) for x in optimize_gains(form.u, form.v, form.w))
+    return GainSearchResult(kappa, q, induced_channel(form, kappa))
 
 
 def _fifty_fifty_bs(n_modes: int, i: int, j: int) -> np.ndarray:

@@ -70,7 +70,8 @@ class TestCliSweep:
         cfg = tmp_path / "n.ini"
         cfg.write_text(body, encoding="utf-8")
         assert main(["sweep", str(cfg), "--out", str(tmp_path)]) == 3
-        assert "numerical failure" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "numerical failure: fig2d_eof_map at C_om=1, C_em=0.2:" in err
 
 
 class TestHeatmap:

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+import gausslink.sweeps as sweeps
 from gausslink.sweeps import (
     Axis,
     ConfigError,
     EXPERIMENTS,
+    NumericalError,
     parse_config,
     run_sweep,
 )
@@ -30,6 +32,27 @@ points = 2
 min = 1.0
 max = 4.0
 points = 2
+"""
+
+
+# 9 x 3 capacity map: nine rows, so more row blocks than two workers, and
+# unstable points at C_om > 1 + C_em
+GAIN_MAP = """
+[sweep]
+experiment = fig2bc_capacity_maps
+output = map.csv
+
+[axis C_om]
+min = 0.1
+max = 10
+points = 9
+scale = log
+
+[axis C_em]
+min = 0.1
+max = 10
+points = 3
+scale = log
 """
 
 
@@ -73,6 +96,7 @@ class TestParseConfig:
             ("[sweep]\nexperiment = custom\nsvg_metric = nope\n", "not a metric"),
             ("[sweep]\nexperiment = custom\nemit_svg = maybe\n", "not a boolean"),
             ("[sweep]\nexperiment = custom\n[fixed]\nzeta_o = 1.4\n", "zeta_o"),
+            ("[sweep]\nexperiment = fig2bc_capacity_maps\n[fixed]\nzeta_e = 0\n", "zeta_e"),
         ],
     )
     def test_rejects_bad_config(self, tmp_path, body, match):
@@ -126,11 +150,33 @@ scale = log
             tmp_path / "b" / "map.csv"
         ).read_bytes()
 
-    def test_parallel_matches_serial(self, tmp_path):
-        cfg = parse_config(write_config(tmp_path, MINIMAL))
+    @pytest.mark.parametrize("body", [MINIMAL, GAIN_MAP], ids=["custom", "gain_map"])
+    def test_parallel_matches_serial(self, tmp_path, body):
+        cfg = parse_config(write_config(tmp_path, body))
+        points = list(sweeps._grid_points(cfg))
+        blocks = sweeps._row_blocks(points, cfg.axes, 2 * sweeps._BLOCKS_PER_JOB)
+        assert [p for block in blocks for p in block] == points
         serial = run_sweep(cfg, out_dir=tmp_path / "s", jobs=1)
         parallel = run_sweep(cfg, out_dir=tmp_path / "p", jobs=2)
         assert serial.path.read_bytes() == parallel.path.read_bytes()
+        if body is GAIN_MAP:
+            assert len(blocks) > 2
+            assert any(row[2] == "0" for row in serial.rows)
+
+    @pytest.mark.parametrize("experiment", ["fig1a_dqt_boundary", "fig2bc_capacity_maps"])
+    def test_failing_point_is_named(self, tmp_path, monkeypatch, experiment):
+        params = sweeps._params
+
+        def failing(pt, detuning):
+            if (pt["C_om"], pt["C_em"]) == (2.0, 4.0):
+                raise ValueError("injected failure")
+            return params(pt, detuning)
+
+        monkeypatch.setattr(sweeps, "_params", failing)
+        cfg = parse_config(write_config(tmp_path, MINIMAL.replace("custom", experiment)))
+        with pytest.raises(NumericalError) as info:
+            run_sweep(cfg, out_dir=tmp_path)
+        assert str(info.value) == f"{experiment} at C_om=2, C_em=4: injected failure"
 
     def test_fig1a_boundary_column(self, tmp_path):
         body = """

@@ -1,14 +1,78 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import gausslink.teleport as teleport
 from gausslink.capacity import RANDOM_DISPLACEMENT, THERMAL_AMP, THERMAL_LOSS
 from gausslink.entanglement import duan_quantity, entanglement_of_formation
 from gausslink.selftest import random_physical_form, random_physical_state
-from gausslink.teleport import induced_channel, optimize_gain, teleport_oracle
+from gausslink.teleport import (
+    _bounds_at_gains,
+    induced_channel,
+    optimize_gain,
+    optimize_gains,
+    teleport_oracle,
+)
 from gausslink.transducer import TwoModeStandardForm
 
 WORKED = TwoModeStandardForm(17.0, 9.0, 12.0)
+
+
+def _low_seed_form(ratio):
+    # v = 2 is a power of two, so w / v is exactly `ratio`
+    return TwoModeStandardForm(3.0, 2.0, 2.0 * ratio)
+
+
+def _high_seed_form(ratio):
+    # just inside the physical region w^2 <= (u + 1)(v - 1), where the noise
+    # minimum at kappa = w / v ~ 10 leaves the amplifier a positive bound
+    v = 1024.0
+    w = ratio * v
+    return TwoModeStandardForm((w * w / (v - 1.0) - 1.0) * (1.0 + 1e-9), v, w)
+
+
+# lanes at the edges of the gain search; TestBatchedSearch checks each hits its case
+EDGE_FORMS = {
+    "product": TwoModeStandardForm(2.0, 3.0, 0.0),
+    "seed_below_lo": _low_seed_form(np.nextafter(1e-3, 0.0)),
+    "seed_at_lo": _low_seed_form(1e-3),
+    "seed_above_lo": _low_seed_form(np.nextafter(1e-3, 1.0)),
+    "seed_below_hi": _high_seed_form(np.nextafter(10.0, 0.0)),
+    "seed_at_hi": _high_seed_form(10.0),
+    "seed_above_hi": _high_seed_form(np.nextafter(10.0, 20.0)),
+    "unit_gain_optimum": TwoModeStandardForm(4.0, 4.5, 4.0),
+}
+# (kappa_opt, q_lb_opt) of each edge lane, recorded with the per-point search
+# that preceded the batched one
+EDGE_RESULTS = {
+    "product": (1.0, 0.0),
+    "seed_below_lo": (1.0, 0.0),
+    "seed_at_lo": (1.0, 0.0),
+    "seed_above_lo": (1.0, 0.0),
+    "seed_below_hi": (10.0, 0.008358659388101635),
+    "seed_at_hi": (10.0, 0.008358659386487163),
+    "seed_above_hi": (10.0, 0.008358659386487163),
+    "unit_gain_optimum": (1.0, 0.5573049591110366),
+}
+
+
+@st.composite
+def physical_forms(draw):
+    """Standard forms with w >= 0, many near the edge of the physical region
+    w^2 <= (max(u, v) + 1)(min(u, v) - 1), where the capacity bound is positive."""
+    low = draw(st.floats(1.0, 30.0))
+    high = draw(st.floats(low, 300.0))
+    u, v = (high, low) if draw(st.booleans()) else (low, high)
+    reach = 1.0 - 10.0 ** draw(st.floats(-6.0, 0.0))
+    try:
+        return TwoModeStandardForm(u, v, reach * np.sqrt((high + 1.0) * (low - 1.0)))
+    except ValueError:
+        assume(False)
+
+
+def _search(forms):
+    return optimize_gains(*(np.array([getattr(f, x) for f in forms]) for x in "uvw"))
 
 
 class TestInducedChannel:
@@ -101,6 +165,42 @@ class TestOptimizeGain:
             form = random_physical_form(rng)
             if optimize_gain(form).q_lb_opt > 0:
                 assert entanglement_of_formation(form) > 0
+
+
+class TestBatchedSearch:
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), forms=st.lists(physical_forms(), min_size=1, max_size=30))
+    def test_each_lane_equals_its_one_lane_search(self, data, forms):
+        # up to 38 lanes, more than one coarse-scan chunk
+        lanes = data.draw(st.permutations(forms + list(EDGE_FORMS.values())))
+        kappa, q = _search(lanes)
+        for form, k_lane, q_lane in zip(lanes, kappa, q):
+            one = optimize_gain(form)
+            assert (k_lane, q_lane) == (one.kappa_opt, one.q_lb_opt)
+
+    def test_edge_lanes_hit_their_case(self):
+        lo, hi = teleport.GAIN_SEARCH_RANGE
+        seeded = {name: lo < f.w / f.v < hi for name, f in EDGE_FORMS.items()}
+        assert [name for name in EDGE_FORMS if name.startswith("seed") and seeded[name]] == [
+            "seed_above_lo",
+            "seed_below_hi",
+        ]
+        results = {}
+        for name, form in EDGE_FORMS.items():
+            res = optimize_gain(form)
+            results[name] = (res.kappa_opt, res.q_lb_opt)
+        assert results == EDGE_RESULTS
+        # the coarse maximum sits at the last node, of a 402-node and a 401-node grid
+        for name in ("seed_below_hi", "seed_above_hi"):
+            form = EDGE_FORMS[name]
+            grid = np.sort(np.append(teleport._coarse_grid(), [form.w / form.v] * seeded[name]))
+            assert np.argmax(_bounds_at_gains(form, grid)) == grid.size - 1
+
+    def test_empty_and_all_zero_blocks(self):
+        kappa, q = optimize_gains([], [], [])
+        assert kappa.shape == q.shape == (0,)
+        kappa, q = _search([EDGE_FORMS["product"]] * 3)
+        assert kappa.tolist() == [1.0] * 3 and q.tolist() == [0.0] * 3
 
 
 class TestTeleportOracle:
