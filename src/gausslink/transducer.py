@@ -174,26 +174,37 @@ def _drift_red(p: TransducerParams) -> np.ndarray:
     )
 
 
-def _input_red(p: TransducerParams) -> np.ndarray:
-    return np.array(
-        [
-            [np.sqrt(p.kappa_o_c), np.sqrt(p.kappa_o_i), 0, 0, 0],
-            [0, 0, np.sqrt(p.kappa_e_c), np.sqrt(p.kappa_e_i), 0],
-            [0, 0, 0, 0, np.sqrt(p.kappa_m)],
-        ]
-    )
-
-
-def _require(p: TransducerParams, detuning: str):
+def _require(p: TransducerParams, detuning: str, stable: bool = False):
     if p.detuning != detuning:
         raise ValueError(f"operation requires {detuning}-detuned parameters")
+    if stable and not stability_check(p):
+        raise ValueError("blue-detuned parameters are unstable")
 
 
-def _scattering_batch(drift, inmat, omegas) -> np.ndarray:
+# Each port couples to one mode: port m enters drift row _PORT_ROWS[m] with
+# amplitude sqrt(kappa) of its decay channel.
+_PORT_ROWS = {"red": np.array([0, 0, 1, 1, 2]), "blue": np.array([0, 0, 1, 2, 2])}
+_EYE5 = np.eye(5)
+
+
+def _scattering_batch(p: TransducerParams, omegas) -> np.ndarray:
+    """Stacked S = A^T (-i omega - M)^-1 A - 1 over an array of frequencies.
+
+    The input matrix A has one nonzero per column, so each entry of
+    A^T inv A is the single product (a_i inv[r_i, r_m]) a_m; adding 0.0 turns
+    its zeros to +0, as a full contraction returns them.
+    """
+    if p.detuning == "red":
+        drift = _drift_red(p)
+        rates = (p.kappa_o_c, p.kappa_o_i, p.kappa_e_c, p.kappa_e_i, p.kappa_m)
+    else:
+        drift = _drift_blue(p)
+        rates = (p.kappa_o_c, p.kappa_o_i, p.kappa_m, p.kappa_e_c, p.kappa_e_i)
+    rows, amps = _PORT_ROWS[p.detuning], np.sqrt(rates)
     omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
     m = -1j * omegas[:, None, None] * np.eye(3) - drift[None, :, :]
     inv = np.linalg.inv(m)
-    return np.einsum("ji,kjl,lm->kim", inmat, inv, inmat) - np.eye(5)
+    return amps[:, None] * inv[:, rows[:, None], rows] * amps + 0.0 - _EYE5
 
 
 def scattering_red(p: TransducerParams, omega: float = 0.0) -> np.ndarray:
@@ -205,7 +216,7 @@ def scattering_red(p: TransducerParams, omega: float = 0.0) -> np.ndarray:
     network and conserves photon flux.
     """
     _require(p, "red")
-    return _scattering_batch(_drift_red(p), _input_red(p), omega)[0]
+    return _scattering_batch(p, omega)[0]
 
 
 class DqtChannelPoint(NamedTuple):
@@ -222,7 +233,7 @@ class DqtChannelPoint(NamedTuple):
 
 def _dqt_eta_ne(p: TransducerParams, omegas) -> tuple:
     """Vectorized (eta, n_e) over an array of frequencies."""
-    s = _scattering_batch(_drift_red(p), _input_red(p), omegas)
+    s = _scattering_batch(p, omegas)
     eta = np.abs(s[:, 0, 2]) ** 2
     noise_flux = np.abs(s[:, 0, 3]) ** 2 + np.abs(s[:, 0, 4]) ** 2
     n_e = noise_flux * p.n_th / (1.0 - eta)
@@ -277,16 +288,6 @@ def _drift_blue(p: TransducerParams) -> np.ndarray:
     )
 
 
-def _input_blue(p: TransducerParams) -> np.ndarray:
-    return np.array(
-        [
-            [np.sqrt(p.kappa_o_c), np.sqrt(p.kappa_o_i), 0, 0, 0],
-            [0, 0, np.sqrt(p.kappa_m), 0, 0],
-            [0, 0, 0, np.sqrt(p.kappa_e_c), np.sqrt(p.kappa_e_i)],
-        ]
-    )
-
-
 def stability_check(p: TransducerParams) -> bool:
     """True when the blue-detuned dynamics are stable.
 
@@ -305,88 +306,65 @@ def scattering_blue(p: TransducerParams, omega: float = 0.0) -> np.ndarray:
     couples the optical creation operator to the other annihilation
     operators.  Unstable parameters are rejected.
     """
-    _require(p, "blue")
-    if not stability_check(p):
-        raise ValueError("blue-detuned parameters are unstable")
-    # drift rows are ordered (a^dag, b, c); rearrange input rows to match
-    inmat = _input_blue(p)
-    return _scattering_batch(_drift_blue(p), inmat, omega)[0]
+    _require(p, "blue", stable=True)
+    return _scattering_batch(p, omega)[0]
 
 
-_DAGGERED_PORTS = (PORT_OPTICAL_C, PORT_OPTICAL_I)
-_LAMBDA_1 = np.array([[1.0, 1.0], [-1j, 1j]])
-_LAMBDA_1_INV = np.array([[0.5, 0.5j], [0.5, -0.5j]])
+_DAGGERED = [port in (PORT_OPTICAL_C, PORT_OPTICAL_I) for port in range(5)]
+# With q = a + a^dag and p = -i(a - a^dag), an entry s linking output port a
+# to input port b gives the 2x2 quadrature block
+#   [[Re s, -f c Im s], [c Im s, f Re s]]
+# where c = -1 conjugates s when port a is daggered and f = -1 makes the
+# block reflection-type when exactly one of a and b is daggered.
+_CONJ = np.array([[-1.0 if a else 1.0] for a in _DAGGERED])
+_FLIP = np.array([[-1.0 if a != b else 1.0 for b in _DAGGERED] for a in _DAGGERED])
 
 
-def _quad_scattering_batch(s_tilde: np.ndarray) -> np.ndarray:
-    """Convert stacked 5x5 mode scattering matrices to 10x10 quadrature maps."""
-    k = s_tilde.shape[0]
-    sc = np.zeros((k, 10, 10), dtype=complex)
-    for a in range(5):
-        for b in range(5):
-            s = s_tilde[:, a, b]
-            ad = a in _DAGGERED_PORTS
-            bd = b in _DAGGERED_PORTS
-            # rows 2a / 2a+1 hold a_out / adag_out, likewise for columns;
-            # the scattering coefficient links the (possibly daggered) pair
-            # and its conjugate links the opposite pair
-            sc[:, 2 * a + (1 if ad else 0), 2 * b + (1 if bd else 0)] += s
-            sc[:, 2 * a + (0 if ad else 1), 2 * b + (0 if bd else 1)] += np.conj(s)
-    lam = np.kron(np.eye(5), _LAMBDA_1)
-    lam_inv = np.kron(np.eye(5), _LAMBDA_1_INV)
-    quad = lam[None] @ sc @ lam_inv[None]
-    resid = np.max(np.abs(quad.imag))
-    if resid > 1e-10:
-        raise ValueError(f"quadrature map has imaginary residue {resid:.3e}")
-    return quad.real
+def _quadrature_rows(s_tilde: np.ndarray, ports) -> np.ndarray:
+    """Rows of the real quadrature maps of stacked 5x5 scattering matrices.
+
+    Returns the (k, 2 len(ports), 10) rows (q, p) of the output ``ports``.
+    Each entry is +-Re s or +-Im s exactly; adding 0.0 turns zeros to +0.
+    """
+    s = s_tilde[:, ports, :]
+    flip, re, im = _FLIP[ports], s.real, _CONJ[ports] * s.imag
+    quad = np.empty(s.shape[:2] + (2, 5, 2))
+    quad[:, :, 0, :, 0] = re
+    quad[:, :, 0, :, 1] = -flip * im
+    quad[:, :, 1, :, 0] = im
+    quad[:, :, 1, :, 1] = flip * re
+    return quad.reshape(len(s), 2 * len(ports), 10) + 0.0
 
 
 def quadrature_scattering(s_tilde: np.ndarray) -> np.ndarray:
     """10x10 real quadrature transformation for a blue scattering matrix.
 
-    Uses q = a + a^dag, p = -i(a - a^dag) on every port; the conjugated
-    optical rows of the mode-space matrix make the result exactly real.
+    Uses q = a + a^dag, p = -i(a - a^dag) on every port; each entry is
+    +-Re or +-Im of one scattering coefficient.
     """
     s_tilde = np.asarray(s_tilde, dtype=complex)
     if s_tilde.shape != (5, 5):
         raise ValueError("expected a 5x5 scattering matrix")
-    return _quad_scattering_batch(s_tilde[None])[0]
+    return _quadrature_rows(s_tilde[None], np.arange(5))[0]
 
 
-def _input_covariance(p: TransducerParams) -> np.ndarray:
-    diag = np.ones(10)
-    hot = 2.0 * p.n_th + 1.0
-    for port in (PORT_MECH, PORT_MICROWAVE_I):
-        diag[2 * port : 2 * port + 2] = hot
-    return np.diag(diag)
-
-
-def _standard_form_from_block(v4: np.ndarray) -> tuple:
-    """Read (u, v, w >= 0) off the optical/microwave 4x4 covariance block.
-
-    The diagonal blocks are multiples of the identity by construction; the
-    cross block is reflection-like and is brought to w Z by an implicit local
-    phase rotation, so w is reported as a magnitude.
-    """
-    u = 0.5 * (v4[0, 0] + v4[1, 1])
-    v = 0.5 * (v4[2, 2] + v4[3, 3])
-    alpha = 0.5 * (v4[0, 2] - v4[1, 3])
-    beta = 0.5 * (v4[0, 3] + v4[1, 2])
-    return float(u), float(v), float(np.hypot(alpha, beta))
+# quadratures of the inputs at the bath occupation n_th; the others are vacuum
+_THERMAL = np.array([port in (PORT_MECH, PORT_MICROWAVE_I) for port in range(5) for _ in "qp"])
 
 
 def mo_standard_form_spectra(p: TransducerParams, omegas) -> tuple:
-    """Arrays (u(omega), v(omega), w(omega)) of the source output spectra."""
-    _require(p, "blue")
-    if not stability_check(p):
-        raise ValueError("blue-detuned parameters are unstable")
-    s = _scattering_batch(_drift_blue(p), _input_blue(p), omegas)
-    quad = _quad_scattering_batch(s)
-    vin = _input_covariance(p)
-    vout = quad @ vin[None] @ quad.transpose(0, 2, 1)
-    idx = np.array([2 * PORT_OPTICAL_C, 2 * PORT_OPTICAL_C + 1,
-                    2 * PORT_MICROWAVE_C, 2 * PORT_MICROWAVE_C + 1])
-    block = vout[:, idx[:, None], idx[None, :]]
+    """Arrays (u(omega), v(omega), w(omega)) of the source output spectra.
+
+    The cross block of the optical/microwave covariance is reflection-like
+    and is brought to w Z by an implicit local phase rotation, so w is
+    reported as a magnitude.
+    """
+    _require(p, "blue", stable=True)
+    s = _scattering_batch(p, omegas)
+    quad = _quadrature_rows(s, [PORT_OPTICAL_C, PORT_MICROWAVE_C])
+    # the input covariance is diagonal: scaling columns is quad @ vin, exactly
+    vin = np.where(_THERMAL, 2.0 * p.n_th + 1.0, 1.0)
+    block = (quad * vin) @ quad.transpose(0, 2, 1)
     u = 0.5 * (block[:, 0, 0] + block[:, 1, 1])
     v = 0.5 * (block[:, 2, 2] + block[:, 3, 3])
     alpha = 0.5 * (block[:, 0, 2] - block[:, 1, 3])
@@ -428,8 +406,7 @@ def output_mo_covariance(
     if method == "closed":
         if omega != 0.0:
             raise ValueError("closed-form path is only defined on resonance")
-        if not stability_check(p):
-            raise ValueError("blue-detuned parameters are unstable")
+        _require(p, "blue", stable=True)
         u, v, w = _closed_form_uvw(p)
     elif method == "numeric":
         u, v, w = (float(x[0]) for x in mo_standard_form_spectra(p, omega))

@@ -1,18 +1,24 @@
 import math
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gausslink.capacity import (
     BosonicChannelKind,
+    FrequencyQuadrature,
     coherent_info_loss_amp,
     dqt_capacity_boundary,
     g_function,
+    integrate_spectrum,
     q_lb_bandwidth_integrated,
     q_lb_displacement,
     q_lb_loss_amp,
 )
-from gausslink.transducer import TransducerParams
+from gausslink.entanglement import entanglement_rate
+from gausslink.transducer import TransducerParams, mo_standard_form_spectra
 
 
 class TestGFunction:
@@ -57,6 +63,14 @@ class TestLossAmpBound:
     def test_unit_eta_rejected(self):
         with pytest.raises(ValueError):
             q_lb_loss_amp(1.0, 0.0)
+
+    def test_zero_transmission_has_zero_capacity(self):
+        assert q_lb_loss_amp(0.0, 0.0) == 0.0
+        assert q_lb_loss_amp(0.0, 2.5) == 0.0
+        with pytest.raises(ValueError):
+            q_lb_loss_amp(0.0, -1.0)
+        with pytest.raises(ValueError):
+            coherent_info_loss_amp(0.0, 0.0)
 
     def test_zero_below_half_for_any_noise(self, rng):
         for eta in rng.uniform(0.01, 0.5, 20):
@@ -212,3 +226,79 @@ class TestBandwidthIntegrated:
         p = TransducerParams.from_cooperativities(1.0, 1.0, detuning="blue")
         with pytest.raises(ValueError, match="red"):
             q_lb_bandwidth_integrated(p)
+
+
+def _full_grid_doubling(fn, omega_max, quad):
+    """The trapezoid before node reuse: each pass evaluates fn on its whole grid."""
+    n = quad.initial_points
+    prev = None
+    for _ in range(quad.max_doublings + 1):
+        omegas = np.linspace(-omega_max, omega_max, n)
+        total = float(np.trapezoid(fn(omegas), omegas))
+        if prev is not None and abs(total - prev) <= max(
+            quad.rel_tol * abs(total), quad.abs_tol
+        ):
+            return total
+        prev = total
+        n = 2 * n - 1
+    raise AssertionError("oracle did not converge")
+
+
+def _blue(c_om, c_em, zo=1.0, ze=1.0, n_th=0.0):
+    return TransducerParams.from_cooperativities(c_om, c_em, zo, ze, n_th, "blue")
+
+
+class TestIntegrateSpectrum:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        half_width=st.floats(1e-3, 1e4, allow_subnormal=False),
+        n=st.integers(2, 5000),
+    )
+    def test_coarse_grid_is_every_other_fine_node(self, half_width, n):
+        fine = np.linspace(-half_width, half_width, 2 * n - 1)
+        assert np.array_equal(fine[::2], np.linspace(-half_width, half_width, n))
+
+    @pytest.mark.parametrize(
+        "fn, omega_max",
+        [
+            (lambda om: 1.0 / (1.0 + (om / 0.05) ** 2), 10.0),
+            (lambda om: mo_standard_form_spectra(_blue(2.0, 3.0, 0.8, 0.9, 0.3), om)[0] - 1.0, 37.0),
+            (lambda om: mo_standard_form_spectra(_blue(9.0, 10.0), om)[2], 10.0),
+            (lambda om: np.abs(np.sin(3.0 * om)), 10.0),
+        ],
+        ids=["narrow-lorentzian", "source-u", "near-threshold-w", "kinked"],
+    )
+    def test_matches_full_grid_doubling(self, fn, omega_max):
+        quad = FrequencyQuadrature()
+        assert integrate_spectrum(fn, omega_max, quad) == _full_grid_doubling(
+            fn, omega_max, quad
+        )
+
+    def test_each_node_evaluated_once(self):
+        seen = []
+
+        def gaussian(omegas):
+            seen.append(omegas.copy())
+            return np.exp(-(omegas**2))
+
+        integrate_spectrum(gaussian, 10.0, FrequencyQuadrature())
+        assert [len(x) for x in seen] == [257, 256]
+        nodes = np.sort(np.concatenate(seen))
+        assert np.array_equal(nodes, np.linspace(-10.0, 10.0, 513))
+
+    def test_capped_integral_raises(self):
+        quad = FrequencyQuadrature(rel_tol=0.0, abs_tol=0.0, max_doublings=2)
+        with pytest.raises(ValueError, match="not converged on 1025 nodes"):
+            integrate_spectrum(lambda om: om**2, 1.0, quad)
+
+    def test_separability_boundary_converges(self):
+        # fig5b at C_om = 0.1, C_em = 10, tau = 1/2: the swapped state sits on
+        # the separability boundary and E_F(omega) is round-off noise, which a
+        # relative-only stop test doubled to 1,048,577 nodes (about 25 s and
+        # several GB) before returning it unflagged
+        p = _blue(0.1, 10.0)
+        start = time.perf_counter()
+        rate = entanglement_rate(p, 0.5)
+        assert time.perf_counter() - start < 1.0
+        assert 0.0 <= rate < 1e-12
+        assert entanglement_rate(p, 0.5, FrequencyQuadrature(max_doublings=1)) == rate

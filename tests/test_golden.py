@@ -49,7 +49,9 @@ max = 4
 points = 3
 scale = log
 """
-# custom's direct-conversion bound fails at C_om = 0, where eta = 0
+# custom's grid starts at C_om = 0.5 because its direct-conversion bound
+# failed at C_om = 0 (eta = 0) when the hashes were recorded; that point now
+# gives a zero bound and is covered in test_sweeps.py
 _CUSTOM_GRID = """
 [axis C_om]
 min = 0.5

@@ -178,6 +178,19 @@ scale = log
             run_sweep(cfg, out_dir=tmp_path)
         assert str(info.value) == f"{experiment} at C_om=2, C_em=4: injected failure"
 
+    @pytest.mark.parametrize("experiment", ["fig1a_dqt_boundary", "custom"])
+    def test_zero_optomechanical_coupling_row(self, tmp_path, experiment):
+        # C_om = 0 converts nothing (eta = 0): zero capacity, not a failure
+        body = MINIMAL.replace("custom", experiment).replace("min = 0.5", "min = 0")
+        res = run_sweep(parse_config(write_config(tmp_path, body)), out_dir=tmp_path)
+        cols = res.columns
+        zero = [row for row in res.rows if row[0] == "0"]
+        assert len(zero) == 2
+        for row in zero:
+            assert row[cols.index("stable")] == "1"
+            assert row[cols.index("eta0")] == "0"
+            assert row[cols.index("q_lb_dqt")] == "0"
+
     def test_fig1a_boundary_column(self, tmp_path):
         body = """
 [sweep]

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from gausslink import transducer
 from gausslink.gaussian import symplectic_form
 from gausslink.selftest import random_red_params, random_stable_blue_params
 from gausslink.transducer import (
@@ -172,7 +175,6 @@ class TestBlueScattering:
         assert w == pytest.approx(0.0, abs=1e-12)
 
     def test_quadrature_map_is_real(self, rng):
-        # realness is enforced inside; residue check would raise otherwise
         for _ in range(10):
             p = random_stable_blue_params(rng)
             sq = quadrature_scattering(scattering_blue(p, rng.uniform(-2, 2)))
@@ -299,3 +301,119 @@ class TestClosedFormResolution:
         assert worst_adopted < 1e-9
         assert not published_ok
         assert not doubled_ok
+
+
+# --- oracles: the constructions the fast paths replaced ----------------------
+
+
+def _input_matrix(p):
+    """3x5 input matrix of the red or blue drift, as an explicit array."""
+    if p.detuning == "red":
+        rows = [
+            [np.sqrt(p.kappa_o_c), np.sqrt(p.kappa_o_i), 0, 0, 0],
+            [0, 0, np.sqrt(p.kappa_e_c), np.sqrt(p.kappa_e_i), 0],
+            [0, 0, 0, 0, np.sqrt(p.kappa_m)],
+        ]
+    else:
+        rows = [
+            [np.sqrt(p.kappa_o_c), np.sqrt(p.kappa_o_i), 0, 0, 0],
+            [0, 0, np.sqrt(p.kappa_m), 0, 0],
+            [0, 0, 0, np.sqrt(p.kappa_e_c), np.sqrt(p.kappa_e_i)],
+        ]
+    return np.array(rows)
+
+
+def _einsum_scattering(p, omegas):
+    drift = transducer._drift_red(p) if p.detuning == "red" else transducer._drift_blue(p)
+    m = -1j * omegas[:, None, None] * np.eye(3) - drift[None, :, :]
+    inv = np.linalg.inv(m)
+    inmat = _input_matrix(p)
+    return np.einsum("ji,kjl,lm->kim", inmat, inv, inmat) - np.eye(5)
+
+
+def _lambda_quadrature(s_tilde):
+    """10x10 quadrature maps by conjugating the mode-space map with Lambda."""
+    lam1 = np.array([[1.0, 1.0], [-1j, 1j]])
+    lam1_inv = np.array([[0.5, 0.5j], [0.5, -0.5j]])
+    sc = np.zeros((len(s_tilde), 10, 10), dtype=complex)
+    for a in range(5):
+        for b in range(5):
+            s = s_tilde[:, a, b]
+            ad, bd = a < 2, b < 2  # the optical ports carry daggered operators
+            sc[:, 2 * a + ad, 2 * b + bd] += s
+            sc[:, 2 * a + (not ad), 2 * b + (not bd)] += np.conj(s)
+    lam = np.kron(np.eye(5), lam1)
+    lam_inv = np.kron(np.eye(5), lam1_inv)
+    return (lam[None] @ sc @ lam_inv[None]).real
+
+
+def _identical(a, b):
+    """Equal values and equal signs, zeros included."""
+    if np.iscomplexobj(a) or np.iscomplexobj(b):
+        return _identical(a.real, b.real) and _identical(a.imag, b.imag)
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+_zeta = st.one_of(st.just(1.0), st.floats(0.05, 1.0))
+
+
+def _coupling(high):
+    # zero or at least 1e-6: halving a subnormal entry is inexact, so the
+    # Lambda route is an exact oracle only for normal scattering entries
+    return st.one_of(st.just(0.0), st.floats(1e-6, high))
+
+
+@st.composite
+def devices(draw, detuning):
+    """Random devices; zeta = 1 gives zero-amplitude intrinsic ports."""
+    c_em = draw(_coupling(8.0))
+    if detuning == "blue":
+        c_om = draw(_coupling(0.99)) * (1.0 + c_em)
+    else:
+        c_om = draw(_coupling(10.0))
+    n_th = draw(st.one_of(st.just(0.0), st.floats(0.0, 2.0)))
+    kappa_o, kappa_e, kappa_m = draw(st.tuples(*(st.floats(0.3, 4.0),) * 3))
+    p = make(c_om, c_em, draw(_zeta), draw(_zeta), n_th, detuning,
+             kappa_o=kappa_o, kappa_e=kappa_e, kappa_m=kappa_m)
+    assume(detuning == "red" or stability_check(p))
+    return p
+
+
+# frequencies likewise keep the scattering entries normal
+_omegas = st.lists(
+    st.floats(-30.0, 30.0).filter(lambda x: x == 0.0 or abs(x) > 1e-100),
+    min_size=1,
+    max_size=6,
+).map(lambda xs: np.array([0.0, -0.0] + xs))
+
+
+class TestFastPathsAreBitExact:
+    @settings(max_examples=150, deadline=None)
+    @given(p=st.one_of(devices("red"), devices("blue")), omegas=_omegas)
+    def test_gather_equals_einsum_resolvent(self, p, omegas):
+        fast = transducer._scattering_batch(p, omegas)
+        assert _identical(fast, _einsum_scattering(p, omegas))
+
+    @settings(max_examples=150, deadline=None)
+    @given(p=devices("blue"), omegas=_omegas)
+    def test_exact_map_equals_lambda_conjugation(self, p, omegas):
+        s = _einsum_scattering(p, omegas)
+        fast = np.array([quadrature_scattering(x) for x in s])
+        # the complex products of the conjugation give some zeros a sign from
+        # the BLAS kernel's tiling (whole -0 columns); no spectrum reads a
+        # zero's sign, and every zero of the exact map is +0
+        assert _identical(fast, _lambda_quadrature(s) + 0.0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(p=devices("blue"), omegas=_omegas)
+    def test_spectra_equal_full_covariance_route(self, p, omegas):
+        quad = _lambda_quadrature(_einsum_scattering(p, omegas))
+        hot = 2.0 * p.n_th + 1.0  # mechanical bath and intrinsic microwave port
+        vin = np.diag([1.0, 1.0, 1.0, 1.0, hot, hot, 1.0, 1.0, hot, hot])
+        vout = quad @ vin[None] @ quad.transpose(0, 2, 1)
+        block = vout[:, [0, 1, 6, 7]][:, :, [0, 1, 6, 7]]
+        u = 0.5 * (block[:, 0, 0] + block[:, 1, 1])
+        v = 0.5 * (block[:, 2, 2] + block[:, 3, 3])
+        w = np.hypot(0.5 * (block[:, 0, 2] - block[:, 1, 3]), 0.5 * (block[:, 0, 3] + block[:, 1, 2]))
+        for fast, slow in zip(mo_standard_form_spectra(p, omegas), (u, v, w)):
+            assert _identical(fast, slow)
