@@ -93,12 +93,8 @@ def coherent_info_loss_amp(eta: float, n_e: float) -> float:
 
 
 def q_lb_loss_amp(eta: float, n_e: float) -> float:
-    """Capacity lower bound of a thermal loss or amplification channel (bits).
-
-    eta = 0 transmits nothing and has zero capacity, continuing the zero
-    bound on (0, 1/2].
-    """
-    if eta == 0.0 and n_e >= 0:
+    """Capacity lower bound of a thermal loss or amplification channel (bits)."""
+    if eta == 0.0 and n_e >= 0:  # no transmission: zero, as on (0, 1/2]
         return 0.0
     return max(0.0, coherent_info_loss_amp(eta, n_e))
 
@@ -145,17 +141,12 @@ class FrequencyQuadrature:
 
     The window is [-omega_max_factor * max(kappa), +same].  The trapezoid
     halves its step, reusing the nodes already evaluated, until successive
-    totals differ by at most max(rel_tol * |total|, abs_tol), and raises
-    ValueError if that takes more than max_doublings doublings.  abs_tol
-    stops integrands that are round-off noise, such as E_F ~ 1e-18 on the
-    separability boundary of the homodyne swap (tau = 1/2), where a relative
-    test never passes; it binds only for |total| < abs_tol / rel_tol = 1e-6,
-    below the smallest positive integral of the fig5b grid (about 3e-5).
+    totals differ by at most max(rel_tol * |total|, _ABS_TOL), and raises
+    ValueError if that takes more than max_doublings doublings.
     """
 
     omega_max_factor: float = 10.0
     rel_tol: float = 1e-6
-    abs_tol: float = 1e-12
     initial_points: int = 257
     max_doublings: int = 12
 
@@ -164,6 +155,12 @@ class FrequencyQuadrature:
 
 
 DEFAULT_QUADRATURE = FrequencyQuadrature()
+# Absolute stop tolerance: it ends integrands that are round-off noise (E_F ~
+# 1e-18 on the homodyne swap's separability boundary, tau = 1/2).  It binds
+# only where |total| < _ABS_TOL / rel_tol = 1e-6, which no total of the shipped
+# configs or golden grids reaches (the smallest positive fig5b integral is
+# about 3e-5); such totals are accurate to 1e-12 absolute, not 1e-6 relative.
+_ABS_TOL = 1e-12
 
 
 def integrate_spectrum(fn, omega_max: float, quad: FrequencyQuadrature) -> float:
@@ -186,7 +183,7 @@ def integrate_spectrum(fn, omega_max: float, quad: FrequencyQuadrature) -> float
         values, prev = finer, total
         total = float(np.trapezoid(values, omegas))
         change = abs(total - prev)
-        if change <= max(quad.rel_tol * abs(total), quad.abs_tol):
+        if change <= max(quad.rel_tol * abs(total), _ABS_TOL):
             return total
     raise ValueError(f"frequency integral not converged on {n} nodes: "
                      f"last change {change:.3e} on a total of {total:.3e}")

@@ -174,10 +174,13 @@ def _drift_red(p: TransducerParams) -> np.ndarray:
     )
 
 
-def _require(p: TransducerParams, detuning: str, stable: bool = False):
+def _require(p: TransducerParams, detuning: str):
     if p.detuning != detuning:
         raise ValueError(f"operation requires {detuning}-detuned parameters")
-    if stable and not stability_check(p):
+
+
+def _require_stable_blue(p: TransducerParams):
+    if not stability_check(p):
         raise ValueError("blue-detuned parameters are unstable")
 
 
@@ -306,7 +309,7 @@ def scattering_blue(p: TransducerParams, omega: float = 0.0) -> np.ndarray:
     couples the optical creation operator to the other annihilation
     operators.  Unstable parameters are rejected.
     """
-    _require(p, "blue", stable=True)
+    _require_stable_blue(p)
     return _scattering_batch(p, omega)[0]
 
 
@@ -359,7 +362,7 @@ def mo_standard_form_spectra(p: TransducerParams, omegas) -> tuple:
     and is brought to w Z by an implicit local phase rotation, so w is
     reported as a magnitude.
     """
-    _require(p, "blue", stable=True)
+    _require_stable_blue(p)
     s = _scattering_batch(p, omegas)
     quad = _quadrature_rows(s, [PORT_OPTICAL_C, PORT_MICROWAVE_C])
     # the input covariance is diagonal: scaling columns is quad @ vin, exactly
@@ -406,7 +409,7 @@ def output_mo_covariance(
     if method == "closed":
         if omega != 0.0:
             raise ValueError("closed-form path is only defined on resonance")
-        _require(p, "blue", stable=True)
+        _require_stable_blue(p)
         u, v, w = _closed_form_uvw(p)
     elif method == "numeric":
         u, v, w = (float(x[0]) for x in mo_standard_form_spectra(p, omega))

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gausslink.capacity import (
+    _ABS_TOL,
     BosonicChannelKind,
     FrequencyQuadrature,
     coherent_info_loss_amp,
@@ -236,7 +237,7 @@ def _full_grid_doubling(fn, omega_max, quad):
         omegas = np.linspace(-omega_max, omega_max, n)
         total = float(np.trapezoid(fn(omegas), omegas))
         if prev is not None and abs(total - prev) <= max(
-            quad.rel_tol * abs(total), quad.abs_tol
+            quad.rel_tol * abs(total), _ABS_TOL
         ):
             return total
         prev = total
@@ -287,7 +288,7 @@ class TestIntegrateSpectrum:
         assert np.array_equal(nodes, np.linspace(-10.0, 10.0, 513))
 
     def test_capped_integral_raises(self):
-        quad = FrequencyQuadrature(rel_tol=0.0, abs_tol=0.0, max_doublings=2)
+        quad = FrequencyQuadrature(rel_tol=0.0, max_doublings=2)
         with pytest.raises(ValueError, match="not converged on 1025 nodes"):
             integrate_spectrum(lambda om: om**2, 1.0, quad)
 
