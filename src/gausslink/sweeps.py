@@ -25,13 +25,16 @@ from .capacity import (
     q_lb_loss_amp,
     RANDOM_DISPLACEMENT,
 )
-from .entanglement import duan_quantity, entanglement_of_formation, entanglement_rate
-from .swap import apply_optical_loss, click_rate, mm_standard_form
+from .entanglement import _eof, _optical_loss, _swap_form, entanglement_rate
+from .swap import click_rate
 from .teleport import induced_channel, optimize_gains
 from .transducer import (
     TransducerParams,
+    TwoModeStandardForm,
+    _check_forms,
+    _closed_form_uvw,
+    cooperativities,
     dqt_channel,
-    output_mo_covariance,
     stability_check,
 )
 
@@ -53,10 +56,6 @@ class ConfigError(Exception):
 
 class NumericalError(Exception):
     """Numerical failure while evaluating a sweep point."""
-
-
-class _UnstablePoint(Exception):
-    pass
 
 
 AXIS_NAMES = ("C_om", "C_em", "kappa", "n_th", "tau")
@@ -112,57 +111,62 @@ class SweepResult:
 
 
 def _params(pt: dict, detuning: str) -> TransducerParams:
+    """The device at a point, or one device per lane where ``pt`` holds arrays."""
     return TransducerParams.from_cooperativities(
-        pt["C_om"],
-        pt["C_em"],
-        pt["zeta_o"],
-        pt["zeta_e"],
-        pt["n_th"],
+        *(pt[k] for k in ("C_om", "C_em", "zeta_o", "zeta_e", "n_th")),
         detuning,
-        pt["kappa_o"],
-        pt["kappa_e"],
-        pt["kappa_m"],
+        *(pt[k] for k in ("kappa_o", "kappa_e", "kappa_m")),
     )
 
 
-def _source_form(pt: dict):
-    p = _params(pt, "blue")
-    if not stability_check(p):
-        raise _UnstablePoint
-    return output_mo_covariance(p, method="closed")
+def _columns(points: list) -> dict:
+    return {k: np.array([pt[k] for pt in points], dtype=float) for k in points[0]}
 
 
-class _PointFailure(Exception):
-    """Raised from the error of a block's point; its argument is the point's index."""
+def _source_forms(points: list) -> tuple:
+    """Stable mask of a block of points, and the validated on-resonance
+    closed-form (u, v, w) arrays over its stable points.
+
+    One blue device per point; one batched eigenvalue solve finds the stable ones.
+    """
+    p = _params(_columns(points), "blue")
+    stable = stability_check(p)
+    c_om, c_em = cooperativities(p)
+    u, v, w = _closed_form_uvw(
+        *(x[stable] for x in (c_om, c_em, p.zeta_o, p.zeta_e, p.n_th))
+    )
+    _check_forms(u, v, w)
+    return stable, u, v, w
 
 
-def _each(fn, points: list) -> list:
-    """``fn`` at each point of a block, None where the point is unstable."""
-    out = []
-    for i, pt in enumerate(points):
-        try:
-            out.append(fn(pt))
-        except _UnstablePoint:
-            out.append(None)
-        except (ValueError, ArithmeticError) as exc:
-            raise _PointFailure(i) from exc
-    return out
+def _swapped_forms(points: list) -> tuple:
+    """Stable mask, the source (u, v, w) after optical loss tau, and (diag, off)
+    of the swapped microwave pair, over the stable points of a block."""
+    stable, u, v, w = _source_forms(points)
+    u, w = _optical_loss(u, w, np.array([pt["tau"] for pt in points])[stable])
+    _check_forms(u, v, w)
+    diag, off = _swap_form(u, v, w)
+    _check_forms(diag, diag, off)
+    return stable, u, v, w, diag, off
+
+
+def _rows(stable: np.ndarray, **columns) -> list:
+    """Metrics dicts of a block, None where unstable; a column holds one value
+    per stable point, or one for all."""
+    n = int(stable.sum())
+    values = zip(*(np.broadcast_to(c, n).tolist() for c in columns.values()))
+    return [dict(zip(columns, next(values))) if s else None for s in stable.tolist()]
+
+
+def _boundary(points: list) -> float:
+    # the extraction ratios are fixed, never swept
+    return dqt_capacity_boundary(points[0]["zeta_o"], points[0]["zeta_e"])
 
 
 def _pointwise(fn):
-    """Block evaluator that applies the one-point evaluator ``fn`` to each point."""
-    return functools.wraps(fn)(functools.partial(_each, fn))
-
-
-def _optimize(forms: list) -> list:
-    """One batched gain search over the stable forms of a block.
-
-    Returns (kappa_opt, q_lb_opt) per form, None where the form is None.
-    """
-    stable = [f for f in forms if f is not None]
-    kappa, q = optimize_gains(*(np.array([getattr(f, x) for f in stable]) for x in "uvw"))
-    found = iter(zip(kappa.tolist(), q.tolist()))
-    return [None if f is None else next(found) for f in forms]
+    """Block evaluator applying ``fn``, which returns None at an unstable point,
+    to each point."""
+    return functools.wraps(fn)(lambda points: [fn(pt) for pt in points])
 
 
 @_pointwise
@@ -180,26 +184,13 @@ def _eval_fig1a(pt):
 
 
 def _eval_capacity_map(points):
-    forms = _each(_source_form, points)
-    return [
-        None
-        if form is None
-        else {
-            "u": form.u,
-            "v": form.v,
-            "w": form.w,
-            "q_lb_eqt": gain[1],
-            "kappa_opt": gain[0],
-            "boundary": dqt_capacity_boundary(pt["zeta_o"], pt["zeta_e"]),
-        }
-        for pt, form, gain in zip(points, forms, _optimize(forms))
-    ]
+    stable, u, v, w = _source_forms(points)
+    kappa, q = optimize_gains(u, v, w)
+    return _rows(stable, u=u, v=v, w=w, q_lb_eqt=q, kappa_opt=kappa, boundary=_boundary(points))
 
 
-@_pointwise
-def _eval_fig2a(pt):
-    form = _source_form(pt)
-    ch = induced_channel(form, pt["kappa"])
+def _gain_curve_point(form: TwoModeStandardForm, kappa: float) -> dict:
+    ch = induced_channel(form, kappa)
     if ch.kind == RANDOM_DISPLACEMENT:
         raw = coherent_info_displacement(ch.noise)
     else:
@@ -213,48 +204,38 @@ def _eval_fig2a(pt):
     }
 
 
-@_pointwise
-def _eval_fig2d(pt):
-    form = _source_form(pt)
-    return {
-        "u": form.u,
-        "v": form.v,
-        "w": form.w,
-        "e_f": entanglement_of_formation(form),
-    }
+def _eval_fig2a(points):
+    stable, u, v, w = _source_forms(points)
+    forms = iter(zip(u.tolist(), v.tolist(), w.tolist()))
+    return [
+        _gain_curve_point(TwoModeStandardForm(*next(forms)), pt["kappa"]) if s else None
+        for pt, s in zip(points, stable.tolist())
+    ]
 
 
-def _mm_form(pt):
-    return mm_standard_form(apply_optical_loss(_source_form(pt), pt["tau"]))
+def _eval_fig2d(points):
+    stable, u, v, w = _source_forms(points)
+    return _rows(stable, u=u, v=v, w=w, e_f=_eof(u, v, w)[0])
 
 
-@_pointwise
-def _eval_fig4a(pt):
-    mm = _mm_form(pt)
-    return {"u_mm": mm.u, "w_mm": mm.w, "e_f_mm": entanglement_of_formation(mm)}
+def _eval_fig4a(points):
+    stable, *_, diag, off = _swapped_forms(points)
+    return _rows(stable, u_mm=diag, w_mm=off, e_f_mm=_eof(diag, diag, off)[0])
 
 
 def _eval_fig4b(points):
-    forms = _each(_mm_form, points)
-    return [
-        None
-        if mm is None
-        else {
-            "u_mm": mm.u,
-            "w_mm": mm.w,
-            "q_lb_mm": gain[1],
-            "kappa_opt": gain[0],
-            "boundary": dqt_capacity_boundary(pt["zeta_o"], pt["zeta_e"]),
-        }
-        for pt, mm, gain in zip(points, forms, _optimize(forms))
-    ]
+    stable, *_, diag, off = _swapped_forms(points)
+    kappa, q = optimize_gains(diag, diag, off)
+    return _rows(
+        stable, u_mm=diag, w_mm=off, q_lb_mm=q, kappa_opt=kappa, boundary=_boundary(points)
+    )
 
 
 @_pointwise
 def _eval_fig5a(pt):
     p = _params(pt, "blue")
     if not stability_check(p):
-        raise _UnstablePoint
+        return None
     r_t, r_b = click_rate(p, pt["tau"], pt["pulse_duration"])
     return {"r_t": r_t, "r_B": r_b}
 
@@ -263,35 +244,29 @@ def _eval_fig5a(pt):
 def _eval_fig5b(pt):
     p = _params(pt, "blue")
     if not stability_check(p):
-        raise _UnstablePoint
+        return None
     return {"e_r": entanglement_rate(p, pt["tau"])}
 
 
-def _custom_point(pt):
-    ch = dqt_channel(_params(pt, "red"))
-    form = apply_optical_loss(_source_form(pt), pt["tau"])
-    mm = mm_standard_form(form)
-    metrics = {
-        "eta0": ch.eta,
-        "q_lb_dqt": q_lb_loss_amp(ch.eta, ch.n_e),
-        "u": form.u,
-        "v": form.v,
-        "w": form.w,
-        "duan": duan_quantity(form),
-        "e_f": entanglement_of_formation(form),
-        "e_f_mm": entanglement_of_formation(mm),
-    }
-    return metrics, form, mm
-
-
 def _eval_custom(points):
-    found = _each(_custom_point, points)
-    stable = [f for f in found if f is not None]
+    stable, u, v, w, diag, off = _swapped_forms(points)
     # the lossy source and its swapped form share one search
-    gains = _optimize([f[1] for f in stable] + [f[2] for f in stable])
-    for (metrics, _, _), (kappa, q), (_, q_mm) in zip(stable, gains, gains[len(stable):]):
-        metrics.update(q_lb_eqt=q, kappa_opt=kappa, q_lb_mm=q_mm)
-    return [None if f is None else f[0] for f in found]
+    kappa, q = optimize_gains(*np.concatenate([[u, v, w], [diag, diag, off]], axis=1))
+    red = [dqt_channel(_params(pt, "red")) for pt, s in zip(points, stable) if s]
+    return _rows(
+        stable,
+        eta0=[ch.eta for ch in red],
+        q_lb_dqt=[q_lb_loss_amp(ch.eta, ch.n_e) for ch in red],
+        u=u,
+        v=v,
+        w=w,
+        duan=u + v - 2 * w,
+        e_f=_eof(u, v, w)[0],
+        q_lb_eqt=q[: u.size],
+        kappa_opt=kappa[: u.size],
+        e_f_mm=_eof(diag, diag, off)[0],
+        q_lb_mm=q[u.size :],
+    )
 
 
 def _axes_cc() -> tuple:
@@ -559,16 +534,22 @@ def _grid_points(config: SweepConfig):
 def _evaluate_block(experiment: str, fixed: dict, axis_names: tuple, block: list) -> list:
     """Metrics of each point of a block of grid coordinates, None where unstable.
 
-    A ValueError or ArithmeticError at a point is raised as NumericalError
-    naming the experiment and the point's axis values.
+    A ValueError or ArithmeticError is raised as NumericalError naming the
+    experiment and the axis values of the first point that fails alone: points
+    do not interact, so a failing block is re-run one point at a time.
     """
+    evaluate = EXPERIMENTS[experiment].evaluate
     points = [{**fixed, **dict(zip(axis_names, coords))} for coords in block]
     try:
-        return EXPERIMENTS[experiment].evaluate(points)
-    except _PointFailure as failure:
-        coords = block[failure.args[0]]
-        where = ", ".join(f"{n}={_format_value(c)}" for n, c in zip(axis_names, coords))
-        raise NumericalError(f"{experiment} at {where}: {failure.__cause__}") from failure
+        return evaluate(points)
+    except (ValueError, ArithmeticError):
+        for coords, pt in zip(block, points):
+            try:
+                evaluate([pt])
+            except (ValueError, ArithmeticError) as exc:
+                where = ", ".join(f"{n}={_format_value(c)}" for n, c in zip(axis_names, coords))
+                raise NumericalError(f"{experiment} at {where}: {exc}") from exc
+        raise
 
 
 def _format_value(value) -> str:

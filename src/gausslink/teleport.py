@@ -18,7 +18,8 @@ from .capacity import (
     RANDOM_DISPLACEMENT,
     THERMAL_AMP,
     THERMAL_LOSS,
-    _g_array,
+    _coherent_info_displacement,
+    _coherent_info_loss_amp,
 )
 from .entanglement import duan_quantity
 from .gaussian import check_physical
@@ -75,14 +76,13 @@ def _bounds_at_gains(form, kappas: np.ndarray) -> np.ndarray:
         sigma = noise[unit]
         good = sigma > 0
         vals = np.zeros_like(sigma)
-        vals[good] = np.log2(2.0 / (np.e * sigma[good]))
+        vals[good] = _coherent_info_displacement(sigma[good])
         out[unit] = vals
     rest = ~unit
     if np.any(rest):
-        kk = k[rest]
-        denom = np.abs(1.0 - kk**2)
-        n_e = np.maximum(noise[rest] / (2.0 * denom) - 0.5, 0.0)
-        out[rest] = np.log2(kk**2 / denom) - _g_array(n_e)
+        eta = k[rest] ** 2
+        n_e = np.maximum(noise[rest] / (2.0 * np.abs(1.0 - eta)) - 0.5, 0.0)
+        out[rest] = _coherent_info_loss_amp(eta, n_e)
     return np.maximum(out, 0.0)
 
 

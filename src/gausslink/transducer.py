@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .gaussian import GaussianChannelSpec, check_physical
+from .gaussian import PHYSICALITY_FLOOR, GaussianChannelSpec
 
 __all__ = [
     "TransducerParams",
@@ -44,6 +44,14 @@ PORT_MICROWAVE_C = 3
 PORT_MICROWAVE_I = 4
 
 
+def _all(ok) -> bool:
+    """Whether a check holds for a bool, or on every lane of a bool array.
+
+    Checks are written as the condition a valid value meets, so NaN fails them.
+    """
+    return bool(ok.all()) if isinstance(ok, np.ndarray) else bool(ok)
+
+
 @dataclass(frozen=True)
 class TransducerParams:
     """Rates and couplings of the piezo-optomechanical device.
@@ -52,7 +60,9 @@ class TransducerParams:
     is the occupation of the common thermal bath seen by the mechanical mode
     and the intrinsic microwave port; optical inputs are always vacuum.
     ``detuning`` selects the pump sideband: "red" for direct conversion,
-    "blue" for entanglement generation.
+    "blue" for entanglement generation.  The numeric fields may also be
+    equal-shaped arrays, one device per lane; every input check then applies
+    to every lane.
     """
 
     g_om: float
@@ -67,13 +77,13 @@ class TransducerParams:
 
     def __post_init__(self):
         for name in ("g_om", "g_em", "kappa_o_c", "kappa_o_i", "kappa_e_c", "kappa_e_i"):
-            if getattr(self, name) < 0:
+            if not _all(getattr(self, name) >= 0):
                 raise ValueError(f"{name} must be nonnegative")
-        if self.kappa_m <= 0:
+        if not _all(self.kappa_m > 0):
             raise ValueError("kappa_m must be positive")
-        if self.kappa_o <= 0 or self.kappa_e <= 0:
+        if not _all((self.kappa_o > 0) & (self.kappa_e > 0)):
             raise ValueError("total optical and microwave linewidths must be positive")
-        if self.n_th < 0:
+        if not _all(self.n_th >= 0):
             raise ValueError("n_th must be nonnegative")
         if self.detuning not in ("red", "blue"):
             raise ValueError("detuning must be 'red' or 'blue'")
@@ -108,9 +118,9 @@ class TransducerParams:
         kappa_m: float = 1.0,
     ) -> "TransducerParams":
         """Back-solve couplings from cooperativities and extraction ratios."""
-        if not 0.0 <= zeta_o <= 1.0 or not 0.0 <= zeta_e <= 1.0:
+        if not _all((0.0 <= zeta_o) & (zeta_o <= 1.0) & (0.0 <= zeta_e) & (zeta_e <= 1.0)):
             raise ValueError("extraction ratios must lie in [0, 1]")
-        if c_om < 0 or c_em < 0:
+        if not _all((c_om >= 0) & (c_em >= 0)):
             raise ValueError("cooperativities must be nonnegative")
         return cls(
             g_om=0.5 * np.sqrt(c_om * kappa_o * kappa_m),
@@ -126,10 +136,34 @@ class TransducerParams:
 
 
 def cooperativities(p: TransducerParams) -> tuple:
-    """(C_om, C_em) = (4 g_om^2 / (kappa_o kappa_m), 4 g_em^2 / (kappa_e kappa_m))."""
-    c_om = 4.0 * p.g_om**2 / (p.kappa_o * p.kappa_m)
-    c_em = 4.0 * p.g_em**2 / (p.kappa_e * p.kappa_m)
+    """(C_om, C_em) = (4 g_om^2 / (kappa_o kappa_m), 4 g_em^2 / (kappa_e kappa_m)).
+
+    np.float_power squares with libm pow, as ``x ** 2`` on a float does, so
+    array lanes equal scalar values bit for bit (an array's ``x ** 2`` is x * x).
+    """
+    c_om = 4.0 * np.float_power(p.g_om, 2.0) / (p.kappa_o * p.kappa_m)
+    c_em = 4.0 * np.float_power(p.g_em, 2.0) / (p.kappa_e * p.kappa_m)
     return c_om, c_em
+
+
+_VACUUM_FLOOR = 1e-9  # round-off allowed below the vacuum variance
+
+
+def _check_forms(u, v, w):
+    """Raise ValueError unless every standard form (u, v, w) is physical.
+
+    Floats or arrays.  The smallest eigenvalue of V + i Omega is
+    (u + v - sqrt((|u - v| + 2)^2 + 4 w^2)) / 2, held to the floor of
+    `gaussian.check_physical`, scaled as there by max(1, |V|_max).
+    """
+    if not _all((u >= 1.0 - _VACUUM_FLOOR) & (v >= 1.0 - _VACUUM_FLOOR)):
+        raise ValueError("diagonal variances must be at least the vacuum value")
+    lo = 0.5 * (u + v - np.sqrt((np.abs(u - v) + 2.0) ** 2 + 4.0 * w * w))
+    scale = np.maximum(np.maximum(1.0, np.abs(w)), np.maximum(np.abs(u), np.abs(v)))
+    ok = lo >= PHYSICALITY_FLOOR * scale
+    if not _all(ok):
+        worst = np.extract(~ok, lo)[0]
+        raise ValueError(f"covariance is not physical: min eig(V + iOmega) = {worst:.3e}")
 
 
 @dataclass(frozen=True)
@@ -148,9 +182,7 @@ class TwoModeStandardForm:
         object.__setattr__(self, "u", float(self.u))
         object.__setattr__(self, "v", float(self.v))
         object.__setattr__(self, "w", float(self.w))
-        if self.u < 1.0 - 1e-9 or self.v < 1.0 - 1e-9:
-            raise ValueError("diagonal variances must be at least the vacuum value")
-        check_physical(self.to_covariance())
+        _check_forms(self.u, self.v, self.w)
 
     def to_covariance(self) -> np.ndarray:
         """Assemble the 4x4 covariance matrix, optical mode first."""
@@ -280,15 +312,16 @@ def dqt_efficiency_bandwidth(p: TransducerParams, omega) -> np.ndarray:
 
 
 def _drift_blue(p: TransducerParams) -> np.ndarray:
+    """Drift matrix of each lane, shape (..., 3, 3)."""
     # mode order (a^dag, b, c); parametric optical-mechanical coupling
-    return np.array(
-        [
-            [-p.kappa_o / 2.0, -1j * p.g_om, 0.0],
-            [1j * p.g_om, -p.kappa_m / 2.0, 1j * p.g_em],
-            [0.0, 1j * p.g_em, -p.kappa_e / 2.0],
-        ],
-        dtype=complex,
-    )
+    drift = np.zeros(np.shape(p.g_om) + (3, 3), dtype=complex)
+    drift[..., 0, 0] = -p.kappa_o / 2.0
+    drift[..., 0, 1] = -1j * p.g_om
+    drift[..., 1, 0] = 1j * p.g_om
+    drift[..., 1, 1] = -p.kappa_m / 2.0
+    drift[..., 1, 2] = drift[..., 2, 1] = 1j * p.g_em
+    drift[..., 2, 2] = -p.kappa_e / 2.0
+    return drift
 
 
 def stability_check(p: TransducerParams) -> bool:
@@ -296,9 +329,11 @@ def stability_check(p: TransducerParams) -> bool:
 
     All eigenvalues of the drift matrix must have real part < -1e-9; the
     parametric gain destabilizes the system once C_om reaches 1 + C_em.
+    Array-valued parameters give a bool array from one batched eigvals.
     """
     _require(p, "blue")
-    return bool(np.max(np.linalg.eigvals(_drift_blue(p)).real) < -1e-9)
+    stable = np.max(np.linalg.eigvals(_drift_blue(p)).real, axis=-1) < -1e-9
+    return stable if stable.ndim else bool(stable)
 
 
 def scattering_blue(p: TransducerParams, omega: float = 0.0) -> np.ndarray:
@@ -375,18 +410,19 @@ def mo_standard_form_spectra(p: TransducerParams, omegas) -> tuple:
     return u, v, np.hypot(alpha, beta)
 
 
-def _closed_form_uvw(p: TransducerParams) -> tuple:
+def _closed_form_uvw(c_om, c_em, zo, ze, n) -> tuple:
     """On-resonance (u, v, w) closed forms, validated against the scattering path.
 
+    Floats or arrays of stable devices; squares use pow as in `cooperativities`.
     The published expression for v carries a spurious extra factor of C_om;
     the form used here is the one that reproduces the quadrature-scattering
     computation identically (see the tests fitting both variants).
     """
-    c_om, c_em = cooperativities(p)
-    zo, ze, n = p.zeta_o, p.zeta_e, p.n_th
-    den = (1.0 - c_om + c_em) ** 2
+    den = np.float_power(1.0 - c_om + c_em, 2.0)
     u = 1.0 + 8.0 * c_om * (1.0 + n + c_em * (1.0 + n - n * ze)) * zo / den
-    v = 1.0 + 8.0 * (c_em * (c_om + n) - (c_om - 1.0) ** 2 * (ze - 1.0) * n) * ze / den
+    v = 1.0 + 8.0 * (
+        c_em * (c_om + n) - np.float_power(c_om - 1.0, 2.0) * (ze - 1.0) * n
+    ) * ze / den
     w = (
         4.0
         * (1.0 + c_em + c_om + 2.0 * n * c_om * (1.0 - ze) + 2.0 * n * ze)
@@ -410,7 +446,7 @@ def output_mo_covariance(
         if omega != 0.0:
             raise ValueError("closed-form path is only defined on resonance")
         _require_stable_blue(p)
-        u, v, w = _closed_form_uvw(p)
+        u, v, w = _closed_form_uvw(*cooperativities(p), p.zeta_o, p.zeta_e, p.n_th)
     elif method == "numeric":
         u, v, w = (float(x[0]) for x in mo_standard_form_spectra(p, omega))
     else:

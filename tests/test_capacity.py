@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from gausslink.capacity import (
     _ABS_TOL,
+    _CHUNK_NODES,
     BosonicChannelKind,
     FrequencyQuadrature,
     coherent_info_loss_amp,
@@ -178,7 +179,7 @@ class TestBandwidthIntegrated:
     def test_half_range_symmetry(self):
         # integrand is even, so integrating [0, W] and doubling must agree
         from gausslink.transducer import _dqt_eta_ne
-        from gausslink.capacity import _g_array
+        from gausslink.capacity import _g
 
         p = _red(4.0, 4.0, 0.2)
         w_max = 10.0 * max(p.kappa_o, p.kappa_e, p.kappa_m)
@@ -188,7 +189,7 @@ class TestBandwidthIntegrated:
             out = np.zeros_like(eta)
             mask = eta > 0.5
             out[mask] = np.maximum(
-                0.0, np.log2(eta[mask] / (1 - eta[mask])) - _g_array(n_e[mask])
+                0.0, np.log2(eta[mask] / (1 - eta[mask])) - _g(n_e[mask])
             )
             return out
 
@@ -202,7 +203,7 @@ class TestBandwidthIntegrated:
     def test_convergence_on_refinement(self):
         # halving the trapezoid step changes the result by < 1e-6 relative
         from gausslink.transducer import _dqt_eta_ne
-        from gausslink.capacity import _g_array
+        from gausslink.capacity import _g
 
         p = _red(6.0, 3.0, 0.4)
         w_max = 10.0 * max(p.kappa_o, p.kappa_e, p.kappa_m)
@@ -212,7 +213,7 @@ class TestBandwidthIntegrated:
             out = np.zeros_like(eta)
             mask = eta > 0.5
             out[mask] = np.maximum(
-                0.0, np.log2(eta[mask] / (1 - eta[mask])) - _g_array(n_e[mask])
+                0.0, np.log2(eta[mask] / (1 - eta[mask])) - _g(n_e[mask])
             )
             return out
 
@@ -286,6 +287,29 @@ class TestIntegrateSpectrum:
         assert [len(x) for x in seen] == [257, 256]
         nodes = np.sort(np.concatenate(seen))
         assert np.array_equal(nodes, np.linspace(-10.0, 10.0, 513))
+
+    def test_capped_integral_evaluates_in_bounded_chunks(self):
+        # eight doublings of 257 nodes reach 65,537 nodes, whose last 32,768
+        # midpoints would otherwise go to fn in one call
+        sizes = []
+
+        def recording(omegas):
+            sizes.append(omegas.size)
+            return omegas**2
+
+        quad = FrequencyQuadrature(rel_tol=0.0, max_doublings=8)
+        with pytest.raises(ValueError, match="not converged on 65537 nodes"):
+            integrate_spectrum(recording, 1.0, quad)
+        assert max(sizes) == _CHUNK_NODES
+        assert sum(sizes) == 65537
+        assert sizes[-2:] == [_CHUNK_NODES, _CHUNK_NODES]
+
+    def test_chunking_changes_no_total(self):
+        # a Lorentzian of width 1e-4 on [-1, 1] converges on 131,073 nodes,
+        # with its last three doublings in chunks
+        fn = lambda om: 1.0 / (1.0 + (om / 1e-4) ** 2)  # noqa: E731
+        quad = FrequencyQuadrature()
+        assert integrate_spectrum(fn, 1.0, quad) == _full_grid_doubling(fn, 1.0, quad)
 
     def test_capped_integral_raises(self):
         quad = FrequencyQuadrature(rel_tol=0.0, max_doublings=2)

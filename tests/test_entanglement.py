@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from gausslink.capacity import g_function
 from gausslink.entanglement import (
-    _r_min,
     duan_quantity,
     entanglement_of_formation,
     entanglement_rate,
@@ -58,9 +60,13 @@ class TestEntanglementOfFormation:
             if entanglement_of_formation(form) > 0:
                 assert ppt_min_symplectic(form.u, form.v, form.w) < 1.0 + 1e-9
 
-    def test_epr_singular_guard(self):
-        with pytest.raises(ValueError, match="EPR"):
-            _r_min(100.0, 2500.0, 0.0, 3.0, 3.0, 3.0)
+    def test_epr_singular_guard(self, rng):
+        # beta_- = (u + v - 2|w|)^2 = 0 would divide by zero, but a physical
+        # form has u v - w^2 >= 1, hence u + v > 2|w|: the form check is the guard
+        with pytest.raises(ValueError, match="not physical"):
+            TwoModeStandardForm(3.0, 3.0, 3.0)
+        for _ in range(200):
+            assert eof_intermediates(random_physical_form(rng, umax=40.0)).beta_minus > 0.0
 
 
 class TestDuan:
@@ -110,7 +116,33 @@ class TestEntanglementRate:
 
 
 def test_simplified_betas_match_general_form(rng):
-    # the cross-check inside eof_intermediates raises if the two routes differ
+    # for a standard form, the general beta_+- of Tserkis & Ralph (PRA 96,
+    # 062338, 2017) collapse to the (u + v +- 2|w|)^2 the closed form uses
     for _ in range(300):
         form = random_physical_form(rng, umax=40.0)
-        eof_intermediates(form)
+        u, v, w = form.u, form.v, abs(form.w)
+        base = u * u + v * v + 2.0 * w * w + 2.0 * u * v + 2.0 * w * w
+        inter = eof_intermediates(form)
+        scale = max(1.0, inter.beta_plus)
+        assert abs(inter.beta_plus - (base + 4.0 * w * (u + v))) <= 1e-12 * scale
+        assert abs(inter.beta_minus - (base - 4.0 * w * (u + v))) <= 1e-12 * scale
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    u=st.floats(1.0, 1e3),
+    v=st.floats(1.0, 1e3),
+    reach=st.floats(0.0, 1.0),
+    sign=st.sampled_from([1.0, -1.0]),
+)
+def test_eof_properties(u, v, reach, sign):
+    # w up to the physical limit w^2 = (min(u, v) - 1)(max(u, v) + 1)
+    w = reach * np.sqrt((min(u, v) - 1.0) * (max(u, v) + 1.0))
+    try:
+        form = TwoModeStandardForm(u, v, sign * w)
+    except ValueError:
+        return
+    ef = entanglement_of_formation(form)
+    assert ef == entanglement_of_formation(TwoModeStandardForm(u, v, -sign * w))
+    # bounded by the entropy of the less mixed reduced state
+    assert 0.0 <= ef <= g_function((min(u, v) - 1.0) / 2.0) + 1e-9

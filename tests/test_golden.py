@@ -128,6 +128,14 @@ SMALL = {
 }
 
 
+# default 100x100 grids of the closed-form maps, whose small grids above cover
+# only 9 stable points each
+DEFAULT_GRIDS = {
+    "fig2d_eof_map": "114691e56ee01b196e6b7df589494bba55d9f567cdcfa20f0addf71e45c6042e",
+    "fig4a_mm_eof": "15564663c6bb57121b59334b813162a26b4104f06b2f04367f409c3c08840ec7",
+}
+
+
 def sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
@@ -164,6 +172,13 @@ def test_shipped_config(name, tmp_path):
 @pytest.mark.parametrize("name", sorted(SMALL))
 def test_small_grid(name, tmp_path):
     assert sweep_files(small_config(name, tmp_path), tmp_path) == {f"{name}.csv": SMALL[name]}
+
+
+@pytest.mark.parametrize("name", sorted(DEFAULT_GRIDS))
+def test_default_grid(name, tmp_path):
+    config = tmp_path / f"{name}.ini"
+    config.write_text(f"[sweep]\nexperiment = {name}\noutput = {name}.csv\n", encoding="utf-8")
+    assert sweep_files(config, tmp_path) == {f"{name}.csv": DEFAULT_GRIDS[name]}
 
 
 @pytest.mark.parametrize("name", ["fig1b_eqt_ideal", "fig2bc_capacity_maps", "fig4b_mm_capacity"])

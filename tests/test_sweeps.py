@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import gausslink.sweeps as sweeps
+from gausslink.transducer import TransducerParams
 from gausslink.sweeps import (
     Axis,
     ConfigError,
@@ -163,20 +164,48 @@ scale = log
             assert len(blocks) > 2
             assert any(row[2] == "0" for row in serial.rows)
 
-    @pytest.mark.parametrize("experiment", ["fig1a_dqt_boundary", "fig2bc_capacity_maps"])
+    @pytest.mark.parametrize(
+        "experiment", ["fig1a_dqt_boundary", "fig2bc_capacity_maps", "fig4a_mm_eof"]
+    )
     def test_failing_point_is_named(self, tmp_path, monkeypatch, experiment):
-        params = sweeps._params
+        # every experiment builds its devices here, one point at a time or a
+        # block of points as arrays
+        build = TransducerParams.from_cooperativities.__func__
 
-        def failing(pt, detuning):
-            if (pt["C_om"], pt["C_em"]) == (2.0, 4.0):
+        def failing(cls, c_om, c_em, *args):
+            if np.any((np.asarray(c_om) == 2.0) & (np.asarray(c_em) == 4.0)):
                 raise ValueError("injected failure")
-            return params(pt, detuning)
+            return build(cls, c_om, c_em, *args)
 
-        monkeypatch.setattr(sweeps, "_params", failing)
+        monkeypatch.setattr(TransducerParams, "from_cooperativities", classmethod(failing))
         cfg = parse_config(write_config(tmp_path, MINIMAL.replace("custom", experiment)))
         with pytest.raises(NumericalError) as info:
             run_sweep(cfg, out_dir=tmp_path)
         assert str(info.value) == f"{experiment} at C_om=2, C_em=4: injected failure"
+
+    @pytest.mark.parametrize(
+        "experiment", ["fig1a_dqt_boundary", "fig2bc_capacity_maps", "fig4a_mm_eof", "custom"]
+    )
+    def test_input_check_names_the_point(self, tmp_path, experiment):
+        # a negative cooperativity fails the device's input check at that point
+        body = MINIMAL.replace("custom", experiment).replace("min = 1.0", "min = -1.0")
+        with pytest.raises(NumericalError) as info:
+            run_sweep(parse_config(write_config(tmp_path, body)), out_dir=tmp_path)
+        assert str(info.value) == (
+            f"{experiment} at C_om=0.5, C_em=-1: cooperativities must be nonnegative"
+        )
+
+    @pytest.mark.parametrize("experiment", ["fig1a_dqt_boundary", "custom"])
+    def test_half_efficiency_point_has_zero_bound(self, tmp_path, experiment):
+        # eta = 4 C_om C_em / (1 + C_om + C_em)^2 = 1/2 at C_om = 1, C_em = 2 with
+        # zeta = 1: the computed eta is one ulp above 1/2, and the bound is 0
+        body = MINIMAL.replace("custom", experiment).replace("min = 0.5", "min = 1.0")
+        body = body.replace("min = 1.0\nmax = 4.0", "min = 2.0\nmax = 4.0")
+        res = run_sweep(parse_config(write_config(tmp_path, body)), out_dir=tmp_path)
+        cols = res.columns
+        (row,) = [r for r in res.rows if r[:2] == ("1", "2")]
+        assert row[cols.index("eta0")] == "0.5"
+        assert row[cols.index("q_lb_dqt")] == "0"
 
     @pytest.mark.parametrize("experiment", ["fig1a_dqt_boundary", "custom"])
     def test_zero_optomechanical_coupling_row(self, tmp_path, experiment):
