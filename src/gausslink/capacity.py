@@ -97,6 +97,15 @@ def _coherent_info_displacement(sigma_sq) -> np.ndarray:
     return np.log2(2.0 / (np.e * sigma_sq))
 
 
+def _q_lb_loss_amp(eta: np.ndarray, n_e: np.ndarray) -> np.ndarray:
+    """max(0, log2(eta / |1 - eta|) - g(n_e)) of arrays; 0 where eta <= 1/2, where
+    the log term is at most 0 and is not taken (it is log2(0) at eta = 0)."""
+    out = np.zeros(eta.shape)
+    open_ch = eta > 0.5
+    out[open_ch] = np.maximum(0.0, _coherent_info_loss_amp(eta[open_ch], n_e[open_ch]))
+    return out
+
+
 def coherent_info_loss_amp(eta: float, n_e: float) -> float:
     """Unclamped coherent-information bound log2(eta/|1-eta|) - g(n_e)."""
     if eta <= 0:
@@ -227,13 +236,6 @@ def q_lb_bandwidth_integrated(
     the decay rates are in rad/s.
     """
     _require(p, "red")
-
-    def integrand(omegas):
-        eta, n_e = _dqt_eta_ne(p, omegas)
-        out = np.zeros_like(eta)
-        open_ch = eta > 0.5
-        if np.any(open_ch):
-            out[open_ch] = np.maximum(0.0, _coherent_info_loss_amp(eta[open_ch], n_e[open_ch]))
-        return out
-
-    return integrate_spectrum(integrand, quad.window(p), quad)
+    return integrate_spectrum(
+        lambda omegas: _q_lb_loss_amp(*_dqt_eta_ne(p, omegas)), quad.window(p), quad
+    )

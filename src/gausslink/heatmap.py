@@ -97,27 +97,6 @@ def emit_heatmap(csv_path, metric: str, svg_path) -> Path:
     width = _MARGIN_L + _PLOT_W + _MARGIN_R
     height = _MARGIN_T + _PLOT_H + _MARGIN_B
 
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:.0f}" '
-        f'height="{height:.0f}" viewBox="0 0 {width:.0f} {height:.0f}">',
-        f'<rect width="{width:.0f}" height="{height:.0f}" fill="white"/>',
-    ]
-    for k, value in enumerate(values):
-        i, j = k // n2, k % n2
-        x = _MARGIN_L + j * cell_w
-        # first axis increases upward
-        y = _MARGIN_T + _PLOT_H - (i + 1) * cell_h
-        if value is None:
-            fill = NEUTRAL
-        elif degenerate:
-            fill = _color(0.5)
-        else:
-            fill = _color((value - vmin) / (vmax - vmin))
-        parts.append(
-            f'<rect x="{x:.2f}" y="{y:.2f}" width="{cell_w + 0.05:.2f}" '
-            f'height="{cell_h + 0.05:.2f}" fill="{fill}"/>'
-        )
-
     label_style = 'font-family="sans-serif" font-size="13"'
     cx = _MARGIN_L + _PLOT_W / 2
     cy = _MARGIN_T + _PLOT_H / 2
@@ -125,16 +104,37 @@ def emit_heatmap(csv_path, metric: str, svg_path) -> Path:
         scale_note = f"{metric}: min=max={_fmt(vmin)}"
     else:
         scale_note = f"{metric}: min={_fmt(vmin)}, max={_fmt(vmax)}"
-    parts += [
-        f'<text x="{cx:.0f}" y="{height - 12:.0f}" text-anchor="middle" {label_style}>'
-        f"{ax2_name}</text>",
-        f'<text x="16" y="{cy:.0f}" text-anchor="middle" {label_style} '
-        f'transform="rotate(-90 16 {cy:.0f})">{ax1_name}</text>',
-        f'<text x="{_MARGIN_L}" y="20" {label_style}>{scale_note}</text>',
-        "</svg>",
-    ]
     svg_path.parent.mkdir(parents=True, exist_ok=True)
-    svg_path.write_text("\n".join(parts) + "\n", encoding="utf-8")
+    # streamed: the document of a 100x100 grid held as strings takes about 2 MB
+    with open(svg_path, "w", encoding="utf-8") as fh:
+        fh.write(
+            f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:.0f}" '
+            f'height="{height:.0f}" viewBox="0 0 {width:.0f} {height:.0f}">\n'
+            f'<rect width="{width:.0f}" height="{height:.0f}" fill="white"/>\n'
+        )
+        for k, value in enumerate(values):
+            i, j = k // n2, k % n2
+            x = _MARGIN_L + j * cell_w
+            # first axis increases upward
+            y = _MARGIN_T + _PLOT_H - (i + 1) * cell_h
+            if value is None:
+                fill = NEUTRAL
+            elif degenerate:
+                fill = _color(0.5)
+            else:
+                fill = _color((value - vmin) / (vmax - vmin))
+            fh.write(
+                f'<rect x="{x:.2f}" y="{y:.2f}" width="{cell_w + 0.05:.2f}" '
+                f'height="{cell_h + 0.05:.2f}" fill="{fill}"/>\n'
+            )
+        fh.write(
+            f'<text x="{cx:.0f}" y="{height - 12:.0f}" text-anchor="middle" {label_style}>'
+            f"{ax2_name}</text>\n"
+            f'<text x="16" y="{cy:.0f}" text-anchor="middle" {label_style} '
+            f'transform="rotate(-90 16 {cy:.0f})">{ax1_name}</text>\n'
+            f'<text x="{_MARGIN_L}" y="20" {label_style}>{scale_note}</text>\n'
+            "</svg>\n"
+        )
     return svg_path
 
 

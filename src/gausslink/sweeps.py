@@ -19,10 +19,10 @@ from pathlib import Path
 import numpy as np
 
 from .capacity import (
+    _q_lb_loss_amp,
     coherent_info_displacement,
     coherent_info_loss_amp,
     dqt_capacity_boundary,
-    q_lb_loss_amp,
     RANDOM_DISPLACEMENT,
 )
 from .entanglement import _eof, _optical_loss, _swap_form, entanglement_rate
@@ -33,8 +33,8 @@ from .transducer import (
     TwoModeStandardForm,
     _check_forms,
     _closed_form_uvw,
+    _dqt_eta_ne,
     cooperativities,
-    dqt_channel,
     stability_check,
 )
 
@@ -111,7 +111,7 @@ class SweepResult:
 
 
 def _params(pt: dict, detuning: str) -> TransducerParams:
-    """The device at a point, or one device per lane where ``pt`` holds arrays."""
+    """The device at a point, or one device per lane of a block's columns."""
     return TransducerParams.from_cooperativities(
         *(pt[k] for k in ("C_om", "C_em", "zeta_o", "zeta_e", "n_th")),
         detuning,
@@ -119,17 +119,13 @@ def _params(pt: dict, detuning: str) -> TransducerParams:
     )
 
 
-def _columns(points: list) -> dict:
-    return {k: np.array([pt[k] for pt in points], dtype=float) for k in points[0]}
-
-
-def _source_forms(points: list) -> tuple:
-    """Stable mask of a block of points, and the validated on-resonance
-    closed-form (u, v, w) arrays over its stable points.
+def _source_forms(columns: dict) -> tuple:
+    """Stable mask of a block, and the validated on-resonance closed-form
+    (u, v, w) arrays over its stable points.
 
     One blue device per point; one batched eigenvalue solve finds the stable ones.
     """
-    p = _params(_columns(points), "blue")
+    p = _params(columns, "blue")
     stable = stability_check(p)
     c_om, c_em = cooperativities(p)
     u, v, w = _closed_form_uvw(
@@ -139,11 +135,11 @@ def _source_forms(points: list) -> tuple:
     return stable, u, v, w
 
 
-def _swapped_forms(points: list) -> tuple:
+def _swapped_forms(columns: dict) -> tuple:
     """Stable mask, the source (u, v, w) after optical loss tau, and (diag, off)
     of the swapped microwave pair, over the stable points of a block."""
-    stable, u, v, w = _source_forms(points)
-    u, w = _optical_loss(u, w, np.array([pt["tau"] for pt in points])[stable])
+    stable, u, v, w = _source_forms(columns)
+    u, w = _optical_loss(u, w, columns["tau"][stable])
     _check_forms(u, v, w)
     diag, off = _swap_form(u, v, w)
     _check_forms(diag, diag, off)
@@ -158,39 +154,44 @@ def _rows(stable: np.ndarray, **columns) -> list:
     return [dict(zip(columns, next(values))) if s else None for s in stable.tolist()]
 
 
-def _boundary(points: list) -> float:
+def _boundary(columns: dict) -> float:
     # the extraction ratios are fixed, never swept
-    return dqt_capacity_boundary(points[0]["zeta_o"], points[0]["zeta_e"])
+    return dqt_capacity_boundary(columns["zeta_o"][0], columns["zeta_e"][0])
 
 
 def _pointwise(fn):
-    """Block evaluator applying ``fn``, which returns None at an unstable point,
-    to each point."""
-    return functools.wraps(fn)(lambda points: [fn(pt) for pt in points])
+    """Block evaluator applying ``fn`` to each point's parameters as floats;
+    ``fn`` returns None at an unstable point."""
+
+    def evaluate(columns):
+        points = zip(*(c.tolist() for c in columns.values()))
+        return [fn(dict(zip(columns, values))) for values in points]
+
+    return functools.wraps(fn)(evaluate)
 
 
-@_pointwise
-def _eval_fig1a(pt):
-    ch = dqt_channel(_params(pt, "red"))
-    boundary = dqt_capacity_boundary(pt["zeta_o"], pt["zeta_e"])
-    product = pt["C_om"] * pt["C_em"]
-    return {
-        "eta0": ch.eta,
-        "q_lb_dqt": q_lb_loss_amp(ch.eta, ch.n_e),
-        "cc_product": product,
-        "boundary": boundary,
-        "above_boundary": 1.0 if product > boundary else 0.0,
-    }
+def _eval_fig1a(columns):
+    eta, n_e = _dqt_eta_ne(_params(columns, "red"), 0.0)
+    product = columns["C_om"] * columns["C_em"]
+    boundary = _boundary(columns)
+    return _rows(
+        np.ones(product.size, dtype=bool),
+        eta0=eta,
+        q_lb_dqt=_q_lb_loss_amp(eta, n_e),
+        cc_product=product,
+        boundary=boundary,
+        above_boundary=np.where(product > boundary, 1.0, 0.0),
+    )
 
 
-def _eval_capacity_map(points):
-    stable, u, v, w = _source_forms(points)
+def _eval_capacity_map(columns):
+    stable, u, v, w = _source_forms(columns)
     kappa, q = optimize_gains(u, v, w)
-    return _rows(stable, u=u, v=v, w=w, q_lb_eqt=q, kappa_opt=kappa, boundary=_boundary(points))
+    return _rows(stable, u=u, v=v, w=w, q_lb_eqt=q, kappa_opt=kappa, boundary=_boundary(columns))
 
 
-def _gain_curve_point(form: TwoModeStandardForm, kappa: float) -> dict:
-    ch = induced_channel(form, kappa)
+def _gain_curve_point(u: float, v: float, w: float, kappa: float) -> dict:
+    ch = induced_channel(TwoModeStandardForm(u, v, w), kappa)
     if ch.kind == RANDOM_DISPLACEMENT:
         raw = coherent_info_displacement(ch.noise)
     else:
@@ -204,30 +205,27 @@ def _gain_curve_point(form: TwoModeStandardForm, kappa: float) -> dict:
     }
 
 
-def _eval_fig2a(points):
-    stable, u, v, w = _source_forms(points)
-    forms = iter(zip(u.tolist(), v.tolist(), w.tolist()))
-    return [
-        _gain_curve_point(TwoModeStandardForm(*next(forms)), pt["kappa"]) if s else None
-        for pt, s in zip(points, stable.tolist())
-    ]
+def _eval_fig2a(columns):
+    stable, u, v, w = _source_forms(columns)
+    points = zip(u.tolist(), v.tolist(), w.tolist(), columns["kappa"][stable].tolist())
+    return [_gain_curve_point(*next(points)) if s else None for s in stable.tolist()]
 
 
-def _eval_fig2d(points):
-    stable, u, v, w = _source_forms(points)
+def _eval_fig2d(columns):
+    stable, u, v, w = _source_forms(columns)
     return _rows(stable, u=u, v=v, w=w, e_f=_eof(u, v, w)[0])
 
 
-def _eval_fig4a(points):
-    stable, *_, diag, off = _swapped_forms(points)
+def _eval_fig4a(columns):
+    stable, *_, diag, off = _swapped_forms(columns)
     return _rows(stable, u_mm=diag, w_mm=off, e_f_mm=_eof(diag, diag, off)[0])
 
 
-def _eval_fig4b(points):
-    stable, *_, diag, off = _swapped_forms(points)
+def _eval_fig4b(columns):
+    stable, *_, diag, off = _swapped_forms(columns)
     kappa, q = optimize_gains(diag, diag, off)
     return _rows(
-        stable, u_mm=diag, w_mm=off, q_lb_mm=q, kappa_opt=kappa, boundary=_boundary(points)
+        stable, u_mm=diag, w_mm=off, q_lb_mm=q, kappa_opt=kappa, boundary=_boundary(columns)
     )
 
 
@@ -248,15 +246,15 @@ def _eval_fig5b(pt):
     return {"e_r": entanglement_rate(p, pt["tau"])}
 
 
-def _eval_custom(points):
-    stable, u, v, w, diag, off = _swapped_forms(points)
+def _eval_custom(columns):
+    stable, u, v, w, diag, off = _swapped_forms(columns)
     # the lossy source and its swapped form share one search
     kappa, q = optimize_gains(*np.concatenate([[u, v, w], [diag, diag, off]], axis=1))
-    red = [dqt_channel(_params(pt, "red")) for pt, s in zip(points, stable) if s]
+    eta, n_e = (x[stable] for x in _dqt_eta_ne(_params(columns, "red"), 0.0))
     return _rows(
         stable,
-        eta0=[ch.eta for ch in red],
-        q_lb_dqt=[q_lb_loss_amp(ch.eta, ch.n_e) for ch in red],
+        eta0=eta,
+        q_lb_dqt=_q_lb_loss_amp(eta, n_e),
         u=u,
         v=v,
         w=w,
@@ -287,9 +285,9 @@ def _axes_fig5() -> tuple:
 class ExperimentSpec:
     """A registered experiment.
 
-    ``evaluate`` takes a block of grid points, each a dict of parameter
-    values, and returns one metrics dict per point, None where the point is
-    unstable.
+    ``evaluate`` takes a block of grid points as one dict of equal-length
+    float arrays, a column per parameter, and returns one metrics dict per
+    point, None where the point is unstable.
     """
 
     name: str
@@ -404,9 +402,12 @@ EXPERIMENTS = {
 
 def _parse_float(section: str, key: str, raw: str) -> float:
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError as exc:
         raise ConfigError(f"[{section}] {key}: not a number: {raw!r}") from exc
+    if not math.isfinite(value):
+        raise ConfigError(f"[{section}] {key}: not a finite number: {raw!r}")
+    return value
 
 
 def _parse_axis(section: str, items: dict) -> Axis:
@@ -519,19 +520,7 @@ def parse_config(path) -> SweepConfig:
 # --- execution ----------------------------------------------------------------
 
 
-def _grid_points(config: SweepConfig):
-    """Row-major iteration: first axis outermost."""
-    values = [axis.values() for axis in config.axes]
-    if len(values) == 1:
-        for a in values[0]:
-            yield (float(a),)
-    else:
-        for a in values[0]:
-            for b in values[1]:
-                yield (float(a), float(b))
-
-
-def _evaluate_block(experiment: str, fixed: dict, axis_names: tuple, block: list) -> list:
+def _evaluate_block(experiment: str, fixed: dict, axis_names: tuple, block: np.ndarray) -> list:
     """Metrics of each point of a block of grid coordinates, None where unstable.
 
     A ValueError or ArithmeticError is raised as NumericalError naming the
@@ -539,13 +528,14 @@ def _evaluate_block(experiment: str, fixed: dict, axis_names: tuple, block: list
     do not interact, so a failing block is re-run one point at a time.
     """
     evaluate = EXPERIMENTS[experiment].evaluate
-    points = [{**fixed, **dict(zip(axis_names, coords))} for coords in block]
+    columns = {k: np.full(len(block), v) for k, v in fixed.items()}
+    columns.update(zip(axis_names, np.ascontiguousarray(block.T)))
     try:
-        return evaluate(points)
+        return evaluate(columns)
     except (ValueError, ArithmeticError):
-        for coords, pt in zip(block, points):
+        for i, coords in enumerate(block.tolist()):
             try:
-                evaluate([pt])
+                evaluate({k: c[i : i + 1] for k, c in columns.items()})
             except (ValueError, ArithmeticError) as exc:
                 where = ", ".join(f"{n}={_format_value(c)}" for n, c in zip(axis_names, coords))
                 raise NumericalError(f"{experiment} at {where}: {exc}") from exc
@@ -568,14 +558,14 @@ def _format_value(value) -> str:
 _BLOCKS_PER_JOB = 4
 
 
-def _row_blocks(points: list, axes: tuple, count: int) -> list:
-    """Split row-major grid points into at most ``count`` contiguous blocks of
-    whole rows (a row is one value of the first axis)."""
+def _row_blocks(grid: np.ndarray, axes: tuple, count: int) -> list:
+    """Split a row-major grid into at most ``count`` contiguous blocks of whole
+    rows (a row is one value of the first axis)."""
     width = axes[1].points if len(axes) == 2 else 1
-    rows = len(points) // width
+    rows = len(grid) // width
     count = min(count, rows)
     cuts = [width * (rows * i // count) for i in range(count + 1)]
-    return [points[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
+    return [grid[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
 
 
 def run_sweep(config: SweepConfig, out_dir=None, jobs: int = 1) -> SweepResult:
@@ -590,18 +580,20 @@ def run_sweep(config: SweepConfig, out_dir=None, jobs: int = 1) -> SweepResult:
     """
     spec = EXPERIMENTS[config.experiment]
     axis_names = tuple(axis.name for axis in config.axes)
-    points = list(_grid_points(config))
+    # one row of coordinates per point, first axis outermost
+    mesh = np.meshgrid(*(axis.values() for axis in config.axes), indexing="ij")
+    grid = np.stack([m.ravel() for m in mesh], axis=-1)
     evaluate = functools.partial(_evaluate_block, config.experiment, config.fixed, axis_names)
     if jobs > 1:
-        blocks = _row_blocks(points, config.axes, jobs * _BLOCKS_PER_JOB)
+        blocks = _row_blocks(grid, config.axes, jobs * _BLOCKS_PER_JOB)
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             outcomes = [m for block in pool.map(evaluate, blocks) for m in block]
     else:
-        outcomes = evaluate(points)
+        outcomes = evaluate(grid)
 
     header = list(axis_names) + ["stable"] + list(spec.metrics)
     rows = []
-    for coords, metrics in zip(points, outcomes):
+    for coords, metrics in zip(grid.tolist(), outcomes):
         row = [_format_value(c) for c in coords]
         row.append("0" if metrics is None else "1")
         for name in spec.metrics:

@@ -195,15 +195,15 @@ class TwoModeStandardForm:
 
 
 def _drift_red(p: TransducerParams) -> np.ndarray:
+    """Drift matrix of each lane, shape (..., 3, 3)."""
     # mode order (a, c, b); resonance terms removed by the rotating frame
-    return np.array(
-        [
-            [-p.kappa_o / 2.0, 0.0, -1j * p.g_om],
-            [0.0, -p.kappa_e / 2.0, -1j * p.g_em],
-            [-1j * p.g_om, -1j * p.g_em, -p.kappa_m / 2.0],
-        ],
-        dtype=complex,
-    )
+    drift = np.zeros(np.shape(p.g_om) + (3, 3), dtype=complex)
+    drift[..., 0, 0] = -p.kappa_o / 2.0
+    drift[..., 0, 2] = drift[..., 2, 0] = -1j * p.g_om
+    drift[..., 1, 1] = -p.kappa_e / 2.0
+    drift[..., 1, 2] = drift[..., 2, 1] = -1j * p.g_em
+    drift[..., 2, 2] = -p.kappa_m / 2.0
+    return drift
 
 
 def _require(p: TransducerParams, detuning: str):
@@ -222,8 +222,8 @@ _PORT_ROWS = {"red": np.array([0, 0, 1, 1, 2]), "blue": np.array([0, 0, 1, 2, 2]
 _EYE5 = np.eye(5)
 
 
-def _scattering_batch(p: TransducerParams, omegas) -> np.ndarray:
-    """Stacked S = A^T (-i omega - M)^-1 A - 1 over an array of frequencies.
+def _scattering_batch(p: TransducerParams, omegas, ports=slice(None)) -> np.ndarray:
+    """Rows ``ports`` of S = A^T (-i omega - M)^-1 A - 1 over device lanes or frequencies.
 
     The input matrix A has one nonzero per column, so each entry of
     A^T inv A is the single product (a_i inv[r_i, r_m]) a_m; adding 0.0 turns
@@ -235,11 +235,11 @@ def _scattering_batch(p: TransducerParams, omegas) -> np.ndarray:
     else:
         drift = _drift_blue(p)
         rates = (p.kappa_o_c, p.kappa_o_i, p.kappa_m, p.kappa_e_c, p.kappa_e_i)
-    rows, amps = _PORT_ROWS[p.detuning], np.sqrt(rates)
-    omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
-    m = -1j * omegas[:, None, None] * np.eye(3) - drift[None, :, :]
-    inv = np.linalg.inv(m)
-    return amps[:, None] * inv[:, rows[:, None], rows] * amps + 0.0 - _EYE5
+    rows, amps = _PORT_ROWS[p.detuning], np.sqrt(np.stack(rates, axis=-1))
+    omegas = np.asarray(omegas, dtype=float)[..., None, None]
+    inv = np.linalg.inv(-1j * omegas * np.eye(3) - drift)
+    gathered = amps[..., ports, None] * inv[..., rows[ports, None], rows] * amps[..., None, :]
+    return gathered + 0.0 - _EYE5[ports]
 
 
 def scattering_red(p: TransducerParams, omega: float = 0.0) -> np.ndarray:
@@ -251,7 +251,7 @@ def scattering_red(p: TransducerParams, omega: float = 0.0) -> np.ndarray:
     network and conserves photon flux.
     """
     _require(p, "red")
-    return _scattering_batch(p, omega)[0]
+    return _scattering_batch(p, omega)
 
 
 class DqtChannelPoint(NamedTuple):
@@ -267,10 +267,12 @@ class DqtChannelPoint(NamedTuple):
 
 
 def _dqt_eta_ne(p: TransducerParams, omegas) -> tuple:
-    """Vectorized (eta, n_e) over an array of frequencies."""
-    s = _scattering_batch(p, omegas)
-    eta = np.abs(s[:, 0, 2]) ** 2
-    noise_flux = np.abs(s[:, 0, 3]) ** 2 + np.abs(s[:, 0, 4]) ** 2
+    """(eta, n_e) over device lanes or frequencies; ValueError where eta >= 1."""
+    s = _scattering_batch(p, omegas, [PORT_OPTICAL_C])[..., 0, :]
+    eta = np.abs(s[..., 2]) ** 2
+    if not _all(eta < 1.0):
+        raise ValueError("conversion efficiency >= 1 is impossible for this passive model")
+    noise_flux = np.abs(s[..., 3]) ** 2 + np.abs(s[..., 4]) ** 2
     n_e = noise_flux * p.n_th / (1.0 - eta)
     return eta, n_e
 
@@ -283,11 +285,9 @@ def dqt_channel(p: TransducerParams, omega: float = 0.0) -> DqtChannelPoint:
     microwave port, both at ``n_th``.
     """
     _require(p, "red")
-    eta, n_e = _dqt_eta_ne(p, omega)
-    eta, n_e = float(eta[0]), float(n_e[0])
-    if eta >= 1.0:
-        raise ValueError("conversion efficiency >= 1 is impossible for this passive model")
-    return DqtChannelPoint(eta=eta, n_e=n_e)
+    # a one-frequency array, so that eta squares as x * x, as on every lane
+    eta, n_e = _dqt_eta_ne(p, [omega])
+    return DqtChannelPoint(eta=float(eta[0]), n_e=float(n_e[0]))
 
 
 def dqt_efficiency_bandwidth(p: TransducerParams, omega) -> np.ndarray:
@@ -345,7 +345,7 @@ def scattering_blue(p: TransducerParams, omega: float = 0.0) -> np.ndarray:
     operators.  Unstable parameters are rejected.
     """
     _require_stable_blue(p)
-    return _scattering_batch(p, omega)[0]
+    return _scattering_batch(p, omega)
 
 
 _DAGGERED = [port in (PORT_OPTICAL_C, PORT_OPTICAL_I) for port in range(5)]
@@ -358,20 +358,20 @@ _CONJ = np.array([[-1.0 if a else 1.0] for a in _DAGGERED])
 _FLIP = np.array([[-1.0 if a != b else 1.0 for b in _DAGGERED] for a in _DAGGERED])
 
 
-def _quadrature_rows(s_tilde: np.ndarray, ports) -> np.ndarray:
-    """Rows of the real quadrature maps of stacked 5x5 scattering matrices.
+def _quadrature_rows(s: np.ndarray, ports) -> np.ndarray:
+    """Rows of the real quadrature maps of stacked scattering rows.
 
-    Returns the (k, 2 len(ports), 10) rows (q, p) of the output ``ports``.
-    Each entry is +-Re s or +-Im s exactly; adding 0.0 turns zeros to +0.
+    ``s`` holds the (k, len(ports), 5) rows of the output ``ports``; returns
+    their (k, 2 len(ports), 10) quadrature rows (q, p).  Each entry is +-Re s
+    or +-Im s exactly; adding 0.0 turns zeros to +0.
     """
-    s = s_tilde[:, ports, :]
     flip, re, im = _FLIP[ports], s.real, _CONJ[ports] * s.imag
     quad = np.empty(s.shape[:2] + (2, 5, 2))
     quad[:, :, 0, :, 0] = re
     quad[:, :, 0, :, 1] = -flip * im
     quad[:, :, 1, :, 0] = im
     quad[:, :, 1, :, 1] = flip * re
-    return quad.reshape(len(s), 2 * len(ports), 10) + 0.0
+    return quad.reshape(len(s), 2 * s.shape[1], 10) + 0.0
 
 
 def quadrature_scattering(s_tilde: np.ndarray) -> np.ndarray:
@@ -383,7 +383,7 @@ def quadrature_scattering(s_tilde: np.ndarray) -> np.ndarray:
     s_tilde = np.asarray(s_tilde, dtype=complex)
     if s_tilde.shape != (5, 5):
         raise ValueError("expected a 5x5 scattering matrix")
-    return _quadrature_rows(s_tilde[None], np.arange(5))[0]
+    return _quadrature_rows(s_tilde[None], slice(None))[0]
 
 
 # quadratures of the inputs at the bath occupation n_th; the others are vacuum
@@ -398,8 +398,8 @@ def mo_standard_form_spectra(p: TransducerParams, omegas) -> tuple:
     reported as a magnitude.
     """
     _require_stable_blue(p)
-    s = _scattering_batch(p, omegas)
-    quad = _quadrature_rows(s, [PORT_OPTICAL_C, PORT_MICROWAVE_C])
+    ports = [PORT_OPTICAL_C, PORT_MICROWAVE_C]
+    quad = _quadrature_rows(_scattering_batch(p, np.atleast_1d(omegas), ports), ports)
     # the input covariance is diagonal: scaling columns is quad @ vin, exactly
     vin = np.where(_THERMAL, 2.0 * p.n_th + 1.0, 1.0)
     block = (quad * vin) @ quad.transpose(0, 2, 1)

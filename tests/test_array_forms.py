@@ -13,9 +13,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gausslink.capacity import (
+    _q_lb_loss_amp,
     coherent_info_displacement,
     coherent_info_loss_amp,
     g_function,
+    q_lb_loss_amp,
 )
 from gausslink.entanglement import (
     entanglement_of_formation,
@@ -29,6 +31,7 @@ from gausslink.transducer import (
     TransducerParams,
     TwoModeStandardForm,
     _drift_blue,
+    _drift_red,
     output_mo_covariance,
 )
 
@@ -65,6 +68,17 @@ def scalar_drift_blue(p):
             [-p.kappa_o / 2.0, -1j * p.g_om, 0.0],
             [1j * p.g_om, -p.kappa_m / 2.0, 1j * p.g_em],
             [0.0, 1j * p.g_em, -p.kappa_e / 2.0],
+        ],
+        dtype=complex,
+    )
+
+
+def scalar_drift_red(p):
+    return np.array(
+        [
+            [-p.kappa_o / 2.0, 0.0, -1j * p.g_om],
+            [0.0, -p.kappa_e / 2.0, -1j * p.g_em],
+            [-1j * p.g_om, -1j * p.g_em, -p.kappa_m / 2.0],
         ],
         dtype=complex,
     )
@@ -158,12 +172,16 @@ def _points(draw):
     return pt
 
 
-def _params(pt):
+def _params(pt, detuning="blue"):
     return TransducerParams.from_cooperativities(
         *(pt[k] for k in ("C_om", "C_em", "zeta_o", "zeta_e", "n_th")),
-        "blue",
+        detuning,
         *(pt[k] for k in ("kappa_o", "kappa_e", "kappa_m")),
     )
+
+
+def _columns(points):
+    return {k: np.array([pt[k] for pt in points]) for k in points[0]}
 
 
 @st.composite
@@ -185,7 +203,7 @@ def _forms(draw, umax=20.0):
 @settings(max_examples=100, deadline=None)
 @given(points=st.lists(_points(), min_size=1, max_size=12))
 def test_source_forms_equal_the_scalar_chain(points):
-    stable, u, v, w = _source_forms(points)
+    stable, u, v, w = _source_forms(_columns(points))
     params = [_params(pt) for pt in points]
     assert stable.tolist() == [scalar_stability_check(p) for p in params]
     expected = np.array([scalar_closed_form_uvw(p) for p, s in zip(params, stable) if s])
@@ -195,18 +213,15 @@ def test_source_forms_equal_the_scalar_chain(points):
 @settings(max_examples=40, deadline=None)
 @given(points=st.lists(_points(), min_size=1, max_size=6))
 def test_block_drift_equals_the_scalar_drift(points):
-    params = [_params(pt) for pt in points]
-    block = _drift_blue(
-        TransducerParams.from_cooperativities(
-            *(np.array([pt[k] for pt in points]) for k in ("C_om", "C_em", "zeta_o", "zeta_e", "n_th")),
-            "blue",
-            *(np.array([pt[k] for pt in points]) for k in ("kappa_o", "kappa_e", "kappa_m")),
-        )
-    )
-    expected = np.array([scalar_drift_blue(p) for p in params])
-    for part in (np.real, np.imag):
-        assert np.array_equal(part(block), part(expected))
-        assert np.array_equal(np.signbit(part(block)), np.signbit(part(expected)))
+    for detuning, drift, scalar_drift in (
+        ("blue", _drift_blue, scalar_drift_blue),
+        ("red", _drift_red, scalar_drift_red),
+    ):
+        block = drift(_params(_columns(points), detuning))
+        expected = np.array([scalar_drift(_params(pt, detuning)) for pt in points])
+        for part in (np.real, np.imag):
+            assert np.array_equal(part(block), part(expected))
+            assert np.array_equal(np.signbit(part(block)), np.signbit(part(expected)))
 
 
 @settings(max_examples=60, deadline=None)
@@ -289,3 +304,31 @@ def test_half_transmission_rounds_to_zero():
     assert scalar_coherent_info_loss_amp(eta, 0.0) == pytest.approx(6.4e-16, rel=1e-2)
     assert coherent_info_loss_amp(eta, 0.0) == 0.0
     assert coherent_info_loss_amp(0.5 + 1e-14, 0.0) > 0.0
+
+
+def _ulps_from_half(k):
+    eta = 0.5
+    for _ in range(abs(k)):
+        eta = float(np.nextafter(eta, 1.0 if k > 0 else 0.0))
+    return eta
+
+
+_etas = st.one_of(
+    st.sampled_from([0.0, 0.5]),
+    st.integers(-6, 6).map(_ulps_from_half),
+    st.floats(0.0, 50.0).filter(lambda eta: abs(eta - 1.0) >= 1e-12),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    lanes=st.lists(
+        st.tuples(_etas, st.one_of(st.just(0.0), st.floats(0.0, 100.0))), min_size=1, max_size=12
+    )
+)
+def test_array_bound_equals_the_scalar_bound(lanes):
+    eta, n_e = (np.array(x) for x in zip(*lanes))
+    bound = _q_lb_loss_amp(eta, n_e)
+    expected = np.array([q_lb_loss_amp(*lane) for lane in lanes])
+    assert np.array_equal(bound, expected)
+    assert np.array_equal(np.signbit(bound), np.signbit(expected))

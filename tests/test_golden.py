@@ -1,5 +1,6 @@
 """Golden outputs: sha256 of the files sweeps write, recorded with the
-per-point gain search that preceded the batched one.
+per-point gain search that preceded the batched one (the thermal grids: with
+the per-point direct-conversion channel that preceded the array one).
 
 Determinism tests compare two runs of the same code; these compare against
 bytes written by an earlier implementation, so a refactor that moves a single
@@ -135,6 +136,31 @@ DEFAULT_GRIDS = {
     "fig4a_mm_eof": "15564663c6bb57121b59334b813162a26b4104f06b2f04367f409c3c08840ec7",
 }
 
+# fig1a and custom with thermal noise and lossy extraction, so that the added
+# noise n_e of the direct-conversion channel is positive: 748 of fig1a's and
+# 391 of custom's 1640 points have a positive direct-conversion bound
+_THERMAL_GRID = """
+[fixed]
+n_th = 0.05
+zeta_o = 0.98
+zeta_e = 0.95
+
+[axis C_om]
+min = 0
+max = 10
+points = 41
+
+[axis C_em]
+min = 0.5
+max = 10
+points = 40
+scale = log
+"""
+THERMAL = {
+    "fig1a_dqt_boundary": "f3ed0ed6bbf7be2fdd36664ca3d93352fcdc5d24184cb231e8cd133bc78403b9",
+    "custom": "a5eb0b114c3388f5e3c7a0415b3daf95e2e7a299c33e6e1b3954d15b7a20da2f",
+}
+
 
 def sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
@@ -151,10 +177,10 @@ def sweep_files(config_path, out: Path) -> dict:
     return {p.name: sha256(p) for p in files}
 
 
-def small_config(name: str, directory: Path) -> Path:
+def small_config(name: str, directory: Path, grid: str = "") -> Path:
     path = directory / f"{name}.ini"
     path.write_text(
-        f"[sweep]\nexperiment = {name}\noutput = {name}.csv\n{SMALL_GRIDS[name]}",
+        f"[sweep]\nexperiment = {name}\noutput = {name}.csv\n{grid or SMALL_GRIDS[name]}",
         encoding="utf-8",
     )
     return path
@@ -172,6 +198,12 @@ def test_shipped_config(name, tmp_path):
 @pytest.mark.parametrize("name", sorted(SMALL))
 def test_small_grid(name, tmp_path):
     assert sweep_files(small_config(name, tmp_path), tmp_path) == {f"{name}.csv": SMALL[name]}
+
+
+@pytest.mark.parametrize("name", sorted(THERMAL))
+def test_thermal_grid(name, tmp_path):
+    config = small_config(name, tmp_path, _THERMAL_GRID)
+    assert sweep_files(config, tmp_path) == {f"{name}.csv": THERMAL[name]}
 
 
 @pytest.mark.parametrize("name", sorted(DEFAULT_GRIDS))

@@ -56,6 +56,30 @@ points = 3
 scale = log
 """
 
+# 9 x 4 direct-conversion map with thermal noise and lossy extraction: nine
+# rows, C_om = 0, and bounds that are zero below the boundary and positive above
+FIG1A_MAP = """
+[sweep]
+experiment = fig1a_dqt_boundary
+output = fig1a.csv
+
+[fixed]
+n_th = 0.05
+zeta_o = 0.98
+zeta_e = 0.95
+
+[axis C_om]
+min = 0
+max = 8
+points = 9
+
+[axis C_em]
+min = 0.5
+max = 8
+points = 4
+scale = log
+"""
+
 
 class TestParseConfig:
     def test_minimal(self, tmp_path):
@@ -98,6 +122,9 @@ class TestParseConfig:
             ("[sweep]\nexperiment = custom\nemit_svg = maybe\n", "not a boolean"),
             ("[sweep]\nexperiment = custom\n[fixed]\nzeta_o = 1.4\n", "zeta_o"),
             ("[sweep]\nexperiment = fig2bc_capacity_maps\n[fixed]\nzeta_e = 0\n", "zeta_e"),
+            ("[sweep]\nexperiment = fig1a_dqt_boundary\n[axis C_om]\nmin=0\nmax=inf\npoints=5\n", "finite"),
+            ("[sweep]\nexperiment = custom\n[fixed]\nn_th = inf\n", "finite"),
+            ("[sweep]\nexperiment = custom\n[fixed]\nn_th = nan\n", "finite"),
         ],
     )
     def test_rejects_bad_config(self, tmp_path, body, match):
@@ -151,12 +178,15 @@ scale = log
             tmp_path / "b" / "map.csv"
         ).read_bytes()
 
-    @pytest.mark.parametrize("body", [MINIMAL, GAIN_MAP], ids=["custom", "gain_map"])
+    @pytest.mark.parametrize(
+        "body", [MINIMAL, GAIN_MAP, FIG1A_MAP], ids=["custom", "gain_map", "fig1a"]
+    )
     def test_parallel_matches_serial(self, tmp_path, body):
         cfg = parse_config(write_config(tmp_path, body))
-        points = list(sweeps._grid_points(cfg))
-        blocks = sweeps._row_blocks(points, cfg.axes, 2 * sweeps._BLOCKS_PER_JOB)
-        assert [p for block in blocks for p in block] == points
+        mesh = np.meshgrid(*(axis.values() for axis in cfg.axes), indexing="ij")
+        grid = np.stack([m.ravel() for m in mesh], axis=-1)
+        blocks = sweeps._row_blocks(grid, cfg.axes, 2 * sweeps._BLOCKS_PER_JOB)
+        assert np.array_equal(np.concatenate(blocks), grid)
         serial = run_sweep(cfg, out_dir=tmp_path / "s", jobs=1)
         parallel = run_sweep(cfg, out_dir=tmp_path / "p", jobs=2)
         assert serial.path.read_bytes() == parallel.path.read_bytes()

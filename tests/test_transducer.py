@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -393,6 +395,32 @@ class TestFastPathsAreBitExact:
     def test_gather_equals_einsum_resolvent(self, p, omegas):
         fast = transducer._scattering_batch(p, omegas)
         assert _identical(fast, _einsum_scattering(p, omegas))
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        lanes=st.lists(devices("red"), min_size=1, max_size=6),
+        omega=st.one_of(st.just(0.0), _omegas.map(lambda x: float(x[-1]))),
+    )
+    def test_lane_red_resolvent_equals_one_device(self, lanes, omega):
+        fields = [f.name for f in dataclasses.fields(TransducerParams) if f.name != "detuning"]
+        block = TransducerParams(
+            **{f: np.array([getattr(p, f) for p in lanes]) for f in fields}, detuning="red"
+        )
+        s = transducer._scattering_batch(block, omega)
+        for lane, p in zip(s, lanes):
+            assert _identical(lane, transducer._scattering_batch(p, [omega])[0])
+        eta, n_e = transducer._dqt_eta_ne(block, omega)
+        assert [dqt_channel(p, omega) for p in lanes] == list(zip(eta.tolist(), n_e.tolist()))
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        p=st.one_of(devices("red"), devices("blue")),
+        omegas=_omegas,
+        ports=st.lists(st.integers(0, 4), min_size=1, max_size=5, unique=True),
+    )
+    def test_row_gather_equals_rows_of_the_full_gather(self, p, omegas, ports):
+        rows = transducer._scattering_batch(p, omegas, ports)
+        assert _identical(rows, transducer._scattering_batch(p, omegas)[:, ports])
 
     @settings(max_examples=150, deadline=None)
     @given(p=devices("blue"), omegas=_omegas)
