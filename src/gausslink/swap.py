@@ -23,6 +23,7 @@ from .teleport import optimize_gain
 from .transducer import (
     TransducerParams,
     TwoModeStandardForm,
+    _all,
     mo_standard_form_spectra,
     stability_check,
 )
@@ -115,23 +116,19 @@ def apply_optical_loss(form: TwoModeStandardForm, tau: float) -> TwoModeStandard
     return TwoModeStandardForm(u=u, v=form.v, w=w)
 
 
-def click_rate(
-    p: TransducerParams,
-    tau: float,
-    dt: float,
-    quad: FrequencyQuadrature = DEFAULT_QUADRATURE,
-) -> tuple:
-    """(r_t, r_B): optical photon rate and heralded Bell-pair rate.
+def _click_rates(p: TransducerParams, tau, dt, quad=DEFAULT_QUADRATURE) -> tuple:
+    """(r_t, r_B) of one device over lanes of tau and dt: optical photon rate
+    and heralded Bell-pair rate; the checks apply to every lane.
 
-    r_t integrates the photon-flux spectral density of the optical coupling
-    output, (S_qq + S_pp - 2)/4 in vacuum units, over frequency (divided by
-    2 pi) and is scaled by the path transmissivity.  With two devices
-    feeding the detectors the Bell rate follows the Poisson heralding model
-    r_B = 2 r_t exp(-r_t dt).
+    The photon-flux spectral density of the optical coupling output,
+    (S_qq + S_pp - 2)/4 in vacuum units, is integrated over frequency once
+    (divided by 2 pi); r_t scales it by each lane's path transmissivity.  With
+    two devices feeding the detectors the Bell rate follows the Poisson
+    heralding model r_B = 2 r_t exp(-r_t dt).
     """
-    if not 0.0 <= tau <= 1.0:
+    if not _all((0.0 <= tau) & (tau <= 1.0)):
         raise ValueError("tau must lie in [0, 1]")
-    if dt <= 0:
+    if not _all(dt > 0):
         raise ValueError("pulse duration must be positive")
 
     def flux(omegas):
@@ -144,8 +141,15 @@ def click_rate(
         return excess / 2.0
 
     r_t = tau * integrate_spectrum(flux, quad.window(p), quad) / (2.0 * np.pi)
-    r_b = 2.0 * r_t * np.exp(-r_t * dt)
-    return float(r_t), float(r_b)
+    return r_t, 2.0 * r_t * np.exp(-r_t * dt)
+
+
+def click_rate(
+    p: TransducerParams, tau: float, dt: float, quad: FrequencyQuadrature = DEFAULT_QUADRATURE
+) -> tuple:
+    """(r_t, r_B) at one tau and pulse length dt: one lane of `_click_rates`."""
+    r_t, r_b = _click_rates(p, np.array([tau], float), np.array([dt], float), quad)
+    return float(r_t[0]), float(r_b[0])
 
 
 def mm_capacity(form: TwoModeStandardForm) -> float:

@@ -19,18 +19,16 @@ from pathlib import Path
 import numpy as np
 
 from .capacity import (
+    _coherent_info_displacement,
+    _coherent_info_loss_amp,
     _q_lb_loss_amp,
-    coherent_info_displacement,
-    coherent_info_loss_amp,
     dqt_capacity_boundary,
-    RANDOM_DISPLACEMENT,
 )
 from .entanglement import _eof, _optical_loss, _swap_form, entanglement_rate
-from .swap import click_rate
-from .teleport import induced_channel, optimize_gains
+from .swap import _click_rates
+from .teleport import _induced_channels, optimize_gains
 from .transducer import (
     TransducerParams,
-    TwoModeStandardForm,
     _check_forms,
     _closed_form_uvw,
     _dqt_eta_ne,
@@ -159,17 +157,6 @@ def _boundary(columns: dict) -> float:
     return dqt_capacity_boundary(columns["zeta_o"][0], columns["zeta_e"][0])
 
 
-def _pointwise(fn):
-    """Block evaluator applying ``fn`` to each point's parameters as floats;
-    ``fn`` returns None at an unstable point."""
-
-    def evaluate(columns):
-        points = zip(*(c.tolist() for c in columns.values()))
-        return [fn(dict(zip(columns, values))) for values in points]
-
-    return functools.wraps(fn)(evaluate)
-
-
 def _eval_fig1a(columns):
     eta, n_e = _dqt_eta_ne(_params(columns, "red"), 0.0)
     product = columns["C_om"] * columns["C_em"]
@@ -190,25 +177,16 @@ def _eval_capacity_map(columns):
     return _rows(stable, u=u, v=v, w=w, q_lb_eqt=q, kappa_opt=kappa, boundary=_boundary(columns))
 
 
-def _gain_curve_point(u: float, v: float, w: float, kappa: float) -> dict:
-    ch = induced_channel(TwoModeStandardForm(u, v, w), kappa)
-    if ch.kind == RANDOM_DISPLACEMENT:
-        raw = coherent_info_displacement(ch.noise)
-    else:
-        raw = coherent_info_loss_amp(ch.eta, ch.noise)
-    return {
-        "kind": ch.kind,
-        "eta_prime": ch.eta,
-        "noise": ch.noise,
-        "q_lb": max(0.0, raw),
-        "q_lb_raw": raw,
-    }
-
-
 def _eval_fig2a(columns):
     stable, u, v, w = _source_forms(columns)
-    points = zip(u.tolist(), v.tolist(), w.tolist(), columns["kappa"][stable].tolist())
-    return [_gain_curve_point(*next(points)) if s else None for s in stable.tolist()]
+    kinds, eta, noise = _induced_channels(u, v, w, columns["kappa"][stable])
+    disp = eta == 1.0  # exactly the displacement lanes: elsewhere |kappa - 1| >= 1e-9
+    raw = np.empty(eta.shape)
+    with np.errstate(divide="raise", invalid="raise"):  # as the scalar bounds' checks
+        raw[disp] = _coherent_info_displacement(noise[disp])
+        raw[~disp] = _coherent_info_loss_amp(eta[~disp], noise[~disp])
+    q_lb = np.maximum(raw, 0.0)
+    return _rows(stable, kind=kinds, eta_prime=eta, noise=noise, q_lb=q_lb, q_lb_raw=raw)
 
 
 def _eval_fig2d(columns):
@@ -229,21 +207,29 @@ def _eval_fig4b(columns):
     )
 
 
-@_pointwise
-def _eval_fig5a(pt):
-    p = _params(pt, "blue")
-    if not stability_check(p):
-        return None
-    r_t, r_b = click_rate(p, pt["tau"], pt["pulse_duration"])
-    return {"r_t": r_t, "r_B": r_b}
+def _eval_fig5a(columns):
+    """Click rates of a block, with one flux integral per stable device."""
+    stable = stability_check(_params(columns, "blue"))
+    keys = [k for k in columns if k not in ("tau", "pulse_duration")]  # a device's columns
+    devices = {}
+    for i, device in enumerate(zip(*(columns[k][stable].tolist() for k in keys))):
+        devices.setdefault(device, []).append(i)
+    tau, dt = columns["tau"][stable], columns["pulse_duration"][stable]
+    r_t, r_b = np.empty(tau.size), np.empty(tau.size)
+    for device, lanes in devices.items():
+        p = _params(dict(zip(keys, device)), "blue")
+        r_t[lanes], r_b[lanes] = _click_rates(p, tau[lanes], dt[lanes])
+    return _rows(stable, r_t=r_t, r_B=r_b)
 
 
-@_pointwise
-def _eval_fig5b(pt):
-    p = _params(pt, "blue")
-    if not stability_check(p):
-        return None
-    return {"e_r": entanglement_rate(p, pt["tau"])}
+def _eval_fig5b(columns):
+    # one point at a time: each point takes its own frequency integral
+    out = []
+    for values in zip(*(c.tolist() for c in columns.values())):
+        pt = dict(zip(columns, values))
+        p = _params(pt, "blue")
+        out.append({"e_r": entanglement_rate(p, pt["tau"])} if stability_check(p) else None)
+    return out
 
 
 def _eval_custom(columns):

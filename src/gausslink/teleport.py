@@ -21,9 +21,8 @@ from .capacity import (
     _coherent_info_displacement,
     _coherent_info_loss_amp,
 )
-from .entanglement import duan_quantity
 from .gaussian import check_physical
-from .transducer import TwoModeStandardForm
+from .transducer import TwoModeStandardForm, _all
 
 __all__ = [
     "GainSearchResult",
@@ -46,18 +45,26 @@ _GOLDEN_TOL = 1e-6
 _PHI = (np.sqrt(5.0) - 1.0) / 2.0
 
 
-def induced_channel(form: TwoModeStandardForm, kappa: float) -> BosonicChannelKind:
-    """Classify the channel induced by teleporting with gain ``kappa``."""
-    if kappa <= 0:
+def _induced_channels(u, v, w, kappa) -> tuple:
+    """(kinds, eta, noise) of the channels induced at gains ``kappa``, per lane:
+    a list of kind names, eta = kappa^2 squared with pow, and n_e, or at unit
+    gain eta = 1 and the Duan variance u + v - 2w.  Checks every lane."""
+    if not _all(kappa > 0):
         raise ValueError("gain must be positive")
-    if abs(kappa - 1.0) < _UNIT_GAIN_TOL:
-        return BosonicChannelKind(RANDOM_DISPLACEMENT, 1.0, duan_quantity(form))
-    noise_num = form.v * kappa**2 + form.u - 2 * form.w * kappa
-    n_e = noise_num / (2.0 * abs(1.0 - kappa**2)) - 0.5
-    if n_e < -1e-9:
+    unit = np.abs(kappa - 1.0) < _UNIT_GAIN_TOL
+    eta = np.float_power(kappa, 2.0)
+    n_e = (v * eta + u - 2 * w * kappa) / np.where(unit, 1.0, 2.0 * np.abs(1.0 - eta)) - 0.5
+    if not _all(unit | (n_e >= -1e-9)):
         raise ValueError("negative effective occupation: source form is unphysical")
-    kind = THERMAL_LOSS if kappa < 1.0 else THERMAL_AMP
-    return BosonicChannelKind(kind, kappa**2, max(n_e, 0.0))
+    kinds = [RANDOM_DISPLACEMENT if un else THERMAL_LOSS if k < 1.0 else THERMAL_AMP
+             for un, k in zip(unit.tolist(), kappa.tolist())]
+    return kinds, np.where(unit, 1.0, eta), np.where(unit, u + v - 2 * w, np.maximum(n_e, 0.0))
+
+
+def induced_channel(form: TwoModeStandardForm, kappa: float) -> BosonicChannelKind:
+    """Classify the channel induced by teleporting with gain ``kappa``; see `_induced_channels`."""
+    (kind,), eta, noise = _induced_channels(form.u, form.v, form.w, np.array([kappa], float))
+    return BosonicChannelKind(kind, float(eta[0]), float(noise[0]))
 
 
 def _bounds_at_gains(form, kappas: np.ndarray) -> np.ndarray:
@@ -67,6 +74,8 @@ def _bounds_at_gains(form, kappas: np.ndarray) -> np.ndarray:
     broadcast against ``kappas``, such as the lanes of a batched search.
     """
     u, v, w = form.u, form.v, form.w
+    # squares as x * x, not pow as in `_induced_channels`: the gain-map golden
+    # hashes pin the bits of this arithmetic
     k = np.asarray(kappas, dtype=float)
     noise = v * k**2 + u - 2.0 * w * k
     k = np.broadcast_to(k, noise.shape)

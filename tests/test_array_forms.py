@@ -13,25 +13,34 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gausslink.capacity import (
+    DEFAULT_QUADRATURE,
+    RANDOM_DISPLACEMENT,
+    THERMAL_AMP,
+    THERMAL_LOSS,
+    BosonicChannelKind,
     _q_lb_loss_amp,
     coherent_info_displacement,
     coherent_info_loss_amp,
     g_function,
+    integrate_spectrum,
     q_lb_loss_amp,
 )
 from gausslink.entanglement import (
+    duan_quantity,
     entanglement_of_formation,
     eof_intermediates,
     ppt_min_symplectic,
 )
 from gausslink.gaussian import check_physical
-from gausslink.swap import apply_optical_loss, mm_standard_form, mm_swap_closed
+from gausslink.swap import _click_rates, apply_optical_loss, mm_standard_form, mm_swap_closed
 from gausslink.sweeps import FIXED_DEFAULTS, _source_forms
+from gausslink.teleport import _UNIT_GAIN_TOL, _induced_channels
 from gausslink.transducer import (
     TransducerParams,
     TwoModeStandardForm,
     _drift_blue,
     _drift_red,
+    mo_standard_form_spectra,
     output_mo_covariance,
 )
 
@@ -136,6 +145,36 @@ def scalar_coherent_info_loss_amp(eta, n_e):
 def scalar_mm_standard_form(u, v, w):
     diag = v - w**2 / (2.0 * u)
     return diag, diag, w**2 / (2.0 * u)
+
+
+def scalar_induced_channel(form, kappa):
+    if kappa <= 0:
+        raise ValueError("gain must be positive")
+    if abs(kappa - 1.0) < _UNIT_GAIN_TOL:
+        return BosonicChannelKind(RANDOM_DISPLACEMENT, 1.0, duan_quantity(form))
+    noise_num = form.v * kappa**2 + form.u - 2 * form.w * kappa
+    n_e = noise_num / (2.0 * abs(1.0 - kappa**2)) - 0.5
+    if n_e < -1e-9:
+        raise ValueError("negative effective occupation: source form is unphysical")
+    kind = THERMAL_LOSS if kappa < 1.0 else THERMAL_AMP
+    return BosonicChannelKind(kind, kappa**2, max(n_e, 0.0))
+
+
+def scalar_click_rate(p, tau, dt, quad=DEFAULT_QUADRATURE):
+    if not 0.0 <= tau <= 1.0:
+        raise ValueError("tau must lie in [0, 1]")
+    if dt <= 0:
+        raise ValueError("pulse duration must be positive")
+
+    def flux(omegas):
+        u, _, _ = mo_standard_form_spectra(p, omegas)
+        excess = np.maximum(u - 1.0, 0.0)
+        excess[excess < 1e-12] = 0.0
+        return excess / 2.0
+
+    r_t = tau * integrate_spectrum(flux, quad.window(p), quad) / (2.0 * np.pi)
+    r_b = 2.0 * r_t * np.exp(-r_t * dt)
+    return float(r_t), float(r_b)
 
 
 # --- strategies ----------------------------------------------------------------
@@ -332,3 +371,80 @@ def test_array_bound_equals_the_scalar_bound(lanes):
     expected = np.array([q_lb_loss_amp(*lane) for lane in lanes])
     assert np.array_equal(bound, expected)
     assert np.array_equal(np.signbit(bound), np.signbit(expected))
+
+
+# --- the teleportation-induced channel and the click rates ---------------------
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+# unit gain, the edges of the displacement window |kappa - 1| < 1e-9 and a few
+# ulps either side of them, gains just around it, random gains, and a zero or
+# negative gain now and then
+_gains = st.one_of(
+    st.just(1.0),
+    st.sampled_from([1.0 - 1e-9, 1.0 + 1e-9]).flatmap(
+        lambda edge: st.integers(-3, 3).map(
+            lambda k: float(edge + k * np.spacing(edge))
+        )
+    ),
+    st.floats(1.0 - 3e-9, 1.0 + 3e-9),
+    st.floats(1e-3, 10.0),
+    st.sampled_from([0.0, -0.5]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(lanes=st.lists(st.tuples(_forms(), _gains), min_size=1, max_size=10))
+def test_induced_channels_equal_the_scalar_code(lanes):
+    forms, kappas = zip(*lanes)
+    u, v, w = (np.array([getattr(f, x) for f in forms]) for x in "uvw")
+    expected = []
+    for form, kappa in lanes:
+        try:
+            expected.append(scalar_induced_channel(form, kappa))
+        except ValueError as exc:
+            expected.append(str(exc))
+    errors = [e for e in expected if isinstance(e, str)]
+    if errors:
+        with pytest.raises(ValueError) as info:
+            _induced_channels(u, v, w, np.array(kappas))
+        assert str(info.value) in errors
+        return
+    kinds, eta, noise = _induced_channels(u, v, w, np.array(kappas))
+    assert kinds == [ch.kind for ch in expected]
+    assert _same_bits(eta, [ch.eta for ch in expected])
+    assert _same_bits(noise, [ch.noise for ch in expected])
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    pt=_points(),
+    lanes=st.lists(
+        st.tuples(
+            st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+            st.one_of(st.just(1.0), st.floats(1e-3, 10.0)),
+        ),
+        min_size=1,
+        max_size=5,
+    ),
+)
+def test_click_rates_equal_the_scalar_code(pt, lanes):
+    # stable, and away from C_om = 1 + C_em, where the flux integral converges
+    p = _params(pt)
+    assume(pt["C_om"] < 0.99 * (1.0 + pt["C_em"]) and scalar_stability_check(p))
+    tau, dt = (np.array(x) for x in zip(*lanes))
+    r_t, r_b = _click_rates(p, tau, dt)
+    expected = np.array([scalar_click_rate(p, *lane) for lane in lanes])
+    assert _same_bits(r_t, expected[:, 0])
+    assert _same_bits(r_b, expected[:, 1])
+
+
+@pytest.mark.parametrize("tau, dt, match", [(1.2, 1.0, "tau"), (0.5, 0.0, "pulse duration")])
+def test_click_rates_check_every_lane(tau, dt, match):
+    p = _params(dict(FIXED_DEFAULTS, C_om=0.5))
+    with pytest.raises(ValueError, match=match):
+        _click_rates(p, np.array([0.5, tau, 0.5]), np.array([1.0, dt, 1.0]))

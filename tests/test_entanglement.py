@@ -5,6 +5,9 @@ from hypothesis import strategies as st
 
 from gausslink.capacity import g_function
 from gausslink.entanglement import (
+    _eof,
+    _optical_loss,
+    _swap_form,
     duan_quantity,
     entanglement_of_formation,
     entanglement_rate,
@@ -13,7 +16,7 @@ from gausslink.entanglement import (
 )
 from gausslink.gaussian import extract_modes, symplectic_eigenvalues, two_mode_squeezed
 from gausslink.selftest import random_physical_form
-from gausslink.transducer import TransducerParams, TwoModeStandardForm
+from gausslink.transducer import TransducerParams, TwoModeStandardForm, _closed_form_uvw
 
 
 def tmsv_form(s):
@@ -146,3 +149,66 @@ def test_eof_properties(u, v, reach, sign):
     assert ef == entanglement_of_formation(TwoModeStandardForm(u, v, -sign * w))
     # bounded by the entropy of the less mixed reduced state
     assert 0.0 <= ef <= g_function((min(u, v) - 1.0) / 2.0) + 1e-9
+
+
+# --- monotonicity over random stable devices -----------------------------------
+
+
+# Two nearly equal states can read in either order by round-off.  It is
+# largest at pure states (n_th = 0, zeta = 1), where gamma^2 - beta_+ beta_-
+# is 0 and its round-off enters E_F through a square root: after optical loss
+# tau a few ulps below 1, 400k random devices with C_om <= 0.9 (1 + C_em) read
+# up to 2.7e-6 ebits (5.3e-7 of E_F) higher.  Nearer the stability boundary
+# u grows like 1 / (1 + C_em - C_om)^2 and the round-off outgrows this slack.
+_EOF_SLACK = 1e-5
+
+
+def _at_most(a, b) -> bool:
+    return a <= b + _EOF_SLACK * max(1.0, b)
+
+
+@st.composite
+def _stable_devices(draw):
+    """(C_om, C_em, zeta_o, zeta_e, n_th) of a stable device, C_om <= 0.9 (1 + C_em),
+    often with unit extraction or no thermal noise."""
+    c_em = draw(st.one_of(st.just(0.0), st.floats(0.0, 20.0)))
+    c_om = (1.0 + c_em) * draw(st.one_of(st.just(0.0), st.floats(0.0, 0.9)))
+    zeta = st.one_of(st.just(1.0), st.floats(0.05, 1.0))
+    n_th = draw(st.one_of(st.just(0.0), st.floats(0.0, 5.0)))
+    return c_om, c_em, draw(zeta), draw(zeta), n_th
+
+
+def _e_f(u, v, w):
+    return float(_eof(u, v, w)[0])
+
+
+def _e_f_mm(u, v, w, tau):
+    """E_F of the swapped microwave pair after optical loss tau, as fig4a."""
+    u, w = _optical_loss(u, w, tau)
+    diag, off = _swap_form(u, v, w)
+    return _e_f(diag, diag, off)
+
+
+@settings(max_examples=300, deadline=None)
+@given(device=_stable_devices(), tau=st.floats(0.0, 1.0))
+def test_optical_loss_does_not_increase_eof(device, tau):
+    u, v, w = _closed_form_uvw(*device)
+    lossy_u, lossy_w = _optical_loss(u, w, tau)
+    assert _at_most(_e_f(lossy_u, v, lossy_w), _e_f(u, v, w))
+
+
+@settings(max_examples=300, deadline=None)
+@given(device=_stable_devices(), extra=st.floats(0.0, 5.0), tau=st.floats(0.0, 1.0))
+def test_thermal_noise_does_not_increase_eof(device, extra, tau):
+    cold = _closed_form_uvw(*device)
+    hot = _closed_form_uvw(*device[:4], device[4] + extra)
+    assert _at_most(_e_f(*hot), _e_f(*cold))
+    assert _at_most(_e_f_mm(*hot, tau), _e_f_mm(*cold, tau))
+
+
+@settings(max_examples=300, deadline=None)
+@given(device=_stable_devices(), taus=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)))
+def test_swapped_eof_does_not_decrease_with_tau(device, taus):
+    form = _closed_form_uvw(*device)
+    lo, hi = sorted(taus)
+    assert _at_most(_e_f_mm(*form, lo), _e_f_mm(*form, hi))

@@ -162,6 +162,83 @@ THERMAL = {
 }
 
 
+# the block evaluators of fig2a and fig5a with thermal noise and lossy
+# extraction.  fig2a: gains within 1 +- 1e-6 in steps of 1e-9, so the grid
+# crosses the 1e-9 displacement window, where the loss/amplifier noise has its
+# removable divergence; C_om = 3 is unstable at C_em = 1.  fig5a: a non-unit
+# pulse length and optical linewidth, unstable points at C_om >= 1 + C_em, and
+# both axis orders, so a device's tau lanes are contiguous in one grid and
+# strided in the other.
+_THERMAL_GAIN_GRID = """
+[fixed]
+n_th = 0.2
+zeta_o = 0.7
+zeta_e = 0.9
+
+[axis kappa]
+min = 0.999999
+max = 1.000001
+points = 2001
+
+[axis C_om]
+min = 0.5
+max = 3
+points = 3
+"""
+_THERMAL_RATE_FIXED = """
+[fixed]
+n_th = 0.3
+zeta_o = 0.9
+zeta_e = 0.8
+kappa_o = 1.7
+pulse_duration = 2.5
+"""
+_THERMAL_RATE_GRID = _THERMAL_RATE_FIXED + """
+C_em = 2
+
+[axis C_om]
+min = 0.5
+max = 4
+points = 4
+
+[axis tau]
+min = 0
+max = 1
+points = 4
+"""
+_THERMAL_RATE_GRID_T = _THERMAL_RATE_FIXED + """
+C_om = 2
+
+[axis tau]
+min = 0.1
+max = 0.9
+points = 3
+
+[axis C_em]
+min = 0.25
+max = 4
+points = 5
+scale = log
+"""
+THERMAL_BLOCKS = {
+    "fig2a": (
+        "fig2a_gain_curves",
+        _THERMAL_GAIN_GRID,
+        "cba3f09f624f7edb1f6342a0ef3984d101018bbca749d596a236c469435606c8",
+    ),
+    "fig5a-C_om-tau": (
+        "fig5a_click_rate",
+        _THERMAL_RATE_GRID,
+        "d2df068261fc14bad883c47c3ed68d72c77fc61472b0bf41751e28d2ac7fbd33",
+    ),
+    "fig5a-tau-C_em": (
+        "fig5a_click_rate",
+        _THERMAL_RATE_GRID_T,
+        "d926de39c34c6243f9e10d1184e87f9c8e3e45b8b8bea49ab607c3db17658fdf",
+    ),
+}
+
+
 def sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
@@ -223,3 +300,9 @@ def test_gain_grids_cover_the_edge_points(name, tmp_path):
     assert any(r[cols["C_om"]] == "0" for r in stable)
     assert any(r[q_col] == "0" and r[cols["C_om"]] != "0" for r in stable)
     assert any(float(r[q_col]) > 0 for r in stable)
+
+
+@pytest.mark.parametrize("case", sorted(THERMAL_BLOCKS))
+def test_thermal_block_grid(case, tmp_path):
+    name, grid, digest = THERMAL_BLOCKS[case]
+    assert sweep_files(small_config(name, tmp_path, grid), tmp_path) == {f"{name}.csv": digest}

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import gausslink.sweeps as sweeps
+from gausslink.cli import EXIT_NUMERICAL, main
 from gausslink.transducer import TransducerParams
 from gausslink.sweeps import (
     Axis,
@@ -78,6 +79,80 @@ min = 0.5
 max = 8
 points = 4
 scale = log
+"""
+
+
+# C_om = 2 is unstable at C_em = 0.5 and stable at C_em = 4; the second axis
+# runs out of its valid range at its first or last point
+RANGE_GRID = """
+[sweep]
+experiment = {experiment}
+output = out.csv
+
+[fixed]
+C_om = 2
+
+[axis C_em]
+min = 0.5
+max = 4
+points = 2
+
+{axis}
+points = 4
+"""
+OUT_OF_RANGE = {
+    "fig2a_gain_curves": (
+        "[axis kappa]\nmin = -1\nmax = 2",
+        "C_em=4, kappa=-1: gain must be positive",
+    ),
+    "fig5a_click_rate": (
+        "[axis tau]\nmin = 0\nmax = 1.2",
+        "C_em=4, tau=1.2: tau must lie in [0, 1]",
+    ),
+}
+
+# 9 x 3 click-rate map with tau outermost: row blocks split tau, so each
+# device's tau lanes span several blocks; C_om = 15 is unstable at C_em = 10
+FIG5A_MAP = """
+[sweep]
+experiment = fig5a_click_rate
+output = fig5a.csv
+
+[fixed]
+n_th = 0.1
+zeta_o = 0.9
+pulse_duration = 0.5
+
+[axis tau]
+min = 0
+max = 1
+points = 9
+
+[axis C_om]
+min = 0.5
+max = 15
+points = 3
+scale = log
+"""
+
+# 9 x 3 gain-curve map through kappa = 1; C_om = 3 is unstable at C_em = 1
+FIG2A_MAP = """
+[sweep]
+experiment = fig2a_gain_curves
+output = fig2a.csv
+
+[fixed]
+n_th = 0.1
+
+[axis kappa]
+min = 0.5
+max = 2.5
+points = 9
+
+[axis C_om]
+min = 0.5
+max = 3
+points = 3
 """
 
 
@@ -179,7 +254,9 @@ scale = log
         ).read_bytes()
 
     @pytest.mark.parametrize(
-        "body", [MINIMAL, GAIN_MAP, FIG1A_MAP], ids=["custom", "gain_map", "fig1a"]
+        "body",
+        [MINIMAL, GAIN_MAP, FIG1A_MAP, FIG5A_MAP, FIG2A_MAP],
+        ids=["custom", "gain_map", "fig1a", "fig5a", "fig2a"],
     )
     def test_parallel_matches_serial(self, tmp_path, body):
         cfg = parse_config(write_config(tmp_path, body))
@@ -190,7 +267,7 @@ scale = log
         serial = run_sweep(cfg, out_dir=tmp_path / "s", jobs=1)
         parallel = run_sweep(cfg, out_dir=tmp_path / "p", jobs=2)
         assert serial.path.read_bytes() == parallel.path.read_bytes()
-        if body is GAIN_MAP:
+        if body in (GAIN_MAP, FIG5A_MAP, FIG2A_MAP):
             assert len(blocks) > 2
             assert any(row[2] == "0" for row in serial.rows)
 
@@ -214,16 +291,31 @@ scale = log
         assert str(info.value) == f"{experiment} at C_om=2, C_em=4: injected failure"
 
     @pytest.mark.parametrize(
-        "experiment", ["fig1a_dqt_boundary", "fig2bc_capacity_maps", "fig4a_mm_eof", "custom"]
+        "experiment",
+        [
+            "fig1a_dqt_boundary",
+            "fig2bc_capacity_maps",
+            "fig4a_mm_eof",
+            "custom",
+            "fig2a_gain_curves",
+            "fig5a_click_rate",
+        ],
     )
     def test_input_check_names_the_point(self, tmp_path, experiment):
-        # a negative cooperativity fails the device's input check at that point
-        body = MINIMAL.replace("custom", experiment).replace("min = 1.0", "min = -1.0")
+        if experiment in OUT_OF_RANGE:
+            # a gain below 0 or a tau above 1 fails at the first stable point
+            # that has it; the unstable row before it is skipped, not checked
+            axis, where = OUT_OF_RANGE[experiment]
+            body = RANGE_GRID.format(experiment=experiment, axis=axis)
+        else:
+            # a negative cooperativity fails the device's input check at that point
+            body = MINIMAL.replace("custom", experiment).replace("min = 1.0", "min = -1.0")
+            where = "C_om=0.5, C_em=-1: cooperativities must be nonnegative"
+        path = write_config(tmp_path, body)
         with pytest.raises(NumericalError) as info:
-            run_sweep(parse_config(write_config(tmp_path, body)), out_dir=tmp_path)
-        assert str(info.value) == (
-            f"{experiment} at C_om=0.5, C_em=-1: cooperativities must be nonnegative"
-        )
+            run_sweep(parse_config(path), out_dir=tmp_path)
+        assert str(info.value) == f"{experiment} at {where}"
+        assert main(["sweep", str(path), "--out", str(tmp_path)]) == EXIT_NUMERICAL
 
     @pytest.mark.parametrize("experiment", ["fig1a_dqt_boundary", "custom"])
     def test_half_efficiency_point_has_zero_bound(self, tmp_path, experiment):
