@@ -38,6 +38,9 @@ def _eof(u, v, w) -> tuple:
     with np.errstate(divide="ignore", invalid="ignore"):
         arg = (gamma - rad) / beta_minus
     entangled = (nu_min_sq < 1.0 - 1e-9) & (arg > 1.0)
+    if not entangled.any():  # r = 0 and E_F = 1 log2(1) - 0 = 0 on every lane
+        e_f, r = np.zeros((2,) + entangled.shape)
+        return e_f, nu_min_sq, gamma, beta_plus, beta_minus, r
     r = np.where(entangled, 0.25 * np.log(np.where(entangled, arg, 1.0)), 0.0)
     c2 = np.cosh(r) ** 2
     s2 = np.sinh(r) ** 2
@@ -102,6 +105,38 @@ def duan_quantity(form: TwoModeStandardForm) -> float:
     return form.u + form.v - 2 * form.w
 
 
+def _entanglement_rates(
+    p: TransducerParams, taus, quad: FrequencyQuadrature = DEFAULT_QUADRATURE
+) -> np.ndarray:
+    """entanglement_rate of one device at each optical transmissivity in ``taus``.
+
+    Each lane runs its own nested trapezoid, so it stops at the doubling its
+    scalar integral stops at and gets the same bits; the source spectra depend
+    on the device only and are solved once per node array the trapezoid asks
+    for, keyed by the nodes themselves, and the lanes only read them.  That
+    cache lives for this call and holds 3 floats (and the node itself as key)
+    per node visited by the deepest lane.
+    """
+    spectra = {}
+
+    def source(omegas):
+        key = omegas.tobytes()
+        if key not in spectra:
+            spectra[key] = mo_standard_form_spectra(p, omegas)
+        return spectra[key]
+
+    def rate(tau):
+        def integrand(omegas):
+            u, v, w = source(omegas)
+            u, w = _optical_loss(u, w, tau)
+            diag, off = _swap_form(u, v, w)
+            return _eof(diag, diag, off)[0]
+
+        return integrate_spectrum(integrand, quad.window(p), quad) / (2.0 * np.pi)
+
+    return np.array([rate(tau) for tau in np.asarray(taus, dtype=float).tolist()])
+
+
 def entanglement_rate(
     p: TransducerParams,
     tau: float = 1.0,
@@ -116,10 +151,4 @@ def entanglement_rate(
     state is integrated: E_R = (1 / 2 pi) * integral of E_F(omega).  A tau
     outside [0, 1] raises ValueError.
     """
-    def integrand(omegas):
-        u, v, w = mo_standard_form_spectra(p, omegas)
-        u, w = _optical_loss(u, w, tau)
-        diag, off = _swap_form(u, v, w)
-        return _eof(diag, diag, off)[0]
-
-    return integrate_spectrum(integrand, quad.window(p), quad) / (2.0 * np.pi)
+    return float(_entanglement_rates(p, [tau], quad)[0])

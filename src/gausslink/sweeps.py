@@ -12,7 +12,6 @@ import csv
 import functools
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -24,7 +23,7 @@ from .capacity import (
     _q_lb_loss_amp,
     dqt_capacity_boundary,
 )
-from .entanglement import _eof, _optical_loss, _swap_form, entanglement_rate
+from .entanglement import _entanglement_rates, _eof, _optical_loss, _swap_form
 from .swap import _click_rates
 from .teleport import _induced_channels, optimize_gains
 from .transducer import (
@@ -207,28 +206,36 @@ def _eval_fig4b(columns):
     )
 
 
+def _devices(columns: dict, per_lane: tuple) -> list:
+    """(blue device, lane indices) for each distinct device of a block, a device
+    being every column but ``per_lane``; each device is built from Python
+    floats, as from a single point."""
+    keys = [k for k in columns if k not in per_lane]
+    lanes = {}
+    for i, device in enumerate(zip(*(columns[k].tolist() for k in keys))):
+        lanes.setdefault(device, []).append(i)
+    return [(_params(dict(zip(keys, d)), "blue"), idx) for d, idx in lanes.items()]
+
+
 def _eval_fig5a(columns):
     """Click rates of a block, with one flux integral per stable device."""
     stable = stability_check(_params(columns, "blue"))
-    keys = [k for k in columns if k not in ("tau", "pulse_duration")]  # a device's columns
-    devices = {}
-    for i, device in enumerate(zip(*(columns[k][stable].tolist() for k in keys))):
-        devices.setdefault(device, []).append(i)
     tau, dt = columns["tau"][stable], columns["pulse_duration"][stable]
     r_t, r_b = np.empty(tau.size), np.empty(tau.size)
-    for device, lanes in devices.items():
-        p = _params(dict(zip(keys, device)), "blue")
+    stable_columns = {k: c[stable] for k, c in columns.items()}
+    for p, lanes in _devices(stable_columns, ("tau", "pulse_duration")):
         r_t[lanes], r_b[lanes] = _click_rates(p, tau[lanes], dt[lanes])
     return _rows(stable, r_t=r_t, r_B=r_b)
 
 
 def _eval_fig5b(columns):
-    # one point at a time: each point takes its own frequency integral
-    out = []
-    for values in zip(*(c.tolist() for c in columns.values())):
-        pt = dict(zip(columns, values))
-        p = _params(pt, "blue")
-        out.append({"e_r": entanglement_rate(p, pt["tau"])} if stability_check(p) else None)
+    """Homodyne rates of a block: one stability check per device, and one
+    spectra solve per trapezoid level per stable device, shared by its tau lanes."""
+    out = [None] * len(columns["tau"])
+    for p, lanes in _devices(columns, ("tau",)):
+        if stability_check(p):
+            for i, e_r in zip(lanes, _entanglement_rates(p, columns["tau"][lanes]).tolist()):
+                out[i] = {"e_r": e_r}
     return out
 
 
@@ -571,6 +578,9 @@ def run_sweep(config: SweepConfig, out_dir=None, jobs: int = 1) -> SweepResult:
     grid = np.stack([m.ravel() for m in mesh], axis=-1)
     evaluate = functools.partial(_evaluate_block, config.experiment, config.fixed, axis_names)
     if jobs > 1:
+        # imported here: multiprocessing adds about 1.2 MB of RSS to every process
+        from concurrent.futures import ProcessPoolExecutor
+
         blocks = _row_blocks(grid, config.axes, jobs * _BLOCKS_PER_JOB)
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             outcomes = [m for block in pool.map(evaluate, blocks) for m in block]

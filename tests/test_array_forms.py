@@ -7,6 +7,8 @@ here as oracles: the sweep's block source forms must equal them bit for bit,
 and the scalar wrappers must agree with them to round-off.
 """
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -25,7 +27,12 @@ from gausslink.capacity import (
     integrate_spectrum,
     q_lb_loss_amp,
 )
+from gausslink import entanglement
 from gausslink.entanglement import (
+    _entanglement_rates,
+    _eof,
+    _optical_loss,
+    _swap_form,
     duan_quantity,
     entanglement_of_formation,
     eof_intermediates,
@@ -130,6 +137,38 @@ def scalar_entanglement_of_formation(u, v, w):
     c2 = np.cosh(r) ** 2
     s2 = np.sinh(r) ** 2
     return float(c2 * np.log2(c2) - s2 * np.log2(s2))
+
+
+def earlier_eof(u, v, w):
+    # the array _eof before its all-separable shortcut
+    u, v, w = np.asarray(u, dtype=float), np.asarray(v, dtype=float), np.abs(w)
+    det_v = (u * v - w * w) ** 2
+    delta = u * u + v * v + 2.0 * w * w
+    nu_min_sq = 0.5 * (delta - np.sqrt(np.maximum(delta * delta - 4.0 * det_v, 0.0)))
+    gamma = 2.0 * (det_v + 1.0) - (u - v) ** 2
+    beta_plus = (u + v + 2.0 * w) ** 2
+    beta_minus = (u + v - 2.0 * w) ** 2
+    rad = np.sqrt(np.maximum(gamma * gamma - beta_plus * beta_minus, 0.0))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        arg = (gamma - rad) / beta_minus
+    entangled = (nu_min_sq < 1.0 - 1e-9) & (arg > 1.0)
+    r = np.where(entangled, 0.25 * np.log(np.where(entangled, arg, 1.0)), 0.0)
+    c2 = np.cosh(r) ** 2
+    s2 = np.sinh(r) ** 2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        e_f = c2 * np.log2(c2) - np.where(s2 > 0, s2 * np.log2(np.maximum(s2, 1e-300)), 0.0)
+    return e_f, nu_min_sq, gamma, beta_plus, beta_minus, r
+
+
+def scalar_entanglement_rate(p, tau=1.0, quad=DEFAULT_QUADRATURE):
+    # the per-point integral, with the earlier _eof
+    def integrand(omegas):
+        u, v, w = mo_standard_form_spectra(p, omegas)
+        u, w = _optical_loss(u, w, tau)
+        diag, off = _swap_form(u, v, w)
+        return earlier_eof(diag, diag, off)[0]
+
+    return integrate_spectrum(integrand, quad.window(p), quad) / (2.0 * np.pi)
 
 
 def scalar_g_function(x):
@@ -448,3 +487,59 @@ def test_click_rates_check_every_lane(tau, dt, match):
     p = _params(dict(FIXED_DEFAULTS, C_om=0.5))
     with pytest.raises(ValueError, match=match):
         _click_rates(p, np.array([0.5, tau, 0.5]), np.array([1.0, dt, 1.0]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(forms=st.lists(_forms(umax=1e3), min_size=1, max_size=8), separable=st.booleans())
+def test_eof_equals_the_earlier_eof(forms, separable):
+    u, v, w = (np.array([getattr(f, x) for f in forms]) for x in "uvw")
+    if separable:  # w = 0 on every lane: the all-separable shortcut
+        w = np.zeros_like(w)
+    for got, expected in zip(_eof(u, v, w), earlier_eof(u, v, w)):
+        assert _same_bits(got, expected)
+
+
+# tau = 0 (a product state), the separable tau = 1/2, no loss, and random values
+_taus = st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0))
+
+
+@settings(max_examples=25, deadline=None)
+@given(pt=_points(), taus=st.lists(_taus, min_size=1, max_size=5))
+def test_entanglement_rates_equal_the_per_point_integrals(pt, taus):
+    p = _params(pt)
+    assume(pt["C_om"] < 0.99 * (1.0 + pt["C_em"]) and scalar_stability_check(p))
+    expected = []
+    for tau in taus:
+        try:
+            expected.append(scalar_entanglement_rate(p, tau))
+        except ValueError as exc:
+            expected.append(str(exc))
+    errors = [e for e in expected if isinstance(e, str)]
+    if errors:  # lanes run in order, so the first failing lane raises
+        with pytest.raises(ValueError, match=re.escape(errors[0])):
+            _entanglement_rates(p, np.array(taus))
+        return
+    assert _same_bits(_entanglement_rates(p, np.array(taus)), expected)
+
+
+def test_spectra_are_solved_once_per_level(monkeypatch):
+    solve = entanglement.mo_standard_form_spectra
+    calls = []
+
+    def counted(p, omegas):
+        calls.append(omegas.size)
+        return solve(p, omegas)
+
+    monkeypatch.setattr(entanglement, "mo_standard_form_spectra", counted)
+    p = _params(dict(FIXED_DEFAULTS, C_om=2.0, C_em=10.0))
+    taus = [0.0, 0.3, 0.5, 0.8, 1.0]
+    levels = []
+    for tau in taus:
+        calls.clear()
+        entanglement.entanglement_rate(p, tau)
+        levels.append(len(calls))
+    calls.clear()
+    _entanglement_rates(p, np.array(taus))
+    # no chunk splits a level at these node counts, so a call is a level
+    assert max(calls) <= 2**14
+    assert len(calls) == max(levels) < sum(levels)

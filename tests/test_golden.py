@@ -1,6 +1,7 @@
 """Golden outputs: sha256 of the files sweeps write, recorded with the
 per-point gain search that preceded the batched one (the thermal grids: with
-the per-point direct-conversion channel that preceded the array one).
+the per-point direct-conversion channel that preceded the array one; the
+fig5b thermal blocks: with the per-point homodyne integral).
 
 Determinism tests compare two runs of the same code; these compare against
 bytes written by an earlier implementation, so a refactor that moves a single
@@ -220,6 +221,44 @@ max = 4
 points = 5
 scale = log
 """
+# fig5b's device-shared integrals with thermal noise, lossy extraction and a
+# non-unit optical linewidth: odd tau counts put the separable tau = 0.5 on the
+# grid, C_om = 4 is unstable at C_em = 2 and C_om = 1.5 below C_em = 1, and in
+# (tau, C_em) order each device's tau lanes are strided
+_THERMAL_HOMODYNE_FIXED = """
+[fixed]
+n_th = 0.05
+zeta_o = 0.95
+zeta_e = 0.9
+kappa_o = 1.7
+"""
+_THERMAL_HOMODYNE_GRID = _THERMAL_HOMODYNE_FIXED + """
+C_em = 2
+
+[axis C_om]
+min = 0.5
+max = 4
+points = 4
+
+[axis tau]
+min = 0
+max = 1
+points = 7
+"""
+_THERMAL_HOMODYNE_GRID_T = _THERMAL_HOMODYNE_FIXED + """
+C_om = 1.5
+
+[axis tau]
+min = 0
+max = 1
+points = 5
+
+[axis C_em]
+min = 0.25
+max = 4
+points = 5
+scale = log
+"""
 THERMAL_BLOCKS = {
     "fig2a": (
         "fig2a_gain_curves",
@@ -235,6 +274,16 @@ THERMAL_BLOCKS = {
         "fig5a_click_rate",
         _THERMAL_RATE_GRID_T,
         "d926de39c34c6243f9e10d1184e87f9c8e3e45b8b8bea49ab607c3db17658fdf",
+    ),
+    "fig5b-C_om-tau": (
+        "fig5b_homodyne_rate",
+        _THERMAL_HOMODYNE_GRID,
+        "1fb47b76611118cc0ee715e427b704455b986982af39cb95d3ec409b8d218022",
+    ),
+    "fig5b-tau-C_em": (
+        "fig5b_homodyne_rate",
+        _THERMAL_HOMODYNE_GRID_T,
+        "cf636528d2b720285dd8948ae340545cab4ceaed080c1e913d43c444b7347ba2",
     ),
 }
 

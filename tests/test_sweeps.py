@@ -1,3 +1,7 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -109,6 +113,10 @@ OUT_OF_RANGE = {
         "[axis tau]\nmin = 0\nmax = 1.2",
         "C_em=4, tau=1.2: tau must lie in [0, 1]",
     ),
+    "fig5b_homodyne_rate": (
+        "[axis tau]\nmin = 0\nmax = 1.2",
+        "C_em=4, tau=1.2: tau must lie in [0, 1]",
+    ),
 }
 
 # 9 x 3 click-rate map with tau outermost: row blocks split tau, so each
@@ -134,6 +142,12 @@ max = 15
 points = 3
 scale = log
 """
+
+# 9 x 3 homodyne-rate map with tau outermost, as FIG5A_MAP: one device's tau
+# lanes span several row blocks, and tau = 0.5 is on the grid
+FIG5B_MAP = FIG5A_MAP.replace("fig5a_click_rate", "fig5b_homodyne_rate").replace(
+    "fig5a.csv", "fig5b.csv"
+)
 
 # 9 x 3 gain-curve map through kappa = 1; C_om = 3 is unstable at C_em = 1
 FIG2A_MAP = """
@@ -255,8 +269,8 @@ scale = log
 
     @pytest.mark.parametrize(
         "body",
-        [MINIMAL, GAIN_MAP, FIG1A_MAP, FIG5A_MAP, FIG2A_MAP],
-        ids=["custom", "gain_map", "fig1a", "fig5a", "fig2a"],
+        [MINIMAL, GAIN_MAP, FIG1A_MAP, FIG5A_MAP, FIG5B_MAP, FIG2A_MAP],
+        ids=["custom", "gain_map", "fig1a", "fig5a", "fig5b", "fig2a"],
     )
     def test_parallel_matches_serial(self, tmp_path, body):
         cfg = parse_config(write_config(tmp_path, body))
@@ -267,7 +281,7 @@ scale = log
         serial = run_sweep(cfg, out_dir=tmp_path / "s", jobs=1)
         parallel = run_sweep(cfg, out_dir=tmp_path / "p", jobs=2)
         assert serial.path.read_bytes() == parallel.path.read_bytes()
-        if body in (GAIN_MAP, FIG5A_MAP, FIG2A_MAP):
+        if body in (GAIN_MAP, FIG5A_MAP, FIG5B_MAP, FIG2A_MAP):
             assert len(blocks) > 2
             assert any(row[2] == "0" for row in serial.rows)
 
@@ -299,6 +313,7 @@ scale = log
             "custom",
             "fig2a_gain_curves",
             "fig5a_click_rate",
+            "fig5b_homodyne_rate",
         ],
     )
     def test_input_check_names_the_point(self, tmp_path, experiment):
@@ -434,3 +449,18 @@ def test_axis_values():
     assert np.allclose(lin.values(), [1.0, 2.0, 3.0])
     log = Axis("C_om", 0.1, 10.0, 3, "log")
     assert np.allclose(log.values(), [0.1, 1.0, 10.0])
+
+
+def test_serial_sweep_setup_does_not_import_multiprocessing(tmp_path):
+    # run_sweep imports the process pool only for jobs > 1
+    src = Path(sweeps.__file__).resolve().parents[1]
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import gausslink.sweeps as s; "
+        "s.parse_config(sys.argv[2]); print('multiprocessing' in sys.modules)"
+    )
+    config = write_config(tmp_path, MINIMAL)
+    out = subprocess.run(
+        [sys.executable, "-c", code, str(src), str(config)],
+        capture_output=True, text=True, check=True, timeout=60,
+    )
+    assert out.stdout.strip() == "False"
