@@ -186,43 +186,82 @@ DEFAULT_QUADRATURE = FrequencyQuadrature()
 # configs or golden grids reaches (the smallest positive fig5b integral is
 # about 3e-5); such totals are accurate to 1e-12 absolute, not 1e-6 relative.
 _ABS_TOL = 1e-12
-# Nodes per call of the integrand: at about 1.5 kB per node (fig5b) a call peaks
-# near 25 MB, where the 524,288 midpoints of a twelfth doubling would need 0.8 GB.
-_CHUNK_NODES = 2**14
+# Elements (lanes x nodes) per call of the integrand.  A fig5b call costs about
+# 1.5 kB per node (the spectra) and 0.2 kB per element (the EoF), so it peaks
+# below 3.5 MB; a lane whose new nodes alone are more (the 524,288 midpoints of a
+# twelfth doubling would need 0.8 GB) gets them in chunks.  On a 30-lane fig5b
+# device 2**11 peaks 0.1 MB above one lane at a time, and 2**12 0.5 MB.
+_CHUNK_NODES = 2**11
 
 
-def _chunked(fn, omegas: np.ndarray) -> np.ndarray:
-    """``fn`` at each node, in calls of at most _CHUNK_NODES nodes."""
-    return np.concatenate(
-        [fn(omegas[lo : lo + _CHUNK_NODES]) for lo in range(0, omegas.size, _CHUNK_NODES)]
-    )
+def _evaluate(fn, rows: np.ndarray, omegas: np.ndarray) -> np.ndarray:
+    """``fn`` of the lanes ``rows`` at ``omegas``, a (rows.size, omegas.size)
+    array; one lane with more than _CHUNK_NODES nodes gets them in calls of
+    that many."""
+    values = np.empty((rows.size, omegas.size))
+    for at in range(0, omegas.size, _CHUNK_NODES):
+        values[:, at : at + _CHUNK_NODES] = fn(rows, omegas[at : at + _CHUNK_NODES])
+    return values
+
+
+def _nested_trapezoids(fn, lanes: int, omega_max: float, quad: FrequencyQuadrature) -> np.ndarray:
+    """Nested trapezoids of ``lanes`` vectorized, pointwise spectral functions on
+    [-W, W], one total per lane.
+
+    ``fn(rows, omegas)`` gives the values of the lanes ``rows`` (an index array)
+    at ``omegas``, shape (rows.size, omegas.size), or (omegas.size,) for one lane.
+    linspace(-W, W, 2n - 1)[::2] is linspace(-W, W, n) exactly, so each doubling
+    evaluates ``fn`` only at the new midpoints.  The lanes go up the levels in
+    groups, so that no call of ``fn`` gets more than _CHUNK_NODES elements (lanes
+    x new nodes) unless one lane alone has more; a group splits as its levels
+    grow, each part going on to convergence in turn, so memory stays bounded
+    however many lanes run deep.  A group shares each level's nodes and one
+    trapezoid along the last axis of its C-contiguous values, whose row sums are
+    the 1-D sums, so every lane stops at its own doubling with the bits of a lone
+    integral; since ``fn`` is pointwise, grouping changes no total.  A lane that
+    runs out of doublings raises, the lowest such lane first.
+    """
+    totals = np.empty(lanes)
+    n = quad.initial_points
+    first = np.linspace(-omega_max, omega_max, n)
+    fit = max(1, _CHUNK_NODES // n)
+    # lane groups left, the lowest on top: (rows, their values and totals on the
+    # level they have reached, the change of their last doubling, doublings)
+    todo = [(np.arange(lo, min(lo + fit, lanes)), None, None, None, 0)
+            for lo in reversed(range(0, lanes, fit))]
+    while todo:
+        rows, values, total, change, doubling = todo.pop()
+        if values is None:
+            values = _evaluate(fn, rows, first)
+            total, change = np.trapezoid(values, first), np.full(rows.size, math.inf)
+        while rows.size:
+            if doubling >= quad.max_doublings:
+                raise ValueError(f"frequency integral not converged on {values.shape[1]} nodes: "
+                                 f"last change {change[0]:.3e} on a total of {total[0]:.3e}")
+            n = 2 * values.shape[1] - 1
+            fit = max(1, _CHUNK_NODES // (n // 2))
+            if rows.size > fit:
+                todo += [tuple(x[lo : lo + fit] for x in (rows, values, total, change)) + (doubling,)
+                         for lo in reversed(range(0, rows.size, fit))]
+                break
+            omegas = np.linspace(-omega_max, omega_max, n)
+            finer = np.empty((rows.size, n))
+            finer[:, ::2] = values
+            finer[:, 1::2] = _evaluate(fn, rows, omegas[1::2])
+            values, prev = finer, total
+            total = np.trapezoid(values, omegas)
+            change = np.abs(total - prev)
+            done = change <= np.maximum(quad.rel_tol * np.abs(total), _ABS_TOL)
+            totals[rows[done]] = total[done]
+            rows, values, total, change = (x[~done] for x in (rows, values, total, change))
+            doubling += 1
+    return totals
 
 
 def integrate_spectrum(fn, omega_max: float, quad: FrequencyQuadrature) -> float:
-    """Nested trapezoid of a vectorized, pointwise spectral function on [-W, W].
-
-    linspace(-W, W, 2n - 1)[::2] is linspace(-W, W, n) exactly, so each
-    doubling evaluates ``fn`` only at the new midpoints, at most _CHUNK_NODES
-    of them per call; since ``fn`` is pointwise, the chunking changes no total.
-    """
-    n = quad.initial_points
-    omegas = np.linspace(-omega_max, omega_max, n)
-    values = _chunked(fn, omegas)
-    total = float(np.trapezoid(values, omegas))
-    change = math.inf
-    for _ in range(quad.max_doublings):
-        n = 2 * n - 1
-        omegas = np.linspace(-omega_max, omega_max, n)
-        finer = np.empty(n)
-        finer[::2] = values
-        finer[1::2] = _chunked(fn, omegas[1::2])
-        values, prev = finer, total
-        total = float(np.trapezoid(values, omegas))
-        change = abs(total - prev)
-        if change <= max(quad.rel_tol * abs(total), _ABS_TOL):
-            return total
-    raise ValueError(f"frequency integral not converged on {n} nodes: "
-                     f"last change {change:.3e} on a total of {total:.3e}")
+    """Nested trapezoid of a vectorized, pointwise spectral function on [-W, W]:
+    the one-lane _nested_trapezoids."""
+    return float(_nested_trapezoids(lambda rows, omegas: fn(omegas), 1, omega_max, quad)[0])
 
 
 def q_lb_bandwidth_integrated(

@@ -4,7 +4,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .capacity import DEFAULT_QUADRATURE, FrequencyQuadrature, integrate_spectrum
+from .capacity import DEFAULT_QUADRATURE, FrequencyQuadrature, _nested_trapezoids
 from .transducer import TransducerParams, TwoModeStandardForm, _all, mo_standard_form_spectra
 
 __all__ = [
@@ -85,11 +85,16 @@ def entanglement_of_formation(form: TwoModeStandardForm) -> float:
     return float(_eof(form.u, form.v, form.w)[0])
 
 
-def _optical_loss(u, w, tau) -> tuple:
-    """(u, w) after optical loss of transmissivity tau: u -> tau (u - 1) + 1,
-    w -> sqrt(tau) w; floats or arrays, with tau checked on every lane."""
+def _check_tau(tau) -> None:
+    """Raise ValueError unless the transmissivity tau, a float or an array, lies
+    in [0, 1] on every lane."""
     if not _all((0.0 <= tau) & (tau <= 1.0)):
         raise ValueError("tau must lie in [0, 1]")
+
+
+def _optical_loss(u, w, tau) -> tuple:
+    """(u, w) after optical loss of transmissivity tau: u -> tau (u - 1) + 1,
+    w -> sqrt(tau) w; floats or arrays, tau checked by the caller."""
     return tau * (u - 1.0) + 1.0, np.sqrt(tau) * w
 
 
@@ -110,31 +115,28 @@ def _entanglement_rates(
 ) -> np.ndarray:
     """entanglement_rate of one device at each optical transmissivity in ``taus``.
 
-    Each lane runs its own nested trapezoid, so it stops at the doubling its
-    scalar integral stops at and gets the same bits; the source spectra depend
-    on the device only and are solved once per node array the trapezoid asks
-    for, keyed by the nodes themselves, and the lanes only read them.  That
-    cache lives for this call and holds 3 floats (and the node itself as key)
-    per node visited by the deepest lane.
+    Every tau is checked before anything is integrated.  The lanes share one
+    nested trapezoid, which stops each lane at the doubling its one-lane
+    integral stops at, with the same bits.  The source spectra depend on the
+    device only: they are solved once per node array the trapezoid asks for,
+    keyed by the nodes themselves, and every lane group reads them.  That cache
+    lives for this call and holds 3 floats (and the node itself as key) per node
+    visited by the deepest lane.
     """
+    taus = np.asarray(taus, dtype=float)
+    _check_tau(taus)
     spectra = {}
 
-    def source(omegas):
+    def integrand(rows, omegas):
         key = omegas.tobytes()
         if key not in spectra:
             spectra[key] = mo_standard_form_spectra(p, omegas)
-        return spectra[key]
+        u, v, w = spectra[key]
+        u, w = _optical_loss(u, w, taus[rows, None])
+        diag, off = _swap_form(u, v, w)
+        return _eof(diag, diag, off)[0]
 
-    def rate(tau):
-        def integrand(omegas):
-            u, v, w = source(omegas)
-            u, w = _optical_loss(u, w, tau)
-            diag, off = _swap_form(u, v, w)
-            return _eof(diag, diag, off)[0]
-
-        return integrate_spectrum(integrand, quad.window(p), quad) / (2.0 * np.pi)
-
-    return np.array([rate(tau) for tau in np.asarray(taus, dtype=float).tolist()])
+    return _nested_trapezoids(integrand, taus.size, quad.window(p), quad) / (2.0 * np.pi)
 
 
 def entanglement_rate(

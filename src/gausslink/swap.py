@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .capacity import DEFAULT_QUADRATURE, FrequencyQuadrature, integrate_spectrum
-from .entanglement import _optical_loss, _swap_form
+from .entanglement import _check_tau, _optical_loss, _swap_form
 from .gaussian import (
     GaussianState,
     general_dyne_condition,
@@ -54,8 +54,7 @@ class SwapSetup:
                 raise ValueError("swap sources must be blue detuned")
             if not stability_check(dev):
                 raise ValueError("swap sources must be stable")
-        if not 0.0 <= self.tau <= 1.0:
-            raise ValueError("tau must lie in [0, 1]")
+        _check_tau(self.tau)
         if self.pulse_duration <= 0:
             raise ValueError("pulse duration must be positive")
 
@@ -112,6 +111,7 @@ def apply_optical_loss(form: TwoModeStandardForm, tau: float) -> TwoModeStandard
 
     u -> tau (u - 1) + 1, w -> sqrt(tau) w, v unchanged.
     """
+    _check_tau(tau)
     u, w = _optical_loss(form.u, form.w, tau)
     return TwoModeStandardForm(u=u, v=form.v, w=w)
 
@@ -126,8 +126,7 @@ def _click_rates(p: TransducerParams, tau, dt, quad=DEFAULT_QUADRATURE) -> tuple
     two devices feeding the detectors the Bell rate follows the Poisson
     heralding model r_B = 2 r_t exp(-r_t dt).
     """
-    if not _all((0.0 <= tau) & (tau <= 1.0)):
-        raise ValueError("tau must lie in [0, 1]")
+    _check_tau(tau)
     if not _all(dt > 0):
         raise ValueError("pulse duration must be positive")
 

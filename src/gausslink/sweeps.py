@@ -23,7 +23,7 @@ from .capacity import (
     _q_lb_loss_amp,
     dqt_capacity_boundary,
 )
-from .entanglement import _entanglement_rates, _eof, _optical_loss, _swap_form
+from .entanglement import _check_tau, _entanglement_rates, _eof, _optical_loss, _swap_form
 from .swap import _click_rates
 from .teleport import _induced_channels, optimize_gains
 from .transducer import (
@@ -136,7 +136,9 @@ def _swapped_forms(columns: dict) -> tuple:
     """Stable mask, the source (u, v, w) after optical loss tau, and (diag, off)
     of the swapped microwave pair, over the stable points of a block."""
     stable, u, v, w = _source_forms(columns)
-    u, w = _optical_loss(u, w, columns["tau"][stable])
+    tau = columns["tau"][stable]
+    _check_tau(tau)
+    u, w = _optical_loss(u, w, tau)
     _check_forms(u, v, w)
     diag, off = _swap_form(u, v, w)
     _check_forms(diag, diag, off)

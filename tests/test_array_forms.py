@@ -543,3 +543,13 @@ def test_spectra_are_solved_once_per_level(monkeypatch):
     # no chunk splits a level at these node counts, so a call is a level
     assert max(calls) <= 2**14
     assert len(calls) == max(levels) < sum(levels)
+
+
+@pytest.mark.parametrize("bad", [1.2, -0.1, float("nan")])
+def test_taus_are_checked_before_any_spectra_solve(monkeypatch, bad):
+    calls = []
+    monkeypatch.setattr(entanglement, "mo_standard_form_spectra", lambda p, om: calls.append(om))
+    p = _params(dict(FIXED_DEFAULTS, C_om=2.0, C_em=10.0))
+    with pytest.raises(ValueError, match=re.escape("tau must lie in [0, 1]")):
+        _entanglement_rates(p, np.array([0.5, 1.0, bad, 0.3]))
+    assert calls == []

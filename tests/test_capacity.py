@@ -1,4 +1,5 @@
 import math
+import re
 import time
 
 import numpy as np
@@ -14,6 +15,7 @@ from gausslink.capacity import (
     coherent_info_loss_amp,
     dqt_capacity_boundary,
     g_function,
+    _nested_trapezoids,
     integrate_spectrum,
     q_lb_bandwidth_integrated,
     q_lb_displacement,
@@ -246,6 +248,77 @@ def _full_grid_doubling(fn, omega_max, quad):
     raise AssertionError("oracle did not converge")
 
 
+_EARLIER_CHUNK_NODES = 2**14
+
+
+def _earlier_chunked(fn, omegas: np.ndarray) -> np.ndarray:
+    return np.concatenate(
+        [fn(omegas[lo : lo + _EARLIER_CHUNK_NODES]) for lo in range(0, omegas.size, _EARLIER_CHUNK_NODES)]
+    )
+
+
+def earlier_integrate_spectrum(fn, omega_max, quad):
+    """The 1-D nested trapezoid that preceded the lane-valued one, verbatim."""
+    n = quad.initial_points
+    omegas = np.linspace(-omega_max, omega_max, n)
+    values = _earlier_chunked(fn, omegas)
+    total = float(np.trapezoid(values, omegas))
+    change = math.inf
+    for _ in range(quad.max_doublings):
+        n = 2 * n - 1
+        omegas = np.linspace(-omega_max, omega_max, n)
+        finer = np.empty(n)
+        finer[::2] = values
+        finer[1::2] = _earlier_chunked(fn, omegas[1::2])
+        values, prev = finer, total
+        total = float(np.trapezoid(values, omegas))
+        change = abs(total - prev)
+        if change <= max(quad.rel_tol * abs(total), _ABS_TOL):
+            return total
+    raise ValueError(f"frequency integral not converged on {n} nodes: "
+                     f"last change {change:.3e} on a total of {total:.3e}")
+
+
+def _same_bits(got, expected) -> bool:
+    got, expected = np.asarray(got), np.asarray(expected)
+    return np.array_equal(got, expected) and np.array_equal(np.signbit(got), np.signbit(expected))
+
+
+def _lorentzians(height, center, width):
+    """Lane-valued Lorentzians, and the one-lane function of each lane."""
+    height, center, width = (np.array(x, dtype=float) for x in (height, center, width))
+
+    def lanes(rows, omegas):
+        return height[rows, None] / (1.0 + ((omegas - center[rows, None]) / width[rows, None]) ** 2)
+
+    def lane(i):
+        return lambda omegas: height[i] / (1.0 + ((omegas - center[i]) / width[i]) ** 2)
+
+    return lanes, [lane(i) for i in range(height.size)]
+
+
+def _recorded(fn):
+    """fn, and the (rows, nodes) of each of its calls."""
+    calls = []
+
+    def recording(rows, omegas):
+        calls.append((rows.copy(), omegas.copy()))
+        return fn(rows, omegas)
+
+    return recording, calls
+
+
+def _oracle(fns, omega_max, quad) -> list:
+    """Each lane's earlier 1-D integral, or the message it raised."""
+    out = []
+    for fn in fns:
+        try:
+            out.append(earlier_integrate_spectrum(fn, omega_max, quad))
+        except ValueError as exc:
+            out.append(str(exc))
+    return out
+
+
 def _blue(c_om, c_em, zo=1.0, ze=1.0, n_th=0.0):
     return TransducerParams.from_cooperativities(c_om, c_em, zo, ze, n_th, "blue")
 
@@ -316,6 +389,20 @@ class TestIntegrateSpectrum:
         with pytest.raises(ValueError, match="not converged on 1025 nodes"):
             integrate_spectrum(lambda om: om**2, 1.0, quad)
 
+    @pytest.mark.parametrize(
+        "fn, omega_max",
+        [
+            (lambda om: 1.0 / (1.0 + (om / 0.05) ** 2), 10.0),
+            (lambda om: 1.0 / (1.0 + (om / 1e-4) ** 2), 1.0),
+            (lambda om: -0.0 * om, 1.0),
+        ],
+        ids=["narrow-lorentzian", "chunked-lorentzian", "negative-zero"],
+    )
+    def test_equals_the_earlier_integral(self, fn, omega_max):
+        quad = FrequencyQuadrature()
+        expected = earlier_integrate_spectrum(fn, omega_max, quad)
+        assert _same_bits(integrate_spectrum(fn, omega_max, quad), expected)
+
     def test_separability_boundary_converges(self):
         # fig5b at C_om = 0.1, C_em = 10, tau = 1/2: the swapped state sits on
         # the separability boundary and E_F(omega) is round-off noise, which a
@@ -327,3 +414,81 @@ class TestIntegrateSpectrum:
         assert time.perf_counter() - start < 1.0
         assert 0.0 <= rate < 1e-12
         assert entanglement_rate(p, 0.5, FrequencyQuadrature(max_doublings=1)) == rate
+
+
+class TestNestedTrapezoids:
+    """The lane-valued trapezoid against the earlier 1-D one, lane by lane."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        lanes=st.lists(
+            st.tuples(
+                st.one_of(st.sampled_from([0.0, -0.0, 1.0]), st.floats(-2.0, 2.0)),
+                st.floats(-0.5, 0.5),
+                st.floats(2e-3, 1.0),
+            ),
+            min_size=1,
+            max_size=40,
+        ),
+        max_doublings=st.sampled_from([1, 3, 12]),
+    )
+    def test_lanes_equal_the_earlier_integrals(self, lanes, max_doublings):
+        # per-lane widths stop the lanes at different doublings, and with few
+        # doublings the narrow ones run out of them
+        quad = FrequencyQuadrature(max_doublings=max_doublings)
+        fn, fns = _lorentzians(*zip(*lanes))
+        expected = _oracle(fns, 1.0, quad)
+        errors = [e for e in expected if isinstance(e, str)]
+        if errors:  # the lowest failing lane raises
+            with pytest.raises(ValueError, match=re.escape(errors[0])):
+                _nested_trapezoids(fn, len(lanes), 1.0, quad)
+            return
+        assert _same_bits(_nested_trapezoids(fn, len(lanes), 1.0, quad), expected)
+
+    def test_lowest_failing_lane_raises(self):
+        # lanes 1-9 run out of doublings with different totals; they span two
+        # lane groups, and the first group splits before its last doubling
+        quad = FrequencyQuadrature(max_doublings=2)
+        width = np.concatenate([[0.5], np.geomspace(1e-3, 3e-3, 9)])
+        fn, fns = _lorentzians(np.ones(10), np.zeros(10), width)
+        expected = _oracle(fns, 1.0, quad)
+        assert [isinstance(e, str) for e in expected] == [False] + [True] * 9
+        assert len(set(expected[1:])) == 9
+        with pytest.raises(ValueError, match=re.escape(expected[1])):
+            _nested_trapezoids(fn, 10, 1.0, quad)
+
+    @pytest.mark.parametrize("lanes", [1, 100])
+    def test_calls_stay_within_the_element_cap(self, lanes):
+        # a Lorentzian of width 1e-4 on [-1, 1] converges on 131,073 nodes,
+        # whose last 65,536 midpoints exceed the cap even for one lane
+        fn, fns = _lorentzians(np.ones(lanes), np.zeros(lanes), np.full(lanes, 1e-4))
+        recording, calls = _recorded(fn)
+        quad = FrequencyQuadrature()
+        totals = _nested_trapezoids(recording, lanes, 1.0, quad)
+        assert _same_bits(totals, [earlier_integrate_spectrum(fns[0], 1.0, quad)] * lanes)
+        sizes = [rows.size * omegas.size for rows, omegas in calls]
+        assert max(sizes) == _CHUNK_NODES
+        assert sum(sizes) == lanes * 131073
+
+    def test_each_node_is_evaluated_once_per_lane(self):
+        # 100 lanes of widths from 1e-3 to 1 stop at different doublings
+        width = np.geomspace(1e-3, 1.0, 100)
+        fn, fns = _lorentzians(np.ones(100), np.zeros(100), width)
+        recording, calls = _recorded(fn)
+        quad = FrequencyQuadrature()
+        totals = _nested_trapezoids(recording, 100, 1.0, quad)
+        nodes = [[] for _ in range(100)]
+        for rows, omegas in calls:
+            for i in rows.tolist():
+                nodes[i].append(omegas)
+        depths = set()
+        for i, seen in enumerate(nodes):
+            seen = np.sort(np.concatenate(seen))
+            assert np.array_equal(seen, np.linspace(-1.0, 1.0, seen.size))
+            alone = []
+            assert earlier_integrate_spectrum(
+                lambda om, f=fns[i]: alone.append(om.size) or f(om), 1.0, quad
+            ) == totals[i]
+            assert seen.size == sum(alone)
+            depths.add(seen.size)
+        assert len(depths) > 3

@@ -1,7 +1,8 @@
 """Golden outputs: sha256 of the files sweeps write, recorded with the
 per-point gain search that preceded the batched one (the thermal grids: with
 the per-point direct-conversion channel that preceded the array one; the
-fig5b thermal blocks: with the per-point homodyne integral).
+fig5b thermal blocks: with the per-point homodyne integral; the default fig5b
+grid and the 41-lane fig5b block: with one 1-D trapezoid per tau lane).
 
 Determinism tests compare two runs of the same code; these compare against
 bytes written by an earlier implementation, so a refactor that moves a single
@@ -131,10 +132,11 @@ SMALL = {
 
 
 # default 100x100 grids of the closed-form maps, whose small grids above cover
-# only 9 stable points each
+# only 9 stable points each, and of fig5b, whose devices have 100 tau lanes
 DEFAULT_GRIDS = {
     "fig2d_eof_map": "114691e56ee01b196e6b7df589494bba55d9f567cdcfa20f0addf71e45c6042e",
     "fig4a_mm_eof": "15564663c6bb57121b59334b813162a26b4104f06b2f04367f409c3c08840ec7",
+    "fig5b_homodyne_rate": "327a95adf1277b4664c33a95fa5c5c3c3964068313c82da94f9482ee60347503",
 }
 
 # fig1a and custom with thermal noise and lossy extraction, so that the added
@@ -259,6 +261,22 @@ max = 4
 points = 5
 scale = log
 """
+# more tau lanes per device than one integrand call takes: 41 lanes with the
+# separable tau = 0.5 on the grid, C_om = 2.833 near the threshold 1 + C_em = 3
+# (narrow spectra, deeper levels) and C_om = 4 unstable
+_THERMAL_HOMODYNE_LANES = _THERMAL_HOMODYNE_FIXED + """
+C_em = 2
+
+[axis C_om]
+min = 0.5
+max = 4
+points = 4
+
+[axis tau]
+min = 0
+max = 1
+points = 41
+"""
 THERMAL_BLOCKS = {
     "fig2a": (
         "fig2a_gain_curves",
@@ -284,6 +302,11 @@ THERMAL_BLOCKS = {
         "fig5b_homodyne_rate",
         _THERMAL_HOMODYNE_GRID_T,
         "cf636528d2b720285dd8948ae340545cab4ceaed080c1e913d43c444b7347ba2",
+    ),
+    "fig5b-many-tau": (
+        "fig5b_homodyne_rate",
+        _THERMAL_HOMODYNE_LANES,
+        "5eb9759e200bb33ed61aaf84f6dc9203d93fc20736fa240e47f1c79c86e5bb46",
     ),
 }
 

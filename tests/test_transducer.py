@@ -6,11 +6,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gausslink import transducer
+from gausslink.capacity import DEFAULT_QUADRATURE
 from gausslink.gaussian import symplectic_form
 from gausslink.selftest import random_red_params, random_stable_blue_params
 from gausslink.transducer import (
     TransducerParams,
     TwoModeStandardForm,
+    _check_forms,
     cooperativities,
     dqt_channel,
     dqt_efficiency_bandwidth,
@@ -366,11 +368,12 @@ def _coupling(high):
 
 
 @st.composite
-def devices(draw, detuning):
-    """Random devices; zeta = 1 gives zero-amplitude intrinsic ports."""
+def devices(draw, detuning, reach=0.99):
+    """Random devices, blue ones with C_om up to ``reach`` (1 + C_em); zeta = 1
+    gives zero-amplitude intrinsic ports."""
     c_em = draw(_coupling(8.0))
     if detuning == "blue":
-        c_om = draw(_coupling(0.99)) * (1.0 + c_em)
+        c_om = draw(_coupling(reach)) * (1.0 + c_em)
     else:
         c_om = draw(_coupling(10.0))
     n_th = draw(st.one_of(st.just(0.0), st.floats(0.0, 2.0)))
@@ -445,3 +448,14 @@ class TestFastPathsAreBitExact:
         w = np.hypot(0.5 * (block[:, 0, 2] - block[:, 1, 3]), 0.5 * (block[:, 0, 3] + block[:, 1, 2]))
         for fast, slow in zip(mo_standard_form_spectra(p, omegas), (u, v, w)):
             assert _identical(fast, slow)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    p=devices("blue", reach=0.9),
+    where=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=64),
+)
+def test_spectra_are_physical_across_the_window(p, where):
+    # the standard forms the frequency integrals read, away from resonance too
+    omegas = np.array(where) * DEFAULT_QUADRATURE.window(p)
+    _check_forms(*mo_standard_form_spectra(p, omegas))
