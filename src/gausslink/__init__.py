@@ -17,34 +17,25 @@ from .capacity import (
     q_lb_loss_amp,
 )
 from .entanglement import (
-    EofIntermediates,
     duan_quantity,
     entanglement_of_formation,
     entanglement_rate,
-    eof_intermediates,
 )
 from .gaussian import (
     GaussianChannelSpec,
     GaussianState,
     apply_channel,
-    characteristic_at,
     extract_modes,
     general_dyne_condition,
-    homodyne_epr_limit,
     symplectic_eigenvalues,
     symplectic_form,
     tensor,
-    thermal_state,
     two_mode_squeezed,
     vacuum_state,
-    validate_channel,
-    wigner_at,
 )
 from .swap import (
-    SwapSetup,
     apply_optical_loss,
     click_rate,
-    mm_capacity,
     mm_standard_form,
     mm_swap_closed,
     mm_swap_numeric,
@@ -75,17 +66,14 @@ __version__ = "0.1.0"
 __all__ = [
     "BosonicChannelKind",
     "DqtChannelPoint",
-    "EofIntermediates",
     "FrequencyQuadrature",
     "GainSearchResult",
     "GaussianChannelSpec",
     "GaussianState",
-    "SwapSetup",
     "TransducerParams",
     "TwoModeStandardForm",
     "apply_channel",
     "apply_optical_loss",
-    "characteristic_at",
     "click_rate",
     "cooperativities",
     "dqt_capacity_boundary",
@@ -94,13 +82,10 @@ __all__ = [
     "duan_quantity",
     "entanglement_of_formation",
     "entanglement_rate",
-    "eof_intermediates",
     "extract_modes",
     "g_function",
     "general_dyne_condition",
-    "homodyne_epr_limit",
     "induced_channel",
-    "mm_capacity",
     "mm_standard_form",
     "mm_swap_closed",
     "mm_swap_numeric",
@@ -118,9 +103,6 @@ __all__ = [
     "symplectic_form",
     "tensor",
     "teleport_oracle",
-    "thermal_state",
     "two_mode_squeezed",
     "vacuum_state",
-    "validate_channel",
-    "wigner_at",
 ]

@@ -16,7 +16,6 @@ __all__ = [
     "coherent_info_loss_amp",
     "q_lb_displacement",
     "coherent_info_displacement",
-    "q_lb_for_channel",
     "dqt_capacity_boundary",
     "q_lb_bandwidth_integrated",
 ]
@@ -26,6 +25,10 @@ THERMAL_AMP = "thermal_amplification"
 RANDOM_DISPLACEMENT = "random_displacement"
 
 _KINDS = (THERMAL_LOSS, THERMAL_AMP, RANDOM_DISPLACEMENT)
+# Round-off allowed in eta across a kind's bound at 1 (loss eta <= 1, amplifier
+# eta >= 1, displacement eta = 1), for kinds built from computed gains; the
+# induced channels keep |kappa - 1| >= 1e-9 off unit gain and eta = 1 on it.
+_ETA_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -48,11 +51,11 @@ class BosonicChannelKind:
             raise ValueError("eta must be positive")
         if self.noise < 0:
             raise ValueError("noise must be nonnegative")
-        if self.kind == THERMAL_LOSS and not self.eta < 1.0 + 1e-9:
+        if self.kind == THERMAL_LOSS and not self.eta < 1.0 + _ETA_SLACK:
             raise ValueError("thermal loss requires eta <= 1")
-        if self.kind == THERMAL_AMP and not self.eta > 1.0 - 1e-9:
+        if self.kind == THERMAL_AMP and not self.eta > 1.0 - _ETA_SLACK:
             raise ValueError("thermal amplification requires eta >= 1")
-        if self.kind == RANDOM_DISPLACEMENT and abs(self.eta - 1.0) > 1e-9:
+        if self.kind == RANDOM_DISPLACEMENT and abs(self.eta - 1.0) > _ETA_SLACK:
             raise ValueError("random displacement requires eta = 1")
 
     def to_gaussian_channel(self) -> GaussianChannelSpec:
@@ -134,15 +137,6 @@ def coherent_info_displacement(sigma_sq: float) -> float:
 def q_lb_displacement(sigma_sq: float) -> float:
     """Capacity lower bound of the random displacement channel (bits)."""
     return max(0.0, coherent_info_displacement(sigma_sq))
-
-
-def q_lb_for_channel(ch: BosonicChannelKind) -> float:
-    """Dispatch the matching lower bound for a classified channel."""
-    if ch.kind == RANDOM_DISPLACEMENT:
-        if ch.noise == 0:
-            return math.inf
-        return q_lb_displacement(ch.noise)
-    return q_lb_loss_amp(ch.eta, ch.noise)
 
 
 def dqt_capacity_boundary(zeta_o: float, zeta_e: float) -> float:

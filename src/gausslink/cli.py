@@ -21,7 +21,7 @@ def _resolve_jobs(cli_value) -> int:
     env = os.environ.get(JOBS_ENV_VAR)
     if env:
         try:
-            return max(1, int(env))
+            return int(env)
         except ValueError:
             raise ConfigError(f"{JOBS_ENV_VAR}: not an integer: {env!r}") from None
     return 1
@@ -52,12 +52,15 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        if args.seed is not None and args.seed < 0:
+            raise ConfigError("--seed: must be a non-negative integer")
         if args.command == "selftest":
             return EXIT_OK if run_selftest(seed=args.seed) else EXIT_NUMERICAL
         config = parse_config(args.config)
         jobs = _resolve_jobs(args.jobs)
         if jobs < 1:
-            raise ConfigError("--jobs: must be at least 1")
+            source = "--jobs" if args.jobs is not None else JOBS_ENV_VAR
+            raise ConfigError(f"{source}: must be at least 1")
         result = run_sweep(config, out_dir=args.out, jobs=jobs)
         print(f"wrote {result.path} ({len(result.rows)} rows)")
         if config.emit_svg or args.svg:

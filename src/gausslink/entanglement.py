@@ -1,18 +1,13 @@
 """Entanglement measures for two-mode Gaussian states in standard form."""
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .capacity import DEFAULT_QUADRATURE, FrequencyQuadrature, _nested_trapezoids
 from .transducer import TransducerParams, TwoModeStandardForm, _all, mo_standard_form_spectra
 
 __all__ = [
-    "EofIntermediates",
-    "eof_intermediates",
     "entanglement_of_formation",
     "duan_quantity",
-    "ppt_min_symplectic",
     "entanglement_rate",
 ]
 
@@ -47,30 +42,6 @@ def _eof(u, v, w) -> tuple:
     with np.errstate(divide="ignore", invalid="ignore"):
         e_f = c2 * np.log2(c2) - np.where(s2 > 0, s2 * np.log2(np.maximum(s2, 1e-300)), 0.0)
     return e_f, nu_min_sq, gamma, beta_plus, beta_minus, r
-
-
-def ppt_min_symplectic(u: float, v: float, w: float) -> float:
-    """Smallest symplectic eigenvalue of the partial transpose.
-
-    Values below 1 witness entanglement; at or above 1 the standard-form
-    state is separable.
-    """
-    return float(np.sqrt(max(_eof(u, v, w)[1], 0.0)))
-
-
-@dataclass(frozen=True)
-class EofIntermediates:
-    """Intermediate quantities of the entanglement-of-formation closed form."""
-
-    gamma: float
-    beta_plus: float
-    beta_minus: float
-    r_min: float
-
-
-def eof_intermediates(form: TwoModeStandardForm) -> EofIntermediates:
-    """Expose (gamma, beta_+-, r) for a standard-form state."""
-    return EofIntermediates(*(float(x) for x in _eof(form.u, form.v, form.w)[2:]))
 
 
 def entanglement_of_formation(form: TwoModeStandardForm) -> float:

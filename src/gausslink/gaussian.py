@@ -16,16 +16,11 @@ __all__ = [
     "GaussianChannelSpec",
     "symplectic_form",
     "apply_channel",
-    "validate_channel",
     "tensor",
     "extract_modes",
     "general_dyne_condition",
-    "homodyne_epr_limit",
-    "characteristic_at",
-    "wigner_at",
     "symplectic_eigenvalues",
     "vacuum_state",
-    "thermal_state",
     "two_mode_squeezed",
 ]
 
@@ -128,15 +123,6 @@ def vacuum_state(n_modes: int = 1) -> GaussianState:
     return GaussianState(n_modes, np.zeros(2 * n_modes), np.eye(2 * n_modes))
 
 
-def thermal_state(nbar: float, n_modes: int = 1) -> GaussianState:
-    """Thermal state with mean occupation nbar per mode, cov = (2*nbar+1) I."""
-    if nbar < 0:
-        raise ValueError("thermal occupation must be nonnegative")
-    return GaussianState(
-        n_modes, np.zeros(2 * n_modes), (2.0 * nbar + 1.0) * np.eye(2 * n_modes)
-    )
-
-
 def two_mode_squeezed(r: float) -> GaussianState:
     """Two-mode squeezed vacuum with squeezing parameter r.
 
@@ -177,16 +163,6 @@ class GaussianChannelSpec:
     @property
     def n_modes(self) -> int:
         return self.T.shape[0] // 2
-
-
-def validate_channel(ch: GaussianChannelSpec, atol: float = 1e-9) -> bool:
-    """True when the channel is completely positive.
-
-    Checks N + i Omega - i T Omega T^T >= 0 (all eigenvalues >= -atol).
-    """
-    omega = symplectic_form(ch.n_modes)
-    m = ch.N + 1j * omega - 1j * (ch.T @ omega @ ch.T.T)
-    return bool(np.linalg.eigvalsh(m)[0] >= -atol)
 
 
 def apply_channel(state: GaussianState, ch: GaussianChannelSpec) -> GaussianState:
@@ -259,7 +235,9 @@ def general_dyne_condition(state, measured, v_meas, outcome):
 
     The POVM is seeded by a Gaussian state with covariance ``v_meas`` on the
     measured modes; heterodyne corresponds to v_meas = identity and ideal
-    homodyne to the appropriate squeezed limit.
+    homodyne to the appropriate squeezed limit.  It is the swap's oracle
+    route: no experiment calls it, but through `swap.mm_swap_numeric` the
+    tests and ``selftest`` check the closed-form swap against it.
 
     Parameters
     ----------
@@ -317,81 +295,6 @@ def general_dyne_condition(state, measured, v_meas, outcome):
     det = np.linalg.det(normal)
     density = float(np.exp(-delta @ inv @ delta) / (np.pi**m * np.sqrt(abs(det))))
     return GaussianState(len(kept), cond_mean, cond_cov), density
-
-
-def _limit_schur(cov, kept_quads, measured_directions):
-    """Schur complement for an ideal (infinitely squeezed) measurement.
-
-    ``measured_directions`` is a matrix whose columns are the orthonormal
-    quadrature combinations that are projectively measured; all orthogonal
-    directions carry divergent seed variance and drop out of the limit.
-    """
-    nq = cov.shape[0]
-    rest = [q for q in range(nq) if q not in kept_quads]
-    gamma_a = cov[np.ix_(kept_quads, kept_quads)]
-    gamma_b = cov[np.ix_(rest, rest)]
-    gamma_ab = cov[np.ix_(kept_quads, rest)]
-    w = measured_directions
-    core = w.T @ gamma_b @ w
-    cw = gamma_ab @ w
-    cond = gamma_a - cw @ np.linalg.pinv(core, rcond=_PINV_CUTOFF) @ cw.T
-    return _restore_physicality(0.5 * (cond + cond.T))
-
-
-def homodyne_epr_limit(state: GaussianState, measured_pair) -> GaussianState:
-    """Conditional state after an ideal EPR measurement of two modes.
-
-    Equivalent to general_dyne_condition with a two-mode squeezed seed in the
-    limit r -> infinity, evaluated as a limit Schur complement: the projective
-    directions are (q_i - q_j)/sqrt(2) and (p_i + p_j)/sqrt(2).  First moments
-    of the kept modes are left untouched (outcome zero).
-    """
-    i, j = measured_pair
-    if i == j:
-        raise ValueError("measured modes must be distinct")
-    if state.n_modes < 3:
-        raise ValueError("need at least one kept mode plus the measured pair")
-    kept = [m for m in range(state.n_modes) if m not in (i, j)]
-    ia = _quad_indices(kept)
-    # directions expressed in the measured block, ordered (q_i, p_i, q_j, p_j)
-    pos_i = sorted((i, j)).index(i)
-    w = np.zeros((4, 2))
-    s = 1.0 / np.sqrt(2.0)
-    w[2 * pos_i, 0] = s
-    w[2 * (1 - pos_i), 0] = -s
-    w[2 * pos_i + 1, 1] = s
-    w[2 * (1 - pos_i) + 1, 1] = s
-    cond = _limit_schur(state.cov, ia, w)
-    return GaussianState(len(kept), state.mean[ia], cond)
-
-
-def characteristic_at(state: GaussianState, xi) -> complex:
-    """Characteristic function chi(xi) of the state at a phase-space point."""
-    xi = np.asarray(xi, dtype=float).reshape(-1)
-    if xi.shape != (2 * state.n_modes,):
-        raise ValueError("xi must have length 2 * n_modes")
-    omega = symplectic_form(state.n_modes)
-    quad = xi @ (omega @ state.cov @ omega.T) @ xi
-    phase = (omega @ state.mean) @ xi
-    return complex(np.exp(-0.5 * quad - 1j * phase))
-
-
-def wigner_at(state: GaussianState, x) -> float:
-    """Wigner function of the state at a phase-space point.
-
-    Raises for singular covariance matrices, where the Gaussian closed form
-    degenerates to a delta distribution.
-    """
-    x = np.asarray(x, dtype=float).reshape(-1)
-    if x.shape != (2 * state.n_modes,):
-        raise ValueError("x must have length 2 * n_modes")
-    det = np.linalg.det(state.cov)
-    if det <= 1e-300:
-        raise ValueError("singular covariance: Wigner function is degenerate")
-    delta = x - state.mean
-    expo = -0.5 * delta @ np.linalg.solve(state.cov, delta)
-    n = state.n_modes
-    return float(np.exp(expo) / ((2.0 * np.pi) ** n * np.sqrt(det)))
 
 
 def symplectic_eigenvalues(cov: np.ndarray) -> np.ndarray:

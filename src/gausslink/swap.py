@@ -2,61 +2,26 @@
 
 Two blue-pumped devices each emit a microwave-optical pair; projecting the
 two optical modes onto an EPR state (ideal joint homodyne) swaps the
-entanglement onto the microwave pair.  A click-based alternative heralds
-Bell pairs from single-photon detections of the same optical outputs.
+entanglement onto the microwave pair.  The experiments evaluate that swap in
+closed form; a finite-squeezing general-dyne measurement is its oracle.  A
+click-based alternative heralds Bell pairs from single-photon detections of
+the same optical outputs.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .capacity import DEFAULT_QUADRATURE, FrequencyQuadrature, integrate_spectrum
 from .entanglement import _check_tau, _optical_loss, _swap_form
-from .gaussian import (
-    GaussianState,
-    general_dyne_condition,
-    homodyne_epr_limit,
-    tensor,
-    two_mode_squeezed,
-)
-from .teleport import optimize_gain
-from .transducer import (
-    TransducerParams,
-    TwoModeStandardForm,
-    _all,
-    mo_standard_form_spectra,
-    stability_check,
-)
+from .gaussian import GaussianState, general_dyne_condition, tensor, two_mode_squeezed
+from .transducer import TransducerParams, TwoModeStandardForm, _all, mo_standard_form_spectra
 
 __all__ = [
-    "SwapSetup",
     "mm_swap_closed",
     "mm_swap_numeric",
-    "mm_swap_epr_limit",
     "mm_standard_form",
     "apply_optical_loss",
     "click_rate",
-    "mm_capacity",
 ]
-
-@dataclass(frozen=True)
-class SwapSetup:
-    """Two source devices, a per-arm optical transmissivity and a pulse length."""
-
-    device_1: TransducerParams
-    device_2: TransducerParams
-    tau: float = 1.0
-    pulse_duration: float = 1.0
-
-    def __post_init__(self):
-        for dev in (self.device_1, self.device_2):
-            if dev.detuning != "blue":
-                raise ValueError("swap sources must be blue detuned")
-            if not stability_check(dev):
-                raise ValueError("swap sources must be stable")
-        _check_tau(self.tau)
-        if self.pulse_duration <= 0:
-            raise ValueError("pulse duration must be positive")
 
 
 def mm_swap_closed(form: TwoModeStandardForm) -> np.ndarray:
@@ -81,7 +46,9 @@ def mm_swap_numeric(
 
     Conditions the four-mode state on a two-mode-squeezed seed with parameter
     ``r`` measured on the optical modes; converges to ``mm_swap_closed`` as r
-    grows.  Supports asymmetric devices.
+    grows.  Supports asymmetric devices.  This is the oracle of the closed
+    form: the tests and ``selftest`` compare the two at large r, and no
+    experiment calls it.
     """
     if r < 0:
         raise ValueError("measurement squeezing must be nonnegative")
@@ -89,14 +56,6 @@ def mm_swap_numeric(
     cond, _ = general_dyne_condition(
         state, measured=(0, 2), v_meas=two_mode_squeezed(r).cov, outcome=np.zeros(4)
     )
-    return np.array(cond.cov)
-
-
-def mm_swap_epr_limit(
-    form1: TwoModeStandardForm, form2: TwoModeStandardForm
-) -> np.ndarray:
-    """Ideal-measurement swap evaluated as the analytic limit."""
-    cond = homodyne_epr_limit(_pair_state(form1, form2), measured_pair=(0, 2))
     return np.array(cond.cov)
 
 
@@ -150,11 +109,3 @@ def click_rate(
     r_t, r_b = _click_rates(p, np.array([tau], float), np.array([dt], float), quad)
     return float(r_t[0]), float(r_b[0])
 
-
-def mm_capacity(form: TwoModeStandardForm) -> float:
-    """Capacity lower bound of teleporting over the swapped microwave pair.
-
-    Takes the source standard form, swaps it through the ideal measurement
-    and optimizes the teleportation gain over the resulting symmetric state.
-    """
-    return optimize_gain(mm_standard_form(form)).q_lb_opt

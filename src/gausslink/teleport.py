@@ -254,6 +254,9 @@ def teleport_oracle(v_oe: np.ndarray, v_in: np.ndarray, kappa: float) -> np.ndar
     homodyne those two quadratures in the ideal limit.  The returned
     ensemble covariance is the conditional covariance plus the spread of the
     feed-forward-corrected conditional means over the outcome distribution.
+    It is the oracle of the induced-channel formula: the tests and
+    ``selftest`` check that formula's (T, N) action against it, and no
+    experiment calls it.
     """
     v_oe = np.asarray(v_oe, dtype=float)
     v_in = np.asarray(v_in, dtype=float)

@@ -324,15 +324,22 @@ def _drift_blue(p: TransducerParams) -> np.ndarray:
     return drift
 
 
+# Drift eigenvalues must have real parts below this to count as stable.  The
+# margin is absolute: a device with 1 + C_em - C_om = 1e-8 still passes, with u
+# near 1e17 to 1e19.
+_STABILITY_MARGIN = -1e-9
+
+
 def stability_check(p: TransducerParams) -> bool:
     """True when the blue-detuned dynamics are stable.
 
-    All eigenvalues of the drift matrix must have real part < -1e-9; the
-    parametric gain destabilizes the system once C_om reaches 1 + C_em.
-    Array-valued parameters give a bool array from one batched eigvals.
+    All eigenvalues of the drift matrix must have real part below
+    _STABILITY_MARGIN (-1e-9); the parametric gain destabilizes the system
+    once C_om reaches 1 + C_em.  Array-valued parameters give a bool array
+    from one batched eigvals.
     """
     _require(p, "blue")
-    stable = np.max(np.linalg.eigvals(_drift_blue(p)).real, axis=-1) < -1e-9
+    stable = np.max(np.linalg.eigvals(_drift_blue(p)).real, axis=-1) < _STABILITY_MARGIN
     return stable if stable.ndim else bool(stable)
 
 
@@ -342,7 +349,10 @@ def scattering_blue(p: TransducerParams, omega: float = 0.0) -> np.ndarray:
     Rows and columns follow the port order above, with the two optical
     entries referring to daggered operators: the parametric interaction
     couples the optical creation operator to the other annihilation
-    operators.  Unstable parameters are rejected.
+    operators.  Unstable parameters are rejected.  With
+    `quadrature_scattering` it gives the full 10x10 quadrature map, the
+    oracle view of the rows the source spectra gather: the tests check it
+    against the conjugation of S, and no experiment calls it.
     """
     _require_stable_blue(p)
     return _scattering_batch(p, omega)
@@ -378,7 +388,8 @@ def quadrature_scattering(s_tilde: np.ndarray) -> np.ndarray:
     """10x10 real quadrature transformation for a blue scattering matrix.
 
     Uses q = a + a^dag, p = -i(a - a^dag) on every port; each entry is
-    +-Re or +-Im of one scattering coefficient.
+    +-Re or +-Im of one scattering coefficient.  An oracle route: see
+    `scattering_blue`.
     """
     s_tilde = np.asarray(s_tilde, dtype=complex)
     if s_tilde.shape != (5, 5):

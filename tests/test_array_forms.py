@@ -35,8 +35,6 @@ from gausslink.entanglement import (
     _swap_form,
     duan_quantity,
     entanglement_of_formation,
-    eof_intermediates,
-    ppt_min_symplectic,
 )
 from gausslink.gaussian import check_physical
 from gausslink.swap import _click_rates, apply_optical_loss, mm_standard_form, mm_swap_closed
@@ -337,20 +335,20 @@ def test_form_check_rejects_what_check_physical_rejects(u, v, w):
 @given(form=_forms())
 def test_entanglement_wrappers_agree_with_the_scalar_code(form):
     u, v, w = form.u, form.v, form.w
-    assert ppt_min_symplectic(u, v, w) == pytest.approx(
+    _, nu_min_sq, gamma_a, bp_a, bm_a, r_min = _eof(u, v, w)
+    assert np.sqrt(max(nu_min_sq, 0.0)) == pytest.approx(
         scalar_ppt_min_symplectic(u, v, w), abs=1e-13
     )
     assert entanglement_of_formation(form) == pytest.approx(
         scalar_entanglement_of_formation(u, v, w), abs=1e-13
     )
-    inter = eof_intermediates(form)
     gamma, bp, bm = scalar_eof_pieces(u, v, w)
     scale = max(1.0, bp)
-    assert inter.gamma == pytest.approx(gamma, abs=1e-13 * scale)
-    assert inter.beta_plus == pytest.approx(bp, abs=1e-13 * scale)
-    assert inter.beta_minus == pytest.approx(bm, abs=1e-13 * scale)
+    assert gamma_a == pytest.approx(gamma, abs=1e-13 * scale)
+    assert bp_a == pytest.approx(bp, abs=1e-13 * scale)
+    assert bm_a == pytest.approx(bm, abs=1e-13 * scale)
     if entanglement_of_formation(form) > 0.0:
-        assert inter.r_min == pytest.approx(scalar_r_min(gamma, bp, bm), abs=1e-13)
+        assert r_min == pytest.approx(scalar_r_min(gamma, bp, bm), abs=1e-13)
 
 
 @settings(max_examples=150, deadline=None)

@@ -22,7 +22,8 @@ from gausslink.capacity import (
     q_lb_loss_amp,
 )
 from gausslink.entanglement import entanglement_rate
-from gausslink.transducer import TransducerParams, mo_standard_form_spectra
+from gausslink.teleport import _bounds_at_gains, induced_channel
+from gausslink.transducer import TransducerParams, TwoModeStandardForm, mo_standard_form_spectra
 
 
 class TestGFunction:
@@ -139,14 +140,20 @@ class TestChannelKind:
         assert np.allclose(spec.N, 0.75 * 2.0 * np.eye(2))
 
     def test_bound_dispatch(self):
-        from gausslink.capacity import q_lb_for_channel
-
-        loss = BosonicChannelKind("thermal_loss", 2.0 / 3.0, 0.0)
-        assert q_lb_for_channel(loss) == pytest.approx(1.0, abs=1e-12)
-        disp = BosonicChannelKind("random_displacement", 1.0, 1.0 / np.e)
-        assert q_lb_for_channel(disp) == pytest.approx(1.0, abs=1e-12)
-        ideal = BosonicChannelKind("random_displacement", 1.0, 0.0)
-        assert math.isinf(q_lb_for_channel(ideal))
+        # the gain search takes each gain's bound by the kind of channel it induces
+        form = TwoModeStandardForm(np.cosh(2.0), np.cosh(2.0), np.sinh(2.0))
+        kappas = np.array([0.9, 1.0, 1.2])
+        kinds, expected = [], []
+        for kappa in kappas:
+            ch = induced_channel(form, kappa)
+            kinds.append(ch.kind)
+            if ch.kind == "random_displacement":
+                expected.append(q_lb_displacement(ch.noise))
+            else:
+                expected.append(q_lb_loss_amp(ch.eta, ch.noise))
+        assert kinds == ["thermal_loss", "random_displacement", "thermal_amplification"]
+        assert min(expected) > 0
+        assert _bounds_at_gains(form, kappas) == pytest.approx(expected, rel=1e-12)
 
     def test_kind_eta_consistency(self):
         with pytest.raises(ValueError):

@@ -64,6 +64,17 @@ class TestCliSweep:
         monkeypatch.setenv("GAUSSLINK_JOBS", "many")
         assert main(["sweep", str(map_config), "--out", str(tmp_path)]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("value", ["0", "-2"])
+    def test_jobs_env_below_one(self, value, map_config, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("GAUSSLINK_JOBS", value)
+        assert main(["sweep", str(map_config), "--out", str(tmp_path)]) == EXIT_CONFIG
+        assert "GAUSSLINK_JOBS: must be at least 1" in capsys.readouterr().err
+        assert not (tmp_path / "map.csv").exists()
+
+    def test_jobs_flag_below_one(self, map_config, tmp_path, capsys):
+        assert main(["sweep", str(map_config), "--out", str(tmp_path), "--jobs", "0"]) == EXIT_CONFIG
+        assert "--jobs: must be at least 1" in capsys.readouterr().err
+
     def test_numerical_failure_exit_code(self, tmp_path, capsys):
         # schema-valid config whose parameters the physics layer rejects
         body = SMALL_MAP + "\n[fixed]\nkappa_o = 0.0\n"
@@ -156,3 +167,9 @@ def test_cli_selftest(capsys):
     out = capsys.readouterr().out
     assert out.count("PASS") == 6
     assert "FAIL" not in out
+
+
+@pytest.mark.parametrize("command", [["selftest"], ["sweep", "absent.ini"]])
+def test_negative_seed_is_a_config_error(command, capsys):
+    assert main(command + ["--seed", "-1"]) == EXIT_CONFIG
+    assert "config error: --seed: must be a non-negative integer" in capsys.readouterr().err

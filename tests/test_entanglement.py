@@ -11,8 +11,6 @@ from gausslink.entanglement import (
     duan_quantity,
     entanglement_of_formation,
     entanglement_rate,
-    eof_intermediates,
-    ppt_min_symplectic,
 )
 from gausslink.gaussian import extract_modes, symplectic_eigenvalues, two_mode_squeezed
 from gausslink.selftest import random_physical_form
@@ -30,12 +28,12 @@ class TestEntanglementOfFormation:
 
     def test_worked_value_with_radical_collapse(self):
         form = TwoModeStandardForm(17.0, 9.0, 12.0)
-        inter = eof_intermediates(form)
+        _, _, gamma, beta_plus, beta_minus, r_min = _eof(17.0, 9.0, 12.0)
         # gamma^2 = beta_+ beta_- exactly here, so r = ln(25)/4
-        assert inter.gamma == pytest.approx(100.0, abs=1e-9)
-        assert inter.beta_plus == pytest.approx(2500.0, abs=1e-9)
-        assert inter.beta_minus == pytest.approx(4.0, abs=1e-9)
-        assert inter.r_min == pytest.approx(0.25 * np.log(25.0), abs=1e-12)
+        assert gamma == pytest.approx(100.0, abs=1e-9)
+        assert beta_plus == pytest.approx(2500.0, abs=1e-9)
+        assert beta_minus == pytest.approx(4.0, abs=1e-9)
+        assert r_min == pytest.approx(0.25 * np.log(25.0), abs=1e-12)
         ef = entanglement_of_formation(form)
         assert ef == pytest.approx(1.8 * np.log2(1.8) - 0.8 * np.log2(0.8), abs=1e-12)
         assert ef == pytest.approx(1.7844, abs=1e-3)
@@ -62,7 +60,8 @@ class TestEntanglementOfFormation:
         for _ in range(200):
             form = random_physical_form(rng)
             if entanglement_of_formation(form) > 0:
-                assert ppt_min_symplectic(form.u, form.v, form.w) < 1.0 + 1e-9
+                nu_min_sq = _eof(form.u, form.v, form.w)[1]
+                assert np.sqrt(max(nu_min_sq, 0.0)) < 1.0 + 1e-9
 
     def test_epr_singular_guard(self, rng):
         # beta_- = (u + v - 2|w|)^2 = 0 would divide by zero, but a physical
@@ -70,7 +69,8 @@ class TestEntanglementOfFormation:
         with pytest.raises(ValueError, match="not physical"):
             TwoModeStandardForm(3.0, 3.0, 3.0)
         for _ in range(200):
-            assert eof_intermediates(random_physical_form(rng, umax=40.0)).beta_minus > 0.0
+            form = random_physical_form(rng, umax=40.0)
+            assert _eof(form.u, form.v, form.w)[4] > 0.0
 
 
 class TestDuan:
@@ -126,10 +126,10 @@ def test_simplified_betas_match_general_form(rng):
         form = random_physical_form(rng, umax=40.0)
         u, v, w = form.u, form.v, abs(form.w)
         base = u * u + v * v + 2.0 * w * w + 2.0 * u * v + 2.0 * w * w
-        inter = eof_intermediates(form)
-        scale = max(1.0, inter.beta_plus)
-        assert abs(inter.beta_plus - (base + 4.0 * w * (u + v))) <= 1e-12 * scale
-        assert abs(inter.beta_minus - (base - 4.0 * w * (u + v))) <= 1e-12 * scale
+        beta_plus, beta_minus = _eof(form.u, form.v, form.w)[3:5]
+        scale = max(1.0, beta_plus)
+        assert abs(beta_plus - (base + 4.0 * w * (u + v))) <= 1e-12 * scale
+        assert abs(beta_minus - (base - 4.0 * w * (u + v))) <= 1e-12 * scale
 
 
 @settings(max_examples=300, deadline=None)

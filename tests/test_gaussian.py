@@ -5,22 +5,27 @@ from gausslink.gaussian import (
     GaussianChannelSpec,
     GaussianState,
     apply_channel,
-    characteristic_at,
     extract_modes,
     general_dyne_condition,
-    homodyne_epr_limit,
     symplectic_eigenvalues,
     symplectic_form,
     tensor,
-    thermal_state,
     two_mode_squeezed,
     vacuum_state,
-    validate_channel,
-    wigner_at,
 )
 from gausslink.selftest import random_physical_state
 
 Z2 = np.diag([1.0, -1.0])
+
+
+def _thermal(nbar):
+    """Single-mode thermal state, cov (2 nbar + 1) I."""
+    return GaussianState(1, np.zeros(2), (2.0 * nbar + 1.0) * np.eye(2))
+
+
+def _pair(u, v, w):
+    """Two-mode state with covariance blocks u I, v I and w Z."""
+    return GaussianState(2, np.zeros(4), np.block([[u * np.eye(2), w * Z2], [w * Z2, v * np.eye(2)]]))
 
 
 class TestSymplecticForm:
@@ -89,7 +94,7 @@ class TestApplyChannel:
         ch = GaussianChannelSpec(
             T=np.sqrt(eta) * np.eye(2), N=(1 - eta) * (2 * 1 + 1) * np.eye(2)
         )
-        out = apply_channel(thermal_state(1.0), ch)
+        out = apply_channel(_thermal(1.0), ch)
         assert np.allclose(out.cov, 3.0 * np.eye(2))
 
     def test_displacement_moves_mean(self):
@@ -103,26 +108,13 @@ class TestApplyChannel:
             apply_channel(vacuum_state(2), ch)
 
 
-class TestValidateChannel:
-    def test_identity_is_cp(self):
-        assert validate_channel(GaussianChannelSpec(T=np.eye(2), N=np.zeros((2, 2))))
-
-    def test_noiseless_loss_is_not_cp(self):
-        ch = GaussianChannelSpec(T=np.sqrt(0.5) * np.eye(2), N=np.zeros((2, 2)))
-        assert not validate_channel(ch)
-
-    def test_loss_with_vacuum_noise_is_cp(self):
-        ch = GaussianChannelSpec(T=np.sqrt(0.5) * np.eye(2), N=0.5 * np.eye(2))
-        assert validate_channel(ch)
-
-
 class TestTensorExtract:
     def test_vacuum_tensor_vacuum(self):
         assert np.array_equal(tensor(vacuum_state(1), vacuum_state(1)).cov, np.eye(4))
 
     def test_block_diagonal_variances(self):
-        a = thermal_state(1.0)  # cov 3 I
-        b = thermal_state(2.0)  # cov 5 I
+        a = _thermal(1.0)  # cov 3 I
+        b = _thermal(2.0)  # cov 5 I
         out = tensor(a, b)
         assert np.allclose(np.diag(out.cov), [3, 3, 5, 5])
 
@@ -135,7 +127,7 @@ class TestTensorExtract:
         assert np.allclose(back.mean, a.mean)
 
     def test_extract_vacuum_from_product(self):
-        joint = tensor(vacuum_state(1), thermal_state(3.0))
+        joint = tensor(vacuum_state(1), _thermal(3.0))
         assert np.allclose(extract_modes(joint, [0]).cov, np.eye(2))
 
     def test_extract_tmsv_mode_is_thermal(self):
@@ -189,85 +181,54 @@ class TestGeneralDyne:
 
 
 class TestHomodyneEprLimit:
+    """The ideal EPR measurement of two modes, as general-dyne conditioning on
+    a two-mode-squeezed seed whose squeezing r grows."""
+
+    @staticmethod
+    def _epr(state, measured, r):
+        cond, _ = general_dyne_condition(state, measured, two_mode_squeezed(r).cov, np.zeros(4))
+        return cond.cov
+
     def test_symmetric_swap_worked_values(self):
-        u, v, w = 17.0, 9.0, 12.0
-        voe = np.block([[u * np.eye(2), w * Z2], [w * Z2, v * np.eye(2)]])
-        pair = GaussianState(2, np.zeros(4), voe)
-        joint = tensor(pair, pair)  # modes (o1, e1, o2, e2)
-        cond = homodyne_epr_limit(joint, (0, 2))
+        joint = tensor(_pair(17.0, 9.0, 12.0), _pair(17.0, 9.0, 12.0))  # modes (o1, e1, o2, e2)
         diag, off = 9 - 144 / 34, 144 / 34
         expected = np.block(
             [[diag * np.eye(2), off * Z2], [off * Z2, diag * np.eye(2)]]
         )
-        assert np.allclose(cond.cov, expected, atol=1e-10)
+        assert np.allclose(self._epr(joint, (0, 2), 10.0), expected, atol=1e-6)
 
     def test_matches_finite_squeezing_and_monotone(self):
-        # two entangled pairs, EPR measurement across one arm of each
-        state = tensor(two_mode_squeezed(0.9), two_mode_squeezed(0.7))
-        limit = homodyne_epr_limit(state, (1, 3))
-        errs = []
-        for r in (2.0, 4.0, 6.0, 8.0, 10.0):
-            cond, _ = general_dyne_condition(
-                state, [1, 3], two_mode_squeezed(r).cov, np.zeros(4)
+        # EPR measurement across one arm of two unequal pairs (u_i, v_i, w_i),
+        # u_i on the measured arm: the limit has diagonal blocks
+        # (v_i - w_i^2 / (u_1 + u_2)) I and off-diagonal blocks (w_1 w_2 / (u_1 + u_2)) Z
+        c1, s1, c2, s2 = np.cosh(1.8), np.sinh(1.8), np.cosh(1.4), np.sinh(1.4)
+        cases = [
+            # two-mode squeezed vacua, r = 0.9 and 0.7, measured on their second modes
+            (tensor(two_mode_squeezed(0.9), two_mode_squeezed(0.7)), (1, 3), (c1, c1, s1), (c2, c2, s2)),
+            (tensor(_pair(17.0, 9.0, 12.0), _pair(5.0, 3.0, 3.0)), (0, 2), (17.0, 9.0, 12.0), (5.0, 3.0, 3.0)),
+        ]
+        for state, measured, (u1, v1, w1), (u2, v2, w2) in cases:
+            s = u1 + u2
+            limit = np.block(
+                [[(v1 - w1 * w1 / s) * np.eye(2), (w1 * w2 / s) * Z2],
+                 [(w1 * w2 / s) * Z2, (v2 - w2 * w2 / s) * np.eye(2)]]
             )
-            errs.append(np.max(np.abs(cond.cov - limit.cov)))
-        assert errs[-1] < 1e-6
-        assert all(a > b for a, b in zip(errs, errs[1:]))
+            errs = [
+                np.max(np.abs(self._epr(state, measured, r) - limit))
+                for r in (2.0, 4.0, 6.0, 8.0, 10.0)
+            ]
+            assert errs[-1] < 1e-6
+            assert all(a > b for a, b in zip(errs, errs[1:]))
 
     def test_product_input_gives_zero_cross_block(self, rng):
         parts = [random_physical_state(rng, 1) for _ in range(4)]
         joint = tensor(tensor(parts[0], parts[1]), tensor(parts[2], parts[3]))
-        cond = homodyne_epr_limit(joint, (0, 2))
-        assert np.max(np.abs(cond.cov[:2, 2:])) < 1e-10
+        cond = self._epr(joint, (0, 2), 10.0)
+        assert np.max(np.abs(cond[:2, 2:])) < 1e-10
 
     def test_requires_three_modes(self):
-        with pytest.raises(ValueError):
-            homodyne_epr_limit(two_mode_squeezed(0.5), (0, 1))
-
-
-class TestCharacteristicWigner:
-    def test_characteristic_at_origin(self, rng):
-        state = random_physical_state(rng, 2)
-        assert characteristic_at(state, np.zeros(4)) == pytest.approx(1.0)
-
-    def test_wigner_peak_of_vacuum(self):
-        assert wigner_at(vacuum_state(1), [0.0, 0.0]) == pytest.approx(1 / (2 * np.pi))
-
-    def test_wigner_normalization(self, rng):
-        state = random_physical_state(rng, 1)
-        sigma = np.sqrt(np.max(np.diag(state.cov)))
-        span = 6.0 * sigma
-        n = 201
-        qs = np.linspace(state.mean[0] - span, state.mean[0] + span, n)
-        ps = np.linspace(state.mean[1] - span, state.mean[1] + span, n)
-        vals = np.array([[wigner_at(state, [q, p]) for p in ps] for q in qs])
-        total = np.trapezoid(np.trapezoid(vals, ps, axis=1), qs)
-        assert abs(total - 1.0) < 1e-3
-
-    def test_fourier_consistency_single_mode(self, rng):
-        # W(x) = (2 pi)^-2 * integral of chi(xi) exp(-i x^T Omega xi)
-        state = random_physical_state(rng, 1)
-        n = 301
-        grid = np.linspace(-12, 12, n)
-        omega = symplectic_form(1)
-        xs, ys = np.meshgrid(grid, grid, indexing="ij")
-        chi = np.array(
-            [[characteristic_at(state, [a, b]) for b in grid] for a in grid]
-        )
-        for _ in range(5):
-            x = rng.normal(scale=1.5, size=2) + state.mean
-            k = omega.T @ x  # x^T Omega xi = (Omega^T x) . xi
-            phases = np.exp(-1j * (k[0] * xs + k[1] * ys))
-            integrand = chi * phases
-            val = np.trapezoid(np.trapezoid(integrand, grid, axis=1), grid)
-            val = val.real / (2 * np.pi) ** 2
-            assert abs(val - wigner_at(state, x)) < 1e-4
-
-    def test_wigner_singular_rejected(self):
-        state = vacuum_state(1)
-        object.__setattr__(state, "cov", np.diag([1.0, 0.0]))
-        with pytest.raises(ValueError, match="singular"):
-            wigner_at(state, [0.0, 0.0])
+        with pytest.raises(ValueError, match="kept"):
+            self._epr(two_mode_squeezed(0.5), (0, 1), 10.0)
 
 
 class TestSymplecticEigenvalues:
@@ -298,9 +259,7 @@ def test_cp_channels_preserve_physicality(rng):
     omega = symplectic_form(2)
     for _ in range(200):
         state = random_physical_state(rng, 2)
-        ch = _random_cp_channel(rng, 2)
-        assert validate_channel(ch)
-        out = apply_channel(state, ch)
+        out = apply_channel(state, _random_cp_channel(rng, 2))
         lo = np.linalg.eigvalsh(out.cov + 1j * omega)[0]
         assert lo >= -1e-9 * max(1.0, np.max(np.abs(out.cov)))
 

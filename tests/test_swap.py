@@ -1,21 +1,19 @@
 import numpy as np
 import pytest
 
-from gausslink.entanglement import entanglement_of_formation
+from gausslink.entanglement import entanglement_of_formation, entanglement_rate
 from gausslink.gaussian import symplectic_form
 from gausslink.selftest import random_physical_form, random_stable_blue_params
 from gausslink.swap import (
-    SwapSetup,
     apply_optical_loss,
     click_rate,
-    mm_capacity,
     mm_standard_form,
     mm_swap_closed,
-    mm_swap_epr_limit,
     mm_swap_numeric,
 )
+from gausslink.sweeps import EXPERIMENTS, FIXED_DEFAULTS
 from gausslink.teleport import optimize_gain
-from gausslink.transducer import TransducerParams, TwoModeStandardForm
+from gausslink.transducer import TransducerParams, TwoModeStandardForm, output_mo_covariance
 
 WORKED = TwoModeStandardForm(17.0, 9.0, 12.0)
 Z2 = np.diag([1.0, -1.0])
@@ -25,22 +23,45 @@ def _blue(c_om, c_em, **kw):
     return TransducerParams.from_cooperativities(c_om, c_em, detuning="blue", **kw)
 
 
+def _epr_limit(form1, form2):
+    """Microwave pair after an ideal EPR measurement of the optical modes of two
+    sources: diagonal blocks (v_i - w_i^2 / (u_1 + u_2)) I, off-diagonal blocks
+    (w_1 w_2 / (u_1 + u_2)) Z."""
+    s = form1.u + form2.u
+    cross = form1.w * form2.w / s * Z2
+    return np.block(
+        [[(form1.v - form1.w**2 / s) * np.eye(2), cross],
+         [cross, (form2.v - form2.w**2 / s) * np.eye(2)]]
+    )
+
+
 class TestSwapSetup:
+    """A swap needs blue-detuned, stable sources and tau in [0, 1]; the rate
+    functions of both swap schemes check this."""
+
     def test_valid(self):
-        SwapSetup(_blue(1.0, 1.0), _blue(0.5, 2.0), tau=0.7, pulse_duration=2.0)
+        for p in (_blue(1.0, 1.0), _blue(0.5, 2.0)):
+            r_t, r_b = click_rate(p, 0.7, 2.0)
+            assert r_t > 0 and r_b > 0 and entanglement_rate(p, 0.7) > 0
 
     def test_red_device_rejected(self):
         red = TransducerParams.from_cooperativities(1.0, 1.0)
         with pytest.raises(ValueError, match="blue"):
-            SwapSetup(red, _blue(1.0, 1.0))
+            click_rate(red, 1.0, 1.0)
+        with pytest.raises(ValueError, match="blue"):
+            entanglement_rate(red, 1.0)
 
     def test_unstable_device_rejected(self):
         with pytest.raises(ValueError, match="stable"):
-            SwapSetup(_blue(5.0, 1.0), _blue(1.0, 1.0))
+            click_rate(_blue(5.0, 1.0), 1.0, 1.0)
+        with pytest.raises(ValueError, match="stable"):
+            entanglement_rate(_blue(5.0, 1.0), 1.0)
 
     def test_bad_tau(self):
-        with pytest.raises(ValueError):
-            SwapSetup(_blue(1.0, 1.0), _blue(1.0, 1.0), tau=1.5)
+        with pytest.raises(ValueError, match="tau"):
+            click_rate(_blue(1.0, 1.0), 1.5, 1.0)
+        with pytest.raises(ValueError, match="tau"):
+            entanglement_rate(_blue(1.0, 1.0), 1.5)
 
 
 class TestClosedSwap:
@@ -65,9 +86,7 @@ class TestClosedSwap:
     def test_matches_epr_limit_route(self, rng):
         for _ in range(20):
             form = random_physical_form(rng)
-            assert np.allclose(
-                mm_swap_closed(form), mm_swap_epr_limit(form, form), atol=1e-9
-            )
+            assert np.allclose(mm_swap_closed(form), _epr_limit(form, form), atol=1e-9)
 
 
 class TestNumericSwap:
@@ -93,6 +112,11 @@ class TestNumericSwap:
         weak = mm_swap_numeric(WORKED, WORKED, 0.0)
         strong = mm_swap_numeric(WORKED, WORKED, 10.0)
         assert abs(weak[0, 2]) < abs(strong[0, 2])
+
+    def test_asymmetric_sources_match_epr_limit(self):
+        form2 = TwoModeStandardForm(5.0, 3.0, 3.0)
+        out = mm_swap_numeric(WORKED, form2, 10.0)
+        assert np.max(np.abs(out - _epr_limit(WORKED, form2))) < 1e-6
 
     def test_product_second_source_kills_cross_block(self, rng):
         form2 = TwoModeStandardForm(3.0, 2.0, 0.0)
@@ -180,13 +204,25 @@ class TestClickRate:
             click_rate(_blue(5.0, 1.0), 1.0, 1.0)
 
 
+def _mm_capacity(form):
+    """Capacity lower bound of teleporting over the swapped microwave pair."""
+    return optimize_gain(mm_standard_form(form)).q_lb_opt
+
+
 class TestMmCapacity:
     def test_uncorrelated_source(self):
-        assert mm_capacity(TwoModeStandardForm(4.0, 3.0, 0.0)) == 0.0
+        assert _mm_capacity(TwoModeStandardForm(4.0, 3.0, 0.0)) == 0.0
 
     def test_worked_composition(self):
-        direct = optimize_gain(mm_standard_form(WORKED)).q_lb_opt
-        assert mm_capacity(WORKED) == direct
+        # fig4b chains the source form, the swap and the gain search alike
+        for c_om, c_em in [(1.0, 1.0), (2.0, 5.0)]:
+            point = dict(FIXED_DEFAULTS, C_om=c_om, C_em=c_em)
+            (row,) = EXPERIMENTS["fig4b_mm_capacity"].evaluate(
+                {name: np.array([value]) for name, value in point.items()}
+            )
+            source = output_mo_covariance(_blue(c_om, c_em), method="closed")
+            assert row["q_lb_mm"] == pytest.approx(_mm_capacity(source), rel=1e-9, abs=1e-12)
+        assert row["q_lb_mm"] > 0.4
         mm = mm_standard_form(WORKED)
         assert mm.u == pytest.approx(4.76471, abs=1e-4)
         assert mm.w == pytest.approx(4.23529, abs=1e-4)
@@ -195,7 +231,7 @@ class TestMmCapacity:
         for _ in range(100):
             form = random_physical_form(rng)
             mm = mm_standard_form(form)
-            assert mm_capacity(form) <= entanglement_of_formation(mm) + 1e-9
+            assert _mm_capacity(form) <= entanglement_of_formation(mm) + 1e-9
 
     def test_swap_never_amplifies_entanglement(self, rng):
         for _ in range(200):
