@@ -9,7 +9,6 @@ vacuum covariance equal to the identity.
 
 from .capacity import (
     BosonicChannelKind,
-    FrequencyQuadrature,
     dqt_capacity_boundary,
     g_function,
     q_lb_bandwidth_integrated,
@@ -66,7 +65,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BosonicChannelKind",
     "DqtChannelPoint",
-    "FrequencyQuadrature",
     "GainSearchResult",
     "GaussianChannelSpec",
     "GaussianState",

@@ -10,7 +10,6 @@ from .transducer import TransducerParams, _dqt_eta_ne, _require
 
 __all__ = [
     "BosonicChannelKind",
-    "FrequencyQuadrature",
     "g_function",
     "q_lb_loss_amp",
     "coherent_info_loss_amp",
@@ -154,29 +153,19 @@ def dqt_capacity_boundary(zeta_o: float, zeta_e: float) -> float:
     return float((1.0 / (root - 2.0)) ** 2)
 
 
-@dataclass(frozen=True)
-class FrequencyQuadrature:
-    """Policy for frequency integrals of spectral quantities.
-
-    The window is [-omega_max_factor * max(kappa), +same].  The trapezoid
-    halves its step, reusing the nodes already evaluated, until successive
-    totals differ by at most max(rel_tol * |total|, _ABS_TOL), and raises
-    ValueError if that takes more than max_doublings doublings.
-    """
-
-    omega_max_factor: float = 10.0
-    rel_tol: float = 1e-6
-    initial_points: int = 257
-    max_doublings: int = 12
-
-    def window(self, p: TransducerParams) -> float:
-        return self.omega_max_factor * max(p.kappa_o, p.kappa_e, p.kappa_m)
-
-
-DEFAULT_QUADRATURE = FrequencyQuadrature()
+# Frequency integrals of spectral quantities use one fixed policy.  The window
+# is [-W, W] with W = _WINDOW_FACTOR * max(kappa) (_window).  The trapezoid
+# starts on _INITIAL_POINTS nodes and halves its step, reusing the nodes already
+# evaluated, until successive totals differ by at most
+# max(_REL_TOL * |total|, _ABS_TOL), and raises ValueError if that takes more
+# than _MAX_DOUBLINGS doublings.
+_WINDOW_FACTOR = 10.0
+_REL_TOL = 1e-6
+_INITIAL_POINTS = 257
+_MAX_DOUBLINGS = 12
 # Absolute stop tolerance: it ends integrands that are round-off noise (E_F ~
 # 1e-18 on the homodyne swap's separability boundary, tau = 1/2).  It binds
-# only where |total| < _ABS_TOL / rel_tol = 1e-6, which no total of the shipped
+# only where |total| < _ABS_TOL / _REL_TOL = 1e-6, which no total of the shipped
 # configs or golden grids reaches (the smallest positive fig5b integral is
 # about 3e-5); such totals are accurate to 1e-12 absolute, not 1e-6 relative.
 _ABS_TOL = 1e-12
@@ -186,6 +175,11 @@ _ABS_TOL = 1e-12
 # twelfth doubling would need 0.8 GB) gets them in chunks.  On a 30-lane fig5b
 # device 2**11 peaks 0.1 MB above one lane at a time, and 2**12 0.5 MB.
 _CHUNK_NODES = 2**11
+
+
+def _window(p: TransducerParams) -> float:
+    """Half-width W of the frequency window of device ``p``."""
+    return _WINDOW_FACTOR * max(p.kappa_o, p.kappa_e, p.kappa_m)
 
 
 def _evaluate(fn, rows: np.ndarray, omegas: np.ndarray) -> np.ndarray:
@@ -198,7 +192,7 @@ def _evaluate(fn, rows: np.ndarray, omegas: np.ndarray) -> np.ndarray:
     return values
 
 
-def _nested_trapezoids(fn, lanes: int, omega_max: float, quad: FrequencyQuadrature) -> np.ndarray:
+def _nested_trapezoids(fn, lanes: int, omega_max: float) -> np.ndarray:
     """Nested trapezoids of ``lanes`` vectorized, pointwise spectral functions on
     [-W, W], one total per lane.
 
@@ -216,7 +210,7 @@ def _nested_trapezoids(fn, lanes: int, omega_max: float, quad: FrequencyQuadratu
     runs out of doublings raises, the lowest such lane first.
     """
     totals = np.empty(lanes)
-    n = quad.initial_points
+    n = _INITIAL_POINTS
     first = np.linspace(-omega_max, omega_max, n)
     fit = max(1, _CHUNK_NODES // n)
     # lane groups left, the lowest on top: (rows, their values and totals on the
@@ -229,7 +223,7 @@ def _nested_trapezoids(fn, lanes: int, omega_max: float, quad: FrequencyQuadratu
             values = _evaluate(fn, rows, first)
             total, change = np.trapezoid(values, first), np.full(rows.size, math.inf)
         while rows.size:
-            if doubling >= quad.max_doublings:
+            if doubling >= _MAX_DOUBLINGS:
                 raise ValueError(f"frequency integral not converged on {values.shape[1]} nodes: "
                                  f"last change {change[0]:.3e} on a total of {total[0]:.3e}")
             n = 2 * values.shape[1] - 1
@@ -245,22 +239,20 @@ def _nested_trapezoids(fn, lanes: int, omega_max: float, quad: FrequencyQuadratu
             values, prev = finer, total
             total = np.trapezoid(values, omegas)
             change = np.abs(total - prev)
-            done = change <= np.maximum(quad.rel_tol * np.abs(total), _ABS_TOL)
+            done = change <= np.maximum(_REL_TOL * np.abs(total), _ABS_TOL)
             totals[rows[done]] = total[done]
             rows, values, total, change = (x[~done] for x in (rows, values, total, change))
             doubling += 1
     return totals
 
 
-def integrate_spectrum(fn, omega_max: float, quad: FrequencyQuadrature) -> float:
+def integrate_spectrum(fn, omega_max: float) -> float:
     """Nested trapezoid of a vectorized, pointwise spectral function on [-W, W]:
     the one-lane _nested_trapezoids."""
-    return float(_nested_trapezoids(lambda rows, omegas: fn(omegas), 1, omega_max, quad)[0])
+    return float(_nested_trapezoids(lambda rows, omegas: fn(omegas), 1, omega_max)[0])
 
 
-def q_lb_bandwidth_integrated(
-    p: TransducerParams, quad: FrequencyQuadrature = DEFAULT_QUADRATURE
-) -> float:
+def q_lb_bandwidth_integrated(p: TransducerParams) -> float:
     """Frequency-integrated capacity rate of the direct conversion channel.
 
     Integrates max{0, log2(eta/(1-eta)) - g(n_e)} over the frequency window,
@@ -269,6 +261,4 @@ def q_lb_bandwidth_integrated(
     the decay rates are in rad/s.
     """
     _require(p, "red")
-    return integrate_spectrum(
-        lambda omegas: _q_lb_loss_amp(*_dqt_eta_ne(p, omegas)), quad.window(p), quad
-    )
+    return integrate_spectrum(lambda omegas: _q_lb_loss_amp(*_dqt_eta_ne(p, omegas)), _window(p))

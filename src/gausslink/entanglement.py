@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from .capacity import DEFAULT_QUADRATURE, FrequencyQuadrature, _nested_trapezoids
+from .capacity import _nested_trapezoids, _window
 from .transducer import TransducerParams, TwoModeStandardForm, _all, mo_standard_form_spectra
 
 __all__ = [
@@ -10,6 +10,11 @@ __all__ = [
     "duan_quantity",
     "entanglement_rate",
 ]
+
+# PPT test: a state is entangled where nu_min^2 < _PPT_THRESHOLD.  The margin
+# below 1 absorbs round-off in nu_min^2, the small root of a quadratic, on
+# states at the separability boundary, where nu_min = 1 exactly.
+_PPT_THRESHOLD = 1.0 - 1e-9
 
 
 def _eof(u, v, w) -> tuple:
@@ -32,7 +37,7 @@ def _eof(u, v, w) -> tuple:
     rad = np.sqrt(np.maximum(gamma * gamma - beta_plus * beta_minus, 0.0))
     with np.errstate(divide="ignore", invalid="ignore"):
         arg = (gamma - rad) / beta_minus
-    entangled = (nu_min_sq < 1.0 - 1e-9) & (arg > 1.0)
+    entangled = (nu_min_sq < _PPT_THRESHOLD) & (arg > 1.0)
     if not entangled.any():  # r = 0 and E_F = 1 log2(1) - 0 = 0 on every lane
         e_f, r = np.zeros((2,) + entangled.shape)
         return e_f, nu_min_sq, gamma, beta_plus, beta_minus, r
@@ -50,8 +55,8 @@ def entanglement_of_formation(form: TwoModeStandardForm) -> float:
     E_F = cosh^2(r) log2 cosh^2(r) - sinh^2(r) log2 sinh^2(r) where r is the
     minimal anti-squeezing needed to disentangle the state.  Separable states
     (squared smallest partial-transpose symplectic eigenvalue at or above
-    1 - 1e-9) return 0; the measure is invariant under the local phase flip
-    w -> -w.
+    _PPT_THRESHOLD = 1 - 1e-9) return 0; the measure is invariant under the
+    local phase flip w -> -w.
     """
     return float(_eof(form.u, form.v, form.w)[0])
 
@@ -81,9 +86,7 @@ def duan_quantity(form: TwoModeStandardForm) -> float:
     return form.u + form.v - 2 * form.w
 
 
-def _entanglement_rates(
-    p: TransducerParams, taus, quad: FrequencyQuadrature = DEFAULT_QUADRATURE
-) -> np.ndarray:
+def _entanglement_rates(p: TransducerParams, taus) -> np.ndarray:
     """entanglement_rate of one device at each optical transmissivity in ``taus``.
 
     Every tau is checked before anything is integrated.  The lanes share one
@@ -107,14 +110,10 @@ def _entanglement_rates(
         diag, off = _swap_form(u, v, w)
         return _eof(diag, diag, off)[0]
 
-    return _nested_trapezoids(integrand, taus.size, quad.window(p), quad) / (2.0 * np.pi)
+    return _nested_trapezoids(integrand, taus.size, _window(p)) / (2.0 * np.pi)
 
 
-def entanglement_rate(
-    p: TransducerParams,
-    tau: float = 1.0,
-    quad: FrequencyQuadrature = DEFAULT_QUADRATURE,
-) -> float:
+def entanglement_rate(p: TransducerParams, tau: float = 1.0) -> float:
     """Entanglement-of-formation rate of the homodyne swapping scheme.
 
     At each frequency the source spectra (u, v, w) pick up the optical path
@@ -124,4 +123,4 @@ def entanglement_rate(
     state is integrated: E_R = (1 / 2 pi) * integral of E_F(omega).  A tau
     outside [0, 1] raises ValueError.
     """
-    return float(_entanglement_rates(p, [tau], quad)[0])
+    return float(_entanglement_rates(p, [tau])[0])

@@ -65,8 +65,8 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def check_physical(cov: np.ndarray, floor: float = PHYSICALITY_FLOOR) -> float:
-    """Smallest eigenvalue of cov + i*Omega; raises if below the floor.
+def check_physical(cov: np.ndarray) -> float:
+    """Smallest eigenvalue of cov + i*Omega; raises if below PHYSICALITY_FLOOR.
 
     The floor is scaled by max(1, |cov|_max) so that large, legitimately
     near-pure covariance matrices are not rejected by round-off.
@@ -76,7 +76,7 @@ def check_physical(cov: np.ndarray, floor: float = PHYSICALITY_FLOOR) -> float:
     vals = np.linalg.eigvalsh(cov + 1j * omega)
     lo = float(vals[0])
     scale = max(1.0, float(np.max(np.abs(cov))))
-    if lo < floor * scale:
+    if lo < PHYSICALITY_FLOOR * scale:
         raise ValueError(f"covariance is not physical: min eig(V + iOmega) = {lo:.3e}")
     return lo
 
@@ -214,18 +214,23 @@ def _robust_inverse(m: np.ndarray) -> np.ndarray:
     return np.linalg.pinv(m, rcond=_PINV_CUTOFF)
 
 
-def _restore_physicality(cov: np.ndarray, rel_budget: float = 1e-6) -> np.ndarray:
+# Largest physicality violation, relative to max(1, |cov|_max), that
+# _restore_physicality repairs as round-off of a conditioned covariance.
+_RESTORE_BUDGET = 1e-6
+
+
+def _restore_physicality(cov: np.ndarray) -> np.ndarray:
     """Nudge a marginally unphysical covariance back onto the physical cone.
 
     Conditioning on a strongly squeezed seed inverts a matrix whose condition
     number grows like exp(2r), so boundary (pure) conditional states can come
     out below the physicality floor by round-off of that order.  Violations
-    within the budget are repaired by a multiple of the identity; larger ones
-    are left for the state constructor to reject.
+    within _RESTORE_BUDGET are repaired by a multiple of the identity; larger
+    ones are left for the state constructor to reject.
     """
     n = cov.shape[0] // 2
     lo = float(np.linalg.eigvalsh(cov + 1j * symplectic_form(n))[0])
-    if lo < 0 and lo >= -rel_budget * max(1.0, float(np.max(np.abs(cov)))):
+    if lo < 0 and lo >= -_RESTORE_BUDGET * max(1.0, float(np.max(np.abs(cov)))):
         cov = cov + (-lo) * 1.001 * np.eye(cov.shape[0])
     return cov
 

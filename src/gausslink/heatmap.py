@@ -104,9 +104,13 @@ def emit_heatmap(csv_path, metric: str, svg_path) -> Path:
         scale_note = f"{metric}: min=max={_fmt(vmin)}"
     else:
         scale_note = f"{metric}: min={_fmt(vmin)}, max={_fmt(vmax)}"
-    svg_path.parent.mkdir(parents=True, exist_ok=True)
+    try:
+        svg_path.parent.mkdir(parents=True, exist_ok=True)
+        fh = open(svg_path, "w", encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"[sweep] output: cannot write {svg_path}: {exc}") from exc
     # streamed: the document of a 100x100 grid held as strings takes about 2 MB
-    with open(svg_path, "w", encoding="utf-8") as fh:
+    with fh:
         fh.write(
             f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:.0f}" '
             f'height="{height:.0f}" viewBox="0 0 {width:.0f} {height:.0f}">\n'

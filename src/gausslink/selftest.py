@@ -11,6 +11,7 @@ import numpy as np
 from .entanglement import entanglement_of_formation
 from .gaussian import (
     GaussianState,
+    apply_channel,
     check_physical,
     extract_modes,
     symplectic_eigenvalues,
@@ -124,11 +125,10 @@ def _suite_teleport(rng):
     worst = 0.0
     for _ in range(50):
         form = random_physical_form(rng)
-        v_in = random_physical_state(rng).cov
+        state = random_physical_state(rng)
         kappa = rng.uniform(0.05, 3.0)
-        out = teleport_oracle(form.to_covariance(), v_in, kappa)
-        ch = induced_channel(form, kappa).to_gaussian_channel()
-        expect = ch.T @ v_in @ ch.T.T + ch.N
+        out = teleport_oracle(form.to_covariance(), state.cov, kappa)
+        expect = apply_channel(state, induced_channel(form, kappa).to_gaussian_channel()).cov
         worst = max(worst, float(np.max(np.abs(out - expect))))
     return worst < 1e-8, f"max |pipeline - closed| {worst:.2e}"
 
@@ -155,9 +155,9 @@ def _suite_tmsv_eof(rng):
     return worst < 1e-6, f"max |E_F - reduced entropy| {worst:.2e}"
 
 
-def _suite_pipeline_physicality(rng, n_pipelines: int = 100):
+def _suite_pipeline_physicality(rng):
     worst = np.inf
-    for _ in range(n_pipelines):
+    for _ in range(100):
         p = random_stable_blue_params(rng)
         form = output_mo_covariance(p, method="numeric")
         lossy = apply_optical_loss(form, rng.uniform(0.2, 1.0))
@@ -180,12 +180,12 @@ SUITES = (
 )
 
 
-def run_selftest(seed: int = 0, out=print) -> bool:
-    """Run every suite with one seeded generator; returns overall success."""
+def run_selftest(seed: int = 0) -> bool:
+    """Run every suite with one seeded generator, printing each verdict; returns overall success."""
     rng = np.random.default_rng(seed)
     ok = True
     for name, suite in SUITES:
         passed, detail = suite(rng)
         ok = ok and passed
-        out(f"{'PASS' if passed else 'FAIL'} {name}: {detail}")
+        print(f"{'PASS' if passed else 'FAIL'} {name}: {detail}")
     return ok

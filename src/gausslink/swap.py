@@ -10,7 +10,7 @@ the same optical outputs.
 
 import numpy as np
 
-from .capacity import DEFAULT_QUADRATURE, FrequencyQuadrature, integrate_spectrum
+from .capacity import _window, integrate_spectrum
 from .entanglement import _check_tau, _optical_loss, _swap_form
 from .gaussian import GaussianState, general_dyne_condition, tensor, two_mode_squeezed
 from .transducer import TransducerParams, TwoModeStandardForm, _all, mo_standard_form_spectra
@@ -75,7 +75,7 @@ def apply_optical_loss(form: TwoModeStandardForm, tau: float) -> TwoModeStandard
     return TwoModeStandardForm(u=u, v=form.v, w=w)
 
 
-def _click_rates(p: TransducerParams, tau, dt, quad=DEFAULT_QUADRATURE) -> tuple:
+def _click_rates(p: TransducerParams, tau, dt) -> tuple:
     """(r_t, r_B) of one device over lanes of tau and dt: optical photon rate
     and heralded Bell-pair rate; the checks apply to every lane.
 
@@ -98,14 +98,12 @@ def _click_rates(p: TransducerParams, tau, dt, quad=DEFAULT_QUADRATURE) -> tuple
         excess[excess < 1e-12] = 0.0
         return excess / 2.0
 
-    r_t = tau * integrate_spectrum(flux, quad.window(p), quad) / (2.0 * np.pi)
+    r_t = tau * integrate_spectrum(flux, _window(p)) / (2.0 * np.pi)
     return r_t, 2.0 * r_t * np.exp(-r_t * dt)
 
 
-def click_rate(
-    p: TransducerParams, tau: float, dt: float, quad: FrequencyQuadrature = DEFAULT_QUADRATURE
-) -> tuple:
+def click_rate(p: TransducerParams, tau: float, dt: float) -> tuple:
     """(r_t, r_B) at one tau and pulse length dt: one lane of `_click_rates`."""
-    r_t, r_b = _click_rates(p, np.array([tau], float), np.array([dt], float), quad)
+    r_t, r_b = _click_rates(p, np.array([tau], float), np.array([dt], float))
     return float(r_t[0]), float(r_b[0])
 

@@ -455,6 +455,8 @@ def parse_config(path) -> SweepConfig:
         parser.read(path, encoding="utf-8")
     except configparser.Error as exc:
         raise ConfigError(f"config parse error: {exc}") from exc
+    except UnicodeDecodeError as exc:  # a ValueError: main would call it numerical
+        raise ConfigError(f"config file {path} is not valid UTF-8: {exc}") from exc
 
     if "sweep" not in parser:
         raise ConfigError("[sweep]: section missing")
@@ -601,9 +603,9 @@ def run_sweep(config: SweepConfig, out_dir=None, jobs: int = 1) -> SweepResult:
     out_path = Path(config.output)
     if out_dir is not None:
         out_path = Path(out_dir) / out_path
-    if out_path.parent != Path(""):
-        os.makedirs(out_path.parent, exist_ok=True)
     try:
+        if out_path.parent != Path(""):
+            os.makedirs(out_path.parent, exist_ok=True)
         with open(out_path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(header)

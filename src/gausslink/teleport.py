@@ -35,6 +35,9 @@ __all__ = [
 # Gains within this window of 1 are classified as displacement channels; the
 # loss/amplifier noise expression has a removable divergence at kappa = 1.
 _UNIT_GAIN_TOL = 1e-9
+# Round-off allowed below n_e = 0: where n_e is 0 in exact arithmetic, lanes
+# this little below it are clamped to 0, not rejected as unphysical.
+_NE_SLACK = 1e-9
 
 GAIN_SEARCH_RANGE = (1e-3, 10.0)
 _COARSE_POINTS = 400
@@ -54,7 +57,7 @@ def _induced_channels(u, v, w, kappa) -> tuple:
     unit = np.abs(kappa - 1.0) < _UNIT_GAIN_TOL
     eta = np.float_power(kappa, 2.0)
     n_e = (v * eta + u - 2 * w * kappa) / np.where(unit, 1.0, 2.0 * np.abs(1.0 - eta)) - 0.5
-    if not _all(unit | (n_e >= -1e-9)):
+    if not _all(unit | (n_e >= -_NE_SLACK)):
         raise ValueError("negative effective occupation: source form is unphysical")
     kinds = [RANDOM_DISPLACEMENT if un else THERMAL_LOSS if k < 1.0 else THERMAL_AMP
              for un, k in zip(unit.tolist(), kappa.tolist())]

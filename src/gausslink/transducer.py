@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .gaussian import PHYSICALITY_FLOOR, GaussianChannelSpec
+from .gaussian import PHYSICALITY_FLOOR
 
 __all__ = [
     "TransducerParams",
@@ -255,15 +255,11 @@ def scattering_red(p: TransducerParams, omega: float = 0.0) -> np.ndarray:
 
 
 class DqtChannelPoint(NamedTuple):
-    """Thermal-loss channel (eta, n_e) induced by direct conversion."""
+    """Thermal-loss channel (eta, n_e) induced by direct conversion; its action
+    is BosonicChannelKind("thermal_loss", eta, n_e).to_gaussian_channel()."""
 
     eta: float
     n_e: float
-
-    def to_channel(self) -> GaussianChannelSpec:
-        t = np.sqrt(self.eta) * np.eye(2)
-        n = (1.0 - self.eta) * (2.0 * self.n_e + 1.0) * np.eye(2)
-        return GaussianChannelSpec(T=t, N=n)
 
 
 def _dqt_eta_ne(p: TransducerParams, omegas) -> tuple:

@@ -15,12 +15,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gausslink.capacity import (
-    DEFAULT_QUADRATURE,
     RANDOM_DISPLACEMENT,
     THERMAL_AMP,
     THERMAL_LOSS,
     BosonicChannelKind,
     _q_lb_loss_amp,
+    _window,
     coherent_info_displacement,
     coherent_info_loss_amp,
     g_function,
@@ -158,7 +158,7 @@ def earlier_eof(u, v, w):
     return e_f, nu_min_sq, gamma, beta_plus, beta_minus, r
 
 
-def scalar_entanglement_rate(p, tau=1.0, quad=DEFAULT_QUADRATURE):
+def scalar_entanglement_rate(p, tau=1.0):
     # the per-point integral, with the earlier _eof
     def integrand(omegas):
         u, v, w = mo_standard_form_spectra(p, omegas)
@@ -166,7 +166,7 @@ def scalar_entanglement_rate(p, tau=1.0, quad=DEFAULT_QUADRATURE):
         diag, off = _swap_form(u, v, w)
         return earlier_eof(diag, diag, off)[0]
 
-    return integrate_spectrum(integrand, quad.window(p), quad) / (2.0 * np.pi)
+    return integrate_spectrum(integrand, _window(p)) / (2.0 * np.pi)
 
 
 def scalar_g_function(x):
@@ -197,7 +197,7 @@ def scalar_induced_channel(form, kappa):
     return BosonicChannelKind(kind, kappa**2, max(n_e, 0.0))
 
 
-def scalar_click_rate(p, tau, dt, quad=DEFAULT_QUADRATURE):
+def scalar_click_rate(p, tau, dt):
     if not 0.0 <= tau <= 1.0:
         raise ValueError("tau must lie in [0, 1]")
     if dt <= 0:
@@ -209,7 +209,7 @@ def scalar_click_rate(p, tau, dt, quad=DEFAULT_QUADRATURE):
         excess[excess < 1e-12] = 0.0
         return excess / 2.0
 
-    r_t = tau * integrate_spectrum(flux, quad.window(p), quad) / (2.0 * np.pi)
+    r_t = tau * integrate_spectrum(flux, _window(p)) / (2.0 * np.pi)
     r_b = 2.0 * r_t * np.exp(-r_t * dt)
     return float(r_t), float(r_b)
 

@@ -7,11 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gausslink import capacity
 from gausslink.capacity import (
     _ABS_TOL,
     _CHUNK_NODES,
     BosonicChannelKind,
-    FrequencyQuadrature,
     coherent_info_loss_amp,
     dqt_capacity_boundary,
     g_function,
@@ -239,15 +239,15 @@ class TestBandwidthIntegrated:
             q_lb_bandwidth_integrated(p)
 
 
-def _full_grid_doubling(fn, omega_max, quad):
+def _full_grid_doubling(fn, omega_max):
     """The trapezoid before node reuse: each pass evaluates fn on its whole grid."""
-    n = quad.initial_points
+    n = capacity._INITIAL_POINTS
     prev = None
-    for _ in range(quad.max_doublings + 1):
+    for _ in range(capacity._MAX_DOUBLINGS + 1):
         omegas = np.linspace(-omega_max, omega_max, n)
         total = float(np.trapezoid(fn(omegas), omegas))
         if prev is not None and abs(total - prev) <= max(
-            quad.rel_tol * abs(total), _ABS_TOL
+            capacity._REL_TOL * abs(total), _ABS_TOL
         ):
             return total
         prev = total
@@ -264,14 +264,15 @@ def _earlier_chunked(fn, omegas: np.ndarray) -> np.ndarray:
     )
 
 
-def earlier_integrate_spectrum(fn, omega_max, quad):
-    """The 1-D nested trapezoid that preceded the lane-valued one, verbatim."""
-    n = quad.initial_points
+def earlier_integrate_spectrum(fn, omega_max):
+    """The 1-D nested trapezoid that preceded the lane-valued one, with the
+    policy read from the capacity constants at call time."""
+    n = capacity._INITIAL_POINTS
     omegas = np.linspace(-omega_max, omega_max, n)
     values = _earlier_chunked(fn, omegas)
     total = float(np.trapezoid(values, omegas))
     change = math.inf
-    for _ in range(quad.max_doublings):
+    for _ in range(capacity._MAX_DOUBLINGS):
         n = 2 * n - 1
         omegas = np.linspace(-omega_max, omega_max, n)
         finer = np.empty(n)
@@ -280,7 +281,7 @@ def earlier_integrate_spectrum(fn, omega_max, quad):
         values, prev = finer, total
         total = float(np.trapezoid(values, omegas))
         change = abs(total - prev)
-        if change <= max(quad.rel_tol * abs(total), _ABS_TOL):
+        if change <= max(capacity._REL_TOL * abs(total), _ABS_TOL):
             return total
     raise ValueError(f"frequency integral not converged on {n} nodes: "
                      f"last change {change:.3e} on a total of {total:.3e}")
@@ -315,12 +316,12 @@ def _recorded(fn):
     return recording, calls
 
 
-def _oracle(fns, omega_max, quad) -> list:
+def _oracle(fns, omega_max) -> list:
     """Each lane's earlier 1-D integral, or the message it raised."""
     out = []
     for fn in fns:
         try:
-            out.append(earlier_integrate_spectrum(fn, omega_max, quad))
+            out.append(earlier_integrate_spectrum(fn, omega_max))
         except ValueError as exc:
             out.append(str(exc))
     return out
@@ -351,10 +352,7 @@ class TestIntegrateSpectrum:
         ids=["narrow-lorentzian", "source-u", "near-threshold-w", "kinked"],
     )
     def test_matches_full_grid_doubling(self, fn, omega_max):
-        quad = FrequencyQuadrature()
-        assert integrate_spectrum(fn, omega_max, quad) == _full_grid_doubling(
-            fn, omega_max, quad
-        )
+        assert integrate_spectrum(fn, omega_max) == _full_grid_doubling(fn, omega_max)
 
     def test_each_node_evaluated_once(self):
         seen = []
@@ -363,12 +361,12 @@ class TestIntegrateSpectrum:
             seen.append(omegas.copy())
             return np.exp(-(omegas**2))
 
-        integrate_spectrum(gaussian, 10.0, FrequencyQuadrature())
+        integrate_spectrum(gaussian, 10.0)
         assert [len(x) for x in seen] == [257, 256]
         nodes = np.sort(np.concatenate(seen))
         assert np.array_equal(nodes, np.linspace(-10.0, 10.0, 513))
 
-    def test_capped_integral_evaluates_in_bounded_chunks(self):
+    def test_capped_integral_evaluates_in_bounded_chunks(self, monkeypatch):
         # eight doublings of 257 nodes reach 65,537 nodes, whose last 32,768
         # midpoints would otherwise go to fn in one call
         sizes = []
@@ -377,9 +375,10 @@ class TestIntegrateSpectrum:
             sizes.append(omegas.size)
             return omegas**2
 
-        quad = FrequencyQuadrature(rel_tol=0.0, max_doublings=8)
+        monkeypatch.setattr(capacity, "_REL_TOL", 0.0)
+        monkeypatch.setattr(capacity, "_MAX_DOUBLINGS", 8)
         with pytest.raises(ValueError, match="not converged on 65537 nodes"):
-            integrate_spectrum(recording, 1.0, quad)
+            integrate_spectrum(recording, 1.0)
         assert max(sizes) == _CHUNK_NODES
         assert sum(sizes) == 65537
         assert sizes[-2:] == [_CHUNK_NODES, _CHUNK_NODES]
@@ -388,13 +387,13 @@ class TestIntegrateSpectrum:
         # a Lorentzian of width 1e-4 on [-1, 1] converges on 131,073 nodes,
         # with its last three doublings in chunks
         fn = lambda om: 1.0 / (1.0 + (om / 1e-4) ** 2)  # noqa: E731
-        quad = FrequencyQuadrature()
-        assert integrate_spectrum(fn, 1.0, quad) == _full_grid_doubling(fn, 1.0, quad)
+        assert integrate_spectrum(fn, 1.0) == _full_grid_doubling(fn, 1.0)
 
-    def test_capped_integral_raises(self):
-        quad = FrequencyQuadrature(rel_tol=0.0, max_doublings=2)
+    def test_capped_integral_raises(self, monkeypatch):
+        monkeypatch.setattr(capacity, "_REL_TOL", 0.0)
+        monkeypatch.setattr(capacity, "_MAX_DOUBLINGS", 2)
         with pytest.raises(ValueError, match="not converged on 1025 nodes"):
-            integrate_spectrum(lambda om: om**2, 1.0, quad)
+            integrate_spectrum(lambda om: om**2, 1.0)
 
     @pytest.mark.parametrize(
         "fn, omega_max",
@@ -406,11 +405,10 @@ class TestIntegrateSpectrum:
         ids=["narrow-lorentzian", "chunked-lorentzian", "negative-zero"],
     )
     def test_equals_the_earlier_integral(self, fn, omega_max):
-        quad = FrequencyQuadrature()
-        expected = earlier_integrate_spectrum(fn, omega_max, quad)
-        assert _same_bits(integrate_spectrum(fn, omega_max, quad), expected)
+        expected = earlier_integrate_spectrum(fn, omega_max)
+        assert _same_bits(integrate_spectrum(fn, omega_max), expected)
 
-    def test_separability_boundary_converges(self):
+    def test_separability_boundary_converges(self, monkeypatch):
         # fig5b at C_om = 0.1, C_em = 10, tau = 1/2: the swapped state sits on
         # the separability boundary and E_F(omega) is round-off noise, which a
         # relative-only stop test doubled to 1,048,577 nodes (about 25 s and
@@ -420,7 +418,8 @@ class TestIntegrateSpectrum:
         rate = entanglement_rate(p, 0.5)
         assert time.perf_counter() - start < 1.0
         assert 0.0 <= rate < 1e-12
-        assert entanglement_rate(p, 0.5, FrequencyQuadrature(max_doublings=1)) == rate
+        monkeypatch.setattr(capacity, "_MAX_DOUBLINGS", 1)
+        assert entanglement_rate(p, 0.5) == rate
 
 
 class TestNestedTrapezoids:
@@ -442,27 +441,29 @@ class TestNestedTrapezoids:
     def test_lanes_equal_the_earlier_integrals(self, lanes, max_doublings):
         # per-lane widths stop the lanes at different doublings, and with few
         # doublings the narrow ones run out of them
-        quad = FrequencyQuadrature(max_doublings=max_doublings)
-        fn, fns = _lorentzians(*zip(*lanes))
-        expected = _oracle(fns, 1.0, quad)
-        errors = [e for e in expected if isinstance(e, str)]
-        if errors:  # the lowest failing lane raises
-            with pytest.raises(ValueError, match=re.escape(errors[0])):
-                _nested_trapezoids(fn, len(lanes), 1.0, quad)
-            return
-        assert _same_bits(_nested_trapezoids(fn, len(lanes), 1.0, quad), expected)
+        # (a function-scoped monkeypatch fixture fails hypothesis's health check)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(capacity, "_MAX_DOUBLINGS", max_doublings)
+            fn, fns = _lorentzians(*zip(*lanes))
+            expected = _oracle(fns, 1.0)
+            errors = [e for e in expected if isinstance(e, str)]
+            if errors:  # the lowest failing lane raises
+                with pytest.raises(ValueError, match=re.escape(errors[0])):
+                    _nested_trapezoids(fn, len(lanes), 1.0)
+                return
+            assert _same_bits(_nested_trapezoids(fn, len(lanes), 1.0), expected)
 
-    def test_lowest_failing_lane_raises(self):
+    def test_lowest_failing_lane_raises(self, monkeypatch):
         # lanes 1-9 run out of doublings with different totals; they span two
         # lane groups, and the first group splits before its last doubling
-        quad = FrequencyQuadrature(max_doublings=2)
+        monkeypatch.setattr(capacity, "_MAX_DOUBLINGS", 2)
         width = np.concatenate([[0.5], np.geomspace(1e-3, 3e-3, 9)])
         fn, fns = _lorentzians(np.ones(10), np.zeros(10), width)
-        expected = _oracle(fns, 1.0, quad)
+        expected = _oracle(fns, 1.0)
         assert [isinstance(e, str) for e in expected] == [False] + [True] * 9
         assert len(set(expected[1:])) == 9
         with pytest.raises(ValueError, match=re.escape(expected[1])):
-            _nested_trapezoids(fn, 10, 1.0, quad)
+            _nested_trapezoids(fn, 10, 1.0)
 
     @pytest.mark.parametrize("lanes", [1, 100])
     def test_calls_stay_within_the_element_cap(self, lanes):
@@ -470,9 +471,8 @@ class TestNestedTrapezoids:
         # whose last 65,536 midpoints exceed the cap even for one lane
         fn, fns = _lorentzians(np.ones(lanes), np.zeros(lanes), np.full(lanes, 1e-4))
         recording, calls = _recorded(fn)
-        quad = FrequencyQuadrature()
-        totals = _nested_trapezoids(recording, lanes, 1.0, quad)
-        assert _same_bits(totals, [earlier_integrate_spectrum(fns[0], 1.0, quad)] * lanes)
+        totals = _nested_trapezoids(recording, lanes, 1.0)
+        assert _same_bits(totals, [earlier_integrate_spectrum(fns[0], 1.0)] * lanes)
         sizes = [rows.size * omegas.size for rows, omegas in calls]
         assert max(sizes) == _CHUNK_NODES
         assert sum(sizes) == lanes * 131073
@@ -482,8 +482,7 @@ class TestNestedTrapezoids:
         width = np.geomspace(1e-3, 1.0, 100)
         fn, fns = _lorentzians(np.ones(100), np.zeros(100), width)
         recording, calls = _recorded(fn)
-        quad = FrequencyQuadrature()
-        totals = _nested_trapezoids(recording, 100, 1.0, quad)
+        totals = _nested_trapezoids(recording, 100, 1.0)
         nodes = [[] for _ in range(100)]
         for rows, omegas in calls:
             for i in rows.tolist():
@@ -494,7 +493,7 @@ class TestNestedTrapezoids:
             assert np.array_equal(seen, np.linspace(-1.0, 1.0, seen.size))
             alone = []
             assert earlier_integrate_spectrum(
-                lambda om, f=fns[i]: alone.append(om.size) or f(om), 1.0, quad
+                lambda om, f=fns[i]: alone.append(om.size) or f(om), 1.0
             ) == totals[i]
             assert seen.size == sum(alone)
             depths.add(seen.size)

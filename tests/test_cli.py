@@ -84,6 +84,30 @@ class TestCliSweep:
         err = capsys.readouterr().err
         assert "numerical failure: fig2d_eof_map at C_om=1, C_em=0.2:" in err
 
+    def test_config_not_utf8_is_a_config_error(self, tmp_path, capsys):
+        # UnicodeDecodeError is a ValueError, which main reports as numerical
+        bad = tmp_path / "latin1.ini"
+        bad.write_bytes(SMALL_MAP.replace("map.csv", "m\xe4p.csv").encode("latin-1"))
+        assert main(["sweep", str(bad), "--out", str(tmp_path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"config error: config file {bad} is not valid UTF-8" in err
+
+    @pytest.mark.parametrize("case", ["out-is-a-file", "output-under-a-file", "svg-is-a-directory"])
+    def test_uncreatable_output_is_a_config_error(self, case, map_config, tmp_path, capsys):
+        blocker = tmp_path / "blocker"
+        out = tmp_path / "out"
+        if case == "out-is-a-file":
+            blocker.write_text("", encoding="utf-8")
+            out = blocker
+        elif case == "output-under-a-file":
+            blocker.write_text("", encoding="utf-8")
+            map_config.write_text(SMALL_MAP.replace("map.csv", "blocker/sub/map.csv"), encoding="utf-8")
+            out = tmp_path
+        else:
+            (out / "map.svg").mkdir(parents=True)
+        assert main(["sweep", str(map_config), "--out", str(out)]) == EXIT_CONFIG
+        assert "config error: [sweep] output: cannot write" in capsys.readouterr().err
+
 
 class TestHeatmap:
     def _render(self, tmp_path, body=SMALL_MAP, metric="e_f"):

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from gausslink import transducer
-from gausslink.capacity import DEFAULT_QUADRATURE
+from gausslink import capacity, transducer
+from gausslink.capacity import BosonicChannelKind
 from gausslink.gaussian import symplectic_form
 from gausslink.selftest import random_red_params, random_stable_blue_params
 from gausslink.transducer import (
@@ -121,7 +121,7 @@ class TestDqtChannel:
 
     def test_channel_spec(self):
         ch = dqt_channel(make(1.0, 1.0, n_th=0.5))
-        spec = ch.to_channel()
+        spec = BosonicChannelKind("thermal_loss", ch.eta, ch.n_e).to_gaussian_channel()
         assert np.allclose(spec.T, np.sqrt(ch.eta) * np.eye(2))
         assert np.allclose(spec.N, (1 - ch.eta) * (2 * ch.n_e + 1) * np.eye(2))
 
@@ -457,5 +457,5 @@ class TestFastPathsAreBitExact:
 )
 def test_spectra_are_physical_across_the_window(p, where):
     # the standard forms the frequency integrals read, away from resonance too
-    omegas = np.array(where) * DEFAULT_QUADRATURE.window(p)
+    omegas = np.array(where) * capacity._window(p)
     _check_forms(*mo_standard_form_spectra(p, omegas))
