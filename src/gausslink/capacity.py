@@ -28,6 +28,8 @@ _KINDS = (THERMAL_LOSS, THERMAL_AMP, RANDOM_DISPLACEMENT)
 # eta >= 1, displacement eta = 1), for kinds built from computed gains; the
 # induced channels keep |kappa - 1| >= 1e-9 off unit gain and eta = 1 on it.
 _ETA_SLACK = 1e-9
+# |1 - eta| below this is round-off of eta = 1, the displacement channel
+_UNIT_ETA_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -112,7 +114,7 @@ def coherent_info_loss_amp(eta: float, n_e: float) -> float:
     """Unclamped coherent-information bound log2(eta/|1-eta|) - g(n_e)."""
     if eta <= 0:
         raise ValueError("eta must be positive")
-    if abs(eta - 1.0) < 1e-12:
+    if abs(eta - 1.0) < _UNIT_ETA_TOL:
         raise ValueError("eta = 1 is the displacement channel; use its bound")
     if n_e < 0:
         raise ValueError("n_e must be nonnegative")

@@ -75,6 +75,10 @@ def apply_optical_loss(form: TwoModeStandardForm, tau: float) -> TwoModeStandard
     return TwoModeStandardForm(u=u, v=form.v, w=w)
 
 
+# flux densities below this are round-off, zeroed so a dark source integrates to 0
+_FLUX_FLOOR = 1e-12
+
+
 def _click_rates(p: TransducerParams, tau, dt) -> tuple:
     """(r_t, r_B) of one device over lanes of tau and dt: optical photon rate
     and heralded Bell-pair rate; the checks apply to every lane.
@@ -92,10 +96,9 @@ def _click_rates(p: TransducerParams, tau, dt) -> tuple:
     def flux(omegas):
         u, _, _ = mo_standard_form_spectra(p, omegas)
         # optical q and p spectra coincide, so S_qq + S_pp - 2 = 2 (u - 1);
-        # the flux density is nonnegative, and values at round-off scale are
-        # zeroed so a dark source integrates to exactly zero
+        # the flux density is nonnegative
         excess = np.maximum(u - 1.0, 0.0)
-        excess[excess < 1e-12] = 0.0
+        excess[excess < _FLUX_FLOOR] = 0.0
         return excess / 2.0
 
     r_t = tau * integrate_spectrum(flux, _window(p)) / (2.0 * np.pi)

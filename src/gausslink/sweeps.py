@@ -12,7 +12,7 @@ import csv
 import functools
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -145,14 +145,6 @@ def _swapped_forms(columns: dict) -> tuple:
     return stable, u, v, w, diag, off
 
 
-def _rows(stable: np.ndarray, **columns) -> list:
-    """Metrics dicts of a block, None where unstable; a column holds one value
-    per stable point, or one for all."""
-    n = int(stable.sum())
-    values = zip(*(np.broadcast_to(c, n).tolist() for c in columns.values()))
-    return [dict(zip(columns, next(values))) if s else None for s in stable.tolist()]
-
-
 def _boundary(columns: dict) -> float:
     # the extraction ratios are fixed, never swept
     return dqt_capacity_boundary(columns["zeta_o"][0], columns["zeta_e"][0])
@@ -162,8 +154,7 @@ def _eval_fig1a(columns):
     eta, n_e = _dqt_eta_ne(_params(columns, "red"), 0.0)
     product = columns["C_om"] * columns["C_em"]
     boundary = _boundary(columns)
-    return _rows(
-        np.ones(product.size, dtype=bool),
+    return np.ones(product.size, dtype=bool), dict(
         eta0=eta,
         q_lb_dqt=_q_lb_loss_amp(eta, n_e),
         cc_product=product,
@@ -175,7 +166,7 @@ def _eval_fig1a(columns):
 def _eval_capacity_map(columns):
     stable, u, v, w = _source_forms(columns)
     kappa, q = optimize_gains(u, v, w)
-    return _rows(stable, u=u, v=v, w=w, q_lb_eqt=q, kappa_opt=kappa, boundary=_boundary(columns))
+    return stable, dict(u=u, v=v, w=w, q_lb_eqt=q, kappa_opt=kappa, boundary=_boundary(columns))
 
 
 def _eval_fig2a(columns):
@@ -187,24 +178,24 @@ def _eval_fig2a(columns):
         raw[disp] = _coherent_info_displacement(noise[disp])
         raw[~disp] = _coherent_info_loss_amp(eta[~disp], noise[~disp])
     q_lb = np.maximum(raw, 0.0)
-    return _rows(stable, kind=kinds, eta_prime=eta, noise=noise, q_lb=q_lb, q_lb_raw=raw)
+    return stable, dict(kind=kinds, eta_prime=eta, noise=noise, q_lb=q_lb, q_lb_raw=raw)
 
 
 def _eval_fig2d(columns):
     stable, u, v, w = _source_forms(columns)
-    return _rows(stable, u=u, v=v, w=w, e_f=_eof(u, v, w)[0])
+    return stable, dict(u=u, v=v, w=w, e_f=_eof(u, v, w)[0])
 
 
 def _eval_fig4a(columns):
     stable, *_, diag, off = _swapped_forms(columns)
-    return _rows(stable, u_mm=diag, w_mm=off, e_f_mm=_eof(diag, diag, off)[0])
+    return stable, dict(u_mm=diag, w_mm=off, e_f_mm=_eof(diag, diag, off)[0])
 
 
 def _eval_fig4b(columns):
     stable, *_, diag, off = _swapped_forms(columns)
     kappa, q = optimize_gains(diag, diag, off)
-    return _rows(
-        stable, u_mm=diag, w_mm=off, q_lb_mm=q, kappa_opt=kappa, boundary=_boundary(columns)
+    return stable, dict(
+        u_mm=diag, w_mm=off, q_lb_mm=q, kappa_opt=kappa, boundary=_boundary(columns)
     )
 
 
@@ -220,25 +211,27 @@ def _devices(columns: dict, per_lane: tuple) -> list:
 
 
 def _eval_fig5a(columns):
-    """Click rates of a block, with one flux integral per stable device."""
-    stable = stability_check(_params(columns, "blue"))
-    tau, dt = columns["tau"][stable], columns["pulse_duration"][stable]
+    """Click rates of a block: one stability check and one flux integral per device."""
+    tau, dt = columns["tau"], columns["pulse_duration"]
+    stable = np.zeros(tau.size, dtype=bool)
     r_t, r_b = np.empty(tau.size), np.empty(tau.size)
-    stable_columns = {k: c[stable] for k, c in columns.items()}
-    for p, lanes in _devices(stable_columns, ("tau", "pulse_duration")):
-        r_t[lanes], r_b[lanes] = _click_rates(p, tau[lanes], dt[lanes])
-    return _rows(stable, r_t=r_t, r_B=r_b)
+    for p, lanes in _devices(columns, ("tau", "pulse_duration")):
+        if stability_check(p):
+            stable[lanes] = True
+            r_t[lanes], r_b[lanes] = _click_rates(p, tau[lanes], dt[lanes])
+    return stable, dict(r_t=r_t[stable], r_B=r_b[stable])
 
 
 def _eval_fig5b(columns):
     """Homodyne rates of a block: one stability check per device, and one
     spectra solve per trapezoid level per stable device, shared by its tau lanes."""
-    out = [None] * len(columns["tau"])
+    stable = np.zeros(columns["tau"].size, dtype=bool)
+    e_r = np.empty(stable.size)
     for p, lanes in _devices(columns, ("tau",)):
         if stability_check(p):
-            for i, e_r in zip(lanes, _entanglement_rates(p, columns["tau"][lanes]).tolist()):
-                out[i] = {"e_r": e_r}
-    return out
+            stable[lanes] = True
+            e_r[lanes] = _entanglement_rates(p, columns["tau"][lanes])
+    return stable, dict(e_r=e_r[stable])
 
 
 def _eval_custom(columns):
@@ -246,8 +239,7 @@ def _eval_custom(columns):
     # the lossy source and its swapped form share one search
     kappa, q = optimize_gains(*np.concatenate([[u, v, w], [diag, diag, off]], axis=1))
     eta, n_e = (x[stable] for x in _dqt_eta_ne(_params(columns, "red"), 0.0))
-    return _rows(
-        stable,
+    return stable, dict(
         eta0=eta,
         q_lb_dqt=_q_lb_loss_amp(eta, n_e),
         u=u,
@@ -281,16 +273,17 @@ class ExperimentSpec:
     """A registered experiment.
 
     ``evaluate`` takes a block of grid points as one dict of equal-length
-    float arrays, a column per parameter, and returns one metrics dict per
-    point, None where the point is unstable.
+    float arrays, a column per parameter, and returns ``(stable, columns)``:
+    the block's stable-point mask, and per name in ``metrics`` one value per
+    stable point or one value for all of them.
     """
 
     name: str
     metrics: tuple
     evaluate: callable
     default_axes: tuple
-    fixed_overrides: dict = field(default_factory=dict)
-    svg_metric: str = ""
+    fixed_overrides: dict
+    svg_metric: str
 
 
 EXPERIMENTS = {
@@ -452,7 +445,10 @@ def parse_config(path) -> SweepConfig:
     parser = configparser.ConfigParser(interpolation=None)
     parser.optionxform = str
     try:
-        parser.read(path, encoding="utf-8")
+        with open(path, encoding="utf-8") as fh:
+            parser.read_file(fh)
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     except configparser.Error as exc:
         raise ConfigError(f"config parse error: {exc}") from exc
     except UnicodeDecodeError as exc:  # a ValueError: main would call it numerical
@@ -517,8 +513,8 @@ def parse_config(path) -> SweepConfig:
 # --- execution ----------------------------------------------------------------
 
 
-def _evaluate_block(experiment: str, fixed: dict, axis_names: tuple, block: np.ndarray) -> list:
-    """Metrics of each point of a block of grid coordinates, None where unstable.
+def _evaluate_block(experiment: str, fixed: dict, axis_names: tuple, block: np.ndarray) -> tuple:
+    """The experiment's ``(stable, columns)`` of a block of grid coordinates.
 
     A ValueError or ArithmeticError is raised as NumericalError naming the
     experiment and the axis values of the first point that fails alone: points
@@ -540,8 +536,6 @@ def _evaluate_block(experiment: str, fixed: dict, axis_names: tuple, block: np.n
 
 
 def _format_value(value) -> str:
-    if value is None:
-        return ""
     if isinstance(value, str):
         return value
     value = float(value)
@@ -587,18 +581,18 @@ def run_sweep(config: SweepConfig, out_dir=None, jobs: int = 1) -> SweepResult:
 
         blocks = _row_blocks(grid, config.axes, jobs * _BLOCKS_PER_JOB)
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            outcomes = [m for block in pool.map(evaluate, blocks) for m in block]
+            results = list(zip(blocks, pool.map(evaluate, blocks)))
     else:
-        outcomes = evaluate(grid)
+        results = [(grid, evaluate(grid))]
 
     header = list(axis_names) + ["stable"] + list(spec.metrics)
     rows = []
-    for coords, metrics in zip(grid.tolist(), outcomes):
-        row = [_format_value(c) for c in coords]
-        row.append("0" if metrics is None else "1")
-        for name in spec.metrics:
-            row.append("" if metrics is None else _format_value(metrics.get(name)))
-        rows.append(tuple(row))
+    for block, (stable, columns) in results:
+        n = int(stable.sum())
+        values = zip(*(np.broadcast_to(columns[name], n).tolist() for name in spec.metrics))
+        for coords, ok in zip(block.tolist(), stable.tolist()):
+            cells = map(_format_value, next(values)) if ok else ("",) * len(spec.metrics)
+            rows.append((*map(_format_value, coords), "1" if ok else "0", *cells))
 
     out_path = Path(config.output)
     if out_dir is not None:

@@ -56,6 +56,15 @@ class TestCliSweep:
     def test_missing_config_exit_code(self, tmp_path):
         assert main(["sweep", str(tmp_path / "absent.ini")]) == EXIT_CONFIG
 
+    def test_unreadable_config_names_the_file(self, tmp_path, capsys):
+        # a directory exists but cannot be read as a config file
+        folder = tmp_path / "folder.ini"
+        folder.mkdir()
+        assert main(["sweep", str(folder)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"config error: cannot read config file {folder}" in err
+        assert "section missing" not in err
+
     def test_jobs_env_fallback(self, map_config, tmp_path, monkeypatch):
         monkeypatch.setenv("GAUSSLINK_JOBS", "2")
         assert main(["sweep", str(map_config), "--out", str(tmp_path)]) == EXIT_OK

@@ -217,12 +217,14 @@ class TestMmCapacity:
         # fig4b chains the source form, the swap and the gain search alike
         for c_om, c_em in [(1.0, 1.0), (2.0, 5.0)]:
             point = dict(FIXED_DEFAULTS, C_om=c_om, C_em=c_em)
-            (row,) = EXPERIMENTS["fig4b_mm_capacity"].evaluate(
+            stable, columns = EXPERIMENTS["fig4b_mm_capacity"].evaluate(
                 {name: np.array([value]) for name, value in point.items()}
             )
+            assert stable.tolist() == [True]
+            (q_lb_mm,) = columns["q_lb_mm"]
             source = output_mo_covariance(_blue(c_om, c_em), method="closed")
-            assert row["q_lb_mm"] == pytest.approx(_mm_capacity(source), rel=1e-9, abs=1e-12)
-        assert row["q_lb_mm"] > 0.4
+            assert q_lb_mm == pytest.approx(_mm_capacity(source), rel=1e-9, abs=1e-12)
+        assert q_lb_mm > 0.4
         mm = mm_standard_form(WORKED)
         assert mm.u == pytest.approx(4.76471, abs=1e-4)
         assert mm.w == pytest.approx(4.23529, abs=1e-4)

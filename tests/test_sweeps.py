@@ -442,6 +442,15 @@ points = 4
             res = run_sweep(cfg, out_dir=tmp_path)
             assert res.path.exists()
             assert len(res.rows) >= 3
+            # a stable row fills every metric cell, an unstable row none
+            stable_at = res.columns.index("stable")
+            for row in res.rows:
+                cells = row[stable_at + 1 :]
+                assert len(cells) == len(spec.metrics)
+                if row[stable_at] == "1":
+                    assert all(cells), (name, row)
+                else:
+                    assert row[stable_at] == "0" and not any(cells), (name, row)
 
 
 def test_axis_values():
