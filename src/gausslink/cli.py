@@ -1,6 +1,7 @@
 """Command-line entry point: deterministic sweeps and randomized self-tests."""
 
 import argparse
+import math
 import os
 import sys
 
@@ -62,7 +63,7 @@ def main(argv=None) -> int:
             source = "--jobs" if args.jobs is not None else JOBS_ENV_VAR
             raise ConfigError(f"{source}: must be at least 1")
         result = run_sweep(config, out_dir=args.out, jobs=jobs)
-        print(f"wrote {result.path} ({len(result.rows)} rows)")
+        print(f"wrote {result.path} ({math.prod(a.points for a in result.axes)} rows)")
         if config.emit_svg or args.svg:
             if len(config.axes) != 2:
                 raise ConfigError("[sweep] emit_svg: heatmaps need a two-axis sweep")

@@ -8,8 +8,10 @@ so a config may consist of nothing but the experiment name.
 """
 
 import configparser
+import contextlib
 import csv
 import functools
+import itertools
 import math
 import os
 from dataclasses import dataclass
@@ -100,8 +102,13 @@ class SweepConfig:
 class SweepResult:
     path: Path
     columns: tuple
-    rows: tuple
     axes: tuple
+
+    @property
+    def rows(self) -> tuple:
+        """The data rows of the written file, each a tuple of its cells."""
+        with open(self.path, newline="", encoding="utf-8") as fh:
+            return tuple(map(tuple, csv.reader(fh)))[1:]
 
 
 # --- experiment definitions ---------------------------------------------------
@@ -538,75 +545,99 @@ def _evaluate_block(experiment: str, fixed: dict, axis_names: tuple, block: np.n
 def _format_value(value) -> str:
     if isinstance(value, str):
         return value
-    value = float(value)
-    if math.isinf(value):
-        return "inf"
-    return f"{value:.12g}"
+    return f"{float(value):.12g}"
 
 
 # blocks each pool worker gets on average: several, so that rows of cheap
 # unstable points do not leave a worker idle while another finishes
 _BLOCKS_PER_JOB = 4
+# most points a block holds at any job count, so that beyond its coordinates
+# a sweep takes the same memory whatever the size of its grid
+_BLOCK_POINTS = 2**14
 
 
 def _row_blocks(grid: np.ndarray, axes: tuple, count: int) -> list:
-    """Split a row-major grid into at most ``count`` contiguous blocks of whole
-    rows (a row is one value of the first axis)."""
+    """Split a row-major grid into contiguous blocks of whole rows (a row is
+    one value of the first axis): at least ``count`` blocks where the grid has
+    that many rows, and enough that none holds more than ``_BLOCK_POINTS``
+    points unless one row does."""
     width = axes[1].points if len(axes) == 2 else 1
     rows = len(grid) // width
-    count = min(count, rows)
+    per_block = max(_BLOCK_POINTS // width, 1)
+    count = min(max(count, -(-rows // per_block)), rows)
     cuts = [width * (rows * i // count) for i in range(count + 1)]
     return [grid[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
+
+
+def _write_block(writer, metrics: tuple, block: np.ndarray, stable: np.ndarray, columns: dict):
+    """Write the CSV rows of an evaluated block; unstable points leave every
+    metric cell empty.  The rows are freed on return, before the sweep takes
+    the next block."""
+    n = int(stable.sum())
+    values = zip(*(np.broadcast_to(columns[name], n).tolist() for name in metrics))
+    empty = ("",) * len(metrics)
+    rows = []
+    for coords, ok in zip(block.tolist(), stable.tolist()):
+        cells = map(_format_value, next(values)) if ok else empty
+        rows.append((*map(_format_value, coords), "1" if ok else "0", *cells))
+    writer.writerows(rows)
+
+
+def _write_csv(path: Path, header: list, metrics: tuple, results) -> None:
+    """Write ``header``, then the rows of each ``(block, (stable, columns))``
+    that ``results`` yields, before taking the next.  The file is created once
+    the first block is ready, so a sweep that fails there writes nothing; a
+    later failure removes the file."""
+    first = next(results)
+    fh = None
+    try:
+        if path.parent != Path(""):
+            os.makedirs(path.parent, exist_ok=True)
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(header)
+            for block, (stable, columns) in itertools.chain([first], results):
+                _write_block(writer, metrics, block, stable, columns)
+    except BaseException as exc:
+        if fh is not None:
+            path.unlink(missing_ok=True)
+        if isinstance(exc, OSError):
+            raise ConfigError(f"[sweep] output: cannot write {path}: {exc}") from exc
+        raise
 
 
 def run_sweep(config: SweepConfig, out_dir=None, jobs: int = 1) -> SweepResult:
     """Evaluate the configured grid and write the CSV file.
 
-    The experiment evaluates the whole grid as one block, or, with ``jobs``
-    above 1, contiguous blocks of rows spread over a process pool.  Rows are
-    always written in deterministic row-major axis order with fixed
-    12-significant-digit formatting, so identical configs produce
-    byte-identical files.  Unstable source points keep their axis columns,
-    carry stable=0 and leave every metric cell empty.
+    The grid is evaluated in contiguous blocks of whole rows, each of at most
+    ``_BLOCK_POINTS`` points; with ``jobs`` above 1 there are at least
+    ``jobs * _BLOCKS_PER_JOB`` blocks, spread over a process pool.  Each
+    block's rows are written before the next block is taken, so no more than
+    one block's rows are kept in memory.  Rows are always written in
+    deterministic row-major axis order with fixed 12-significant-digit
+    formatting, so identical configs produce byte-identical files at any
+    ``jobs``.  Unstable source points keep their axis columns, carry stable=0
+    and leave every metric cell empty.
     """
     spec = EXPERIMENTS[config.experiment]
     axis_names = tuple(axis.name for axis in config.axes)
     # one row of coordinates per point, first axis outermost
     mesh = np.meshgrid(*(axis.values() for axis in config.axes), indexing="ij")
     grid = np.stack([m.ravel() for m in mesh], axis=-1)
+    blocks = _row_blocks(grid, config.axes, jobs * _BLOCKS_PER_JOB if jobs > 1 else 1)
     evaluate = functools.partial(_evaluate_block, config.experiment, config.fixed, axis_names)
-    if jobs > 1:
-        # imported here: multiprocessing adds about 1.2 MB of RSS to every process
-        from concurrent.futures import ProcessPoolExecutor
-
-        blocks = _row_blocks(grid, config.axes, jobs * _BLOCKS_PER_JOB)
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(zip(blocks, pool.map(evaluate, blocks)))
-    else:
-        results = [(grid, evaluate(grid))]
-
-    header = list(axis_names) + ["stable"] + list(spec.metrics)
-    rows = []
-    for block, (stable, columns) in results:
-        n = int(stable.sum())
-        values = zip(*(np.broadcast_to(columns[name], n).tolist() for name in spec.metrics))
-        for coords, ok in zip(block.tolist(), stable.tolist()):
-            cells = map(_format_value, next(values)) if ok else ("",) * len(spec.metrics)
-            rows.append((*map(_format_value, coords), "1" if ok else "0", *cells))
-
     out_path = Path(config.output)
     if out_dir is not None:
         out_path = Path(out_dir) / out_path
-    try:
-        if out_path.parent != Path(""):
-            os.makedirs(out_path.parent, exist_ok=True)
-        with open(out_path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(header)
-            writer.writerows(rows)
-    except OSError as exc:
-        raise ConfigError(f"[sweep] output: cannot write {out_path}: {exc}") from exc
+    header = list(axis_names) + ["stable"] + list(spec.metrics)
+    with contextlib.ExitStack() as stack:
+        if jobs > 1:
+            # imported here: multiprocessing adds about 1.2 MB of RSS to every process
+            from concurrent.futures import ProcessPoolExecutor
 
-    return SweepResult(
-        path=out_path, columns=tuple(header), rows=tuple(rows), axes=config.axes
-    )
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=jobs))
+            results = pool.map(evaluate, blocks)
+        else:
+            results = map(evaluate, blocks)
+        _write_csv(out_path, header, spec.metrics, zip(blocks, results))
+    return SweepResult(path=out_path, columns=tuple(header), axes=config.axes)

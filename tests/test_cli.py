@@ -38,6 +38,10 @@ class TestCliSweep:
         out = capsys.readouterr().out
         assert "map.csv" in out
 
+    def test_reports_the_row_count(self, map_config, tmp_path, capsys):
+        assert main(["sweep", str(map_config), "--out", str(tmp_path)]) == EXIT_OK
+        assert f"wrote {tmp_path / 'map.csv'} (20 rows)" in capsys.readouterr().out
+
     def test_svg_flag_overrides_config(self, tmp_path):
         body = SMALL_MAP.replace("emit_svg = true", "emit_svg = false")
         cfg = tmp_path / "m.ini"

@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 from gausslink.heatmap import emit_heatmap
-from gausslink.sweeps import EXPERIMENTS, parse_config, run_sweep
+from gausslink.sweeps import _BLOCK_POINTS, EXPERIMENTS, parse_config, run_sweep
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -377,4 +377,54 @@ def test_gain_grids_cover_the_edge_points(name, tmp_path):
 @pytest.mark.parametrize("case", sorted(THERMAL_BLOCKS))
 def test_thermal_block_grid(case, tmp_path):
     name, grid, digest = THERMAL_BLOCKS[case]
+    assert sweep_files(small_config(name, tmp_path, grid), tmp_path) == {f"{name}.csv": digest}
+
+
+# grids longer than one row block (sweeps._BLOCK_POINTS): a closed-form map,
+# and a (tau, C_om) fig5a grid, whose devices each have a lane in every row
+# and so span every block; recorded when one job evaluated the whole grid as
+# one block
+_MULTI_BLOCK_CC = """
+[axis C_om]
+min = 0.1
+max = 10
+points = 130
+scale = log
+
+[axis C_em]
+min = 0.1
+max = 10
+points = 130
+scale = log
+"""
+_MULTI_BLOCK_RATE = """
+[axis tau]
+min = 0
+max = 1
+points = 130
+
+[axis C_om]
+min = 0.1
+max = 10
+points = 130
+scale = log
+"""
+MULTI_BLOCK = {
+    "fig2d": (
+        "fig2d_eof_map",
+        _MULTI_BLOCK_CC,
+        "a5e8d08ff4823c951a7ac43f9b615974ff56754d3f2a9007c1fb0a47f881a8a1",
+    ),
+    "fig5a-tau-C_om": (
+        "fig5a_click_rate",
+        _MULTI_BLOCK_RATE,
+        "76379b228cfc552f4ca3103d314a68a2027e06217776f5e1ba9bdf234cc891bb",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MULTI_BLOCK))
+def test_multi_block_grid(case, tmp_path):
+    name, grid, digest = MULTI_BLOCK[case]
+    assert 130 * 130 > _BLOCK_POINTS
     assert sweep_files(small_config(name, tmp_path, grid), tmp_path) == {f"{name}.csv": digest}

@@ -1,5 +1,7 @@
+import dataclasses
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -170,6 +172,27 @@ points = 3
 """
 
 
+# every point is stable, and only the last row's tau is out of range
+LAST_ROW_OUT_OF_RANGE = """
+[sweep]
+experiment = fig5a_click_rate
+output = out.csv
+
+[fixed]
+C_om = 2
+
+[axis tau]
+min = 0
+max = 1.2
+points = 3
+
+[axis C_em]
+min = 3
+max = 4
+points = 2
+"""
+
+
 class TestParseConfig:
     def test_minimal(self, tmp_path):
         cfg = parse_config(write_config(tmp_path, MINIMAL))
@@ -332,6 +355,49 @@ scale = log
         assert str(info.value) == f"{experiment} at {where}"
         assert main(["sweep", str(path), "--out", str(tmp_path)]) == EXIT_NUMERICAL
 
+    @pytest.mark.parametrize(
+        "block_points, blocks", [(2, 2), (sweeps._BLOCK_POINTS, 1)], ids=["two", "one"]
+    )
+    def test_failing_block_leaves_no_file(self, tmp_path, monkeypatch, block_points, blocks):
+        # the last point fails: in the second of two one-row blocks, after the
+        # first block's rows are written, or in the only block
+        build = TransducerParams.from_cooperativities.__func__
+
+        def failing(cls, c_om, c_em, *args):
+            if np.any((np.asarray(c_om) == 2.0) & (np.asarray(c_em) == 4.0)):
+                raise ValueError("injected failure")
+            return build(cls, c_om, c_em, *args)
+
+        monkeypatch.setattr(TransducerParams, "from_cooperativities", classmethod(failing))
+        monkeypatch.setattr(sweeps, "_BLOCK_POINTS", block_points)
+        cfg = parse_config(write_config(tmp_path, MINIMAL.replace("custom", "fig2d_eof_map")))
+        assert len(sweeps._row_blocks(np.zeros((4, 2)), cfg.axes, 1)) == blocks
+        with pytest.raises(NumericalError) as info:
+            run_sweep(cfg, out_dir=tmp_path)
+        assert str(info.value) == "fig2d_eof_map at C_om=2, C_em=4: injected failure"
+        assert not (tmp_path / "out.csv").exists()
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_failing_later_block_removes_the_file(self, tmp_path, monkeypatch, jobs):
+        # tau = 1.2 is out of range in the last of three one-row blocks
+        monkeypatch.setattr(sweeps, "_BLOCK_POINTS", 2)
+        path = write_config(tmp_path, LAST_ROW_OUT_OF_RANGE)
+        with pytest.raises(NumericalError, match="at tau=1.2, C_em=3: tau must lie in"):
+            run_sweep(parse_config(path), out_dir=tmp_path, jobs=jobs)
+        assert not (tmp_path / "out.csv").exists()
+
+    def test_negative_infinity_is_written_with_its_sign(self, tmp_path, monkeypatch):
+        spec = EXPERIMENTS["fig2d_eof_map"]
+
+        def evaluate(columns):
+            stable, metrics = spec.evaluate(columns)
+            return stable, dict(metrics, u=-np.inf, v=np.inf, w=np.nan)
+
+        monkeypatch.setitem(EXPERIMENTS, spec.name, dataclasses.replace(spec, evaluate=evaluate))
+        cfg = parse_config(write_config(tmp_path, MINIMAL.replace("custom", spec.name)))
+        stable = [row for row in run_sweep(cfg, out_dir=tmp_path).rows if row[2] == "1"]
+        assert {row[3:6] for row in stable} == {("-inf", "inf", "nan")}
+
     @pytest.mark.parametrize("experiment", ["fig1a_dqt_boundary", "custom"])
     def test_half_efficiency_point_has_zero_bound(self, tmp_path, experiment):
         # eta = 4 C_om C_em / (1 + C_om + C_em)^2 = 1/2 at C_om = 1, C_em = 2 with
@@ -473,3 +539,28 @@ def test_serial_sweep_setup_does_not_import_multiprocessing(tmp_path):
         capture_output=True, text=True, check=True, timeout=60,
     )
     assert out.stdout.strip() == "False"
+
+
+def test_sweep_memory_does_not_grow_with_the_grid(tmp_path):
+    # two and three full blocks of a closed-form map: only the coordinate grid
+    # grows with it, 16 bytes per point of a two-axis grid and as much again
+    # for the mesh it is built from
+    width = 128
+    rows = 2 * sweeps._BLOCK_POINTS // width
+
+    def peak(n_rows):
+        body = (
+            "[sweep]\nexperiment = fig2d_eof_map\noutput = map.csv\n\n"
+            f"[axis C_om]\nmin = 0.1\nmax = 10\npoints = {n_rows}\nscale = log\n\n"
+            f"[axis C_em]\nmin = 0.1\nmax = 10\npoints = {width}\nscale = log\n"
+        )
+        cfg = parse_config(write_config(tmp_path, body))
+        tracemalloc.start()
+        try:
+            run_sweep(cfg, out_dir=tmp_path)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    added = rows // 2 * width
+    assert (peak(rows + rows // 2) - peak(rows)) / added < 100
