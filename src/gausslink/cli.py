@@ -74,10 +74,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except NumericalError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except (ValueError, ArithmeticError) as exc:
+    except (NumericalError, ValueError, ArithmeticError) as exc:
         # covers linear-algebra failures too: LinAlgError subclasses ValueError
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

@@ -12,7 +12,7 @@ __all__ = [
 ]
 
 # PPT test: a state is entangled where nu_min^2 < _PPT_THRESHOLD.  The margin
-# below 1 absorbs round-off in nu_min^2, the small root of a quadratic, on
+# below 1 absorbs the few-ulp round-off of nu_min^2 = det_v / nu_max^2 on
 # states at the separability boundary, where nu_min = 1 exactly.
 _PPT_THRESHOLD = 1.0 - 1e-9
 
@@ -30,7 +30,10 @@ def _eof(u, v, w) -> tuple:
     u, v, w = np.asarray(u, dtype=float), np.asarray(v, dtype=float), np.abs(w)
     det_v = (u * v - w * w) ** 2
     delta = u * u + v * v + 2.0 * w * w
-    nu_min_sq = 0.5 * (delta - np.sqrt(np.maximum(delta * delta - 4.0 * det_v, 0.0)))
+    # nu_min^2 nu_max^2 = det_v: the small root from the large one, which does
+    # not cancel where nu_min << nu_max, near the stability boundary
+    nu_max_sq = 0.5 * (delta + np.sqrt(np.maximum(delta * delta - 4.0 * det_v, 0.0)))
+    nu_min_sq = det_v / nu_max_sq
     gamma = 2.0 * (det_v + 1.0) - (u - v) ** 2
     beta_plus = (u + v + 2.0 * w) ** 2
     beta_minus = (u + v - 2.0 * w) ** 2

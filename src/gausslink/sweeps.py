@@ -206,39 +206,28 @@ def _eval_fig4b(columns):
     )
 
 
-def _devices(columns: dict, per_lane: tuple) -> list:
-    """(blue device, lane indices) for each distinct device of a block, a device
-    being every column but ``per_lane``; each device is built from Python
-    floats, as from a single point."""
-    keys = [k for k in columns if k not in per_lane]
-    lanes = {}
-    for i, device in enumerate(zip(*(columns[k].tolist() for k in keys))):
-        lanes.setdefault(device, []).append(i)
-    return [(_params(dict(zip(keys, d)), "blue"), idx) for d, idx in lanes.items()]
+def _by_device(per_lane: tuple, rates, metrics: tuple):
+    """Evaluator of a block grouped by device, a device being every column but
+    ``per_lane``.  Each device is built from Python floats, as from a single
+    point, and checked for stability once; each stable one fills ``metrics``
+    on its lanes with ``rates(p, *per-lane columns)``."""
 
+    def evaluate(columns):
+        keys = [k for k in columns if k not in per_lane]
+        lanes = {}
+        for i, device in enumerate(zip(*(columns[k].tolist() for k in keys))):
+            lanes.setdefault(device, []).append(i)
+        stable = np.zeros(columns[per_lane[0]].size, dtype=bool)
+        values = [np.empty(stable.size) for _ in metrics]
+        for device, idx in lanes.items():
+            p = _params(dict(zip(keys, device)), "blue")
+            if stability_check(p):
+                stable[idx] = True
+                for column, x in zip(values, rates(p, *(columns[k][idx] for k in per_lane))):
+                    column[idx] = x
+        return stable, {name: column[stable] for name, column in zip(metrics, values)}
 
-def _eval_fig5a(columns):
-    """Click rates of a block: one stability check and one flux integral per device."""
-    tau, dt = columns["tau"], columns["pulse_duration"]
-    stable = np.zeros(tau.size, dtype=bool)
-    r_t, r_b = np.empty(tau.size), np.empty(tau.size)
-    for p, lanes in _devices(columns, ("tau", "pulse_duration")):
-        if stability_check(p):
-            stable[lanes] = True
-            r_t[lanes], r_b[lanes] = _click_rates(p, tau[lanes], dt[lanes])
-    return stable, dict(r_t=r_t[stable], r_B=r_b[stable])
-
-
-def _eval_fig5b(columns):
-    """Homodyne rates of a block: one stability check per device, and one
-    spectra solve per trapezoid level per stable device, shared by its tau lanes."""
-    stable = np.zeros(columns["tau"].size, dtype=bool)
-    e_r = np.empty(stable.size)
-    for p, lanes in _devices(columns, ("tau",)):
-        if stability_check(p):
-            stable[lanes] = True
-            e_r[lanes] = _entanglement_rates(p, columns["tau"][lanes])
-    return stable, dict(e_r=e_r[stable])
+    return evaluate
 
 
 def _eval_custom(columns):
@@ -355,7 +344,7 @@ EXPERIMENTS = {
         ExperimentSpec(
             "fig5a_click_rate",
             ("r_t", "r_B"),
-            _eval_fig5a,
+            _by_device(("tau", "pulse_duration"), _click_rates, ("r_t", "r_B")),
             _axes_fig5(),
             {"C_em": 10.0},
             "r_B",
@@ -363,7 +352,7 @@ EXPERIMENTS = {
         ExperimentSpec(
             "fig5b_homodyne_rate",
             ("e_r",),
-            _eval_fig5b,
+            _by_device(("tau",), lambda p, tau: (_entanglement_rates(p, tau),), ("e_r",)),
             _axes_fig5(),
             {"C_em": 10.0},
             "e_r",
@@ -527,6 +516,8 @@ def _evaluate_block(experiment: str, fixed: dict, axis_names: tuple, block: np.n
     experiment and the axis values of the first point that fails alone: points
     do not interact, so a failing block is re-run one point at a time.
     """
+    # looked up by name, in the worker too: the fig5 evaluators are closures,
+    # which a process pool cannot pickle
     evaluate = EXPERIMENTS[experiment].evaluate
     columns = {k: np.full(len(block), v) for k, v in fixed.items()}
     columns.update(zip(axis_names, np.ascontiguousarray(block.T)))

@@ -107,7 +107,8 @@ def scalar_ppt_min_symplectic(u, v, w):
     det_v = (u * v - w * w) ** 2
     delta = u * u + v * v + 2.0 * w * w
     rad = max(delta * delta - 4.0 * det_v, 0.0)
-    return float(np.sqrt(max((delta - np.sqrt(rad)) / 2.0, 0.0)))
+    # det_v over the large root: the small root (delta - sqrt(rad)) / 2 cancels
+    return float(np.sqrt(det_v / ((delta + np.sqrt(rad)) / 2.0)))
 
 
 def scalar_eof_pieces(u, v, w):
@@ -138,11 +139,12 @@ def scalar_entanglement_of_formation(u, v, w):
 
 
 def earlier_eof(u, v, w):
-    # the array _eof before its all-separable shortcut
+    # the array _eof before its all-separable shortcut, with its later
+    # cancellation-free nu_min^2
     u, v, w = np.asarray(u, dtype=float), np.asarray(v, dtype=float), np.abs(w)
     det_v = (u * v - w * w) ** 2
     delta = u * u + v * v + 2.0 * w * w
-    nu_min_sq = 0.5 * (delta - np.sqrt(np.maximum(delta * delta - 4.0 * det_v, 0.0)))
+    nu_min_sq = det_v / (0.5 * (delta + np.sqrt(np.maximum(delta * delta - 4.0 * det_v, 0.0))))
     gamma = 2.0 * (det_v + 1.0) - (u - v) ** 2
     beta_plus = (u + v + 2.0 * w) ** 2
     beta_minus = (u + v - 2.0 * w) ** 2

@@ -97,6 +97,15 @@ class TestCliSweep:
         err = capsys.readouterr().err
         assert "numerical failure: fig2d_eof_map at C_om=1, C_em=0.2:" in err
 
+    def test_raw_value_error_is_a_numerical_failure(self, map_config, tmp_path, monkeypatch, capsys):
+        # an error the sweep does not wrap in NumericalError exits 3 all the same
+        def run_sweep(*args, **kwargs):
+            raise ValueError("singular matrix")
+
+        monkeypatch.setattr("gausslink.cli.run_sweep", run_sweep)
+        assert main(["sweep", str(map_config), "--out", str(tmp_path)]) == 3
+        assert capsys.readouterr().err == "numerical failure: singular matrix\n"
+
     def test_config_not_utf8_is_a_config_error(self, tmp_path, capsys):
         # UnicodeDecodeError is a ValueError, which main reports as numerical
         bad = tmp_path / "latin1.ini"

@@ -198,6 +198,16 @@ def test_optical_loss_does_not_increase_eof(device, tau):
     assert _at_most(_e_f(lossy_u, v, lossy_w), _e_f(u, v, w))
 
 
+def test_optical_loss_does_not_create_entanglement_near_the_boundary():
+    # u = 1.37e7: nu_min^2 as the small root of its quadratic, (delta - rad) / 2,
+    # lost the PPT verdict of the lossless state here and read E_F = 0
+    u, v, w = _closed_form_uvw(1.0059544, 0.0073930, 1.0, 1.0, 2.525)
+    lossy_u, lossy_w = _optical_loss(u, w, 0.841)
+    lossy = _e_f(lossy_u, v, lossy_w)
+    assert lossy > 0.002
+    assert _e_f(u, v, w) >= lossy
+
+
 @settings(max_examples=300, deadline=None)
 @given(device=_stable_devices(), extra=st.floats(0.0, 5.0), tau=st.floats(0.0, 1.0))
 def test_thermal_noise_does_not_increase_eof(device, extra, tau):

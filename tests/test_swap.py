@@ -13,7 +13,12 @@ from gausslink.swap import (
 )
 from gausslink.sweeps import EXPERIMENTS, FIXED_DEFAULTS
 from gausslink.teleport import optimize_gain
-from gausslink.transducer import TransducerParams, TwoModeStandardForm, output_mo_covariance
+from gausslink.transducer import (
+    TransducerParams,
+    TwoModeStandardForm,
+    _drift_blue,
+    output_mo_covariance,
+)
 
 WORKED = TwoModeStandardForm(17.0, 9.0, 12.0)
 Z2 = np.diag([1.0, -1.0])
@@ -162,6 +167,21 @@ class TestOpticalLoss:
             apply_optical_loss(WORKED, -0.1)
 
 
+def lyapunov_photon_rate(p):
+    """Exact optical photon rate R of a stable blue device, the oracle of the
+    windowed flux integral: the steady state X = <x x^dag> of the drift M
+    (mode order a^dag, b, c) solves M X + X M^H + D = 0, with D the input
+    noise, and R = kappa_o_c Re X[0, 0] (Gardiner & Collett, PRA 31, 3761,
+    1985).  The Kronecker form acts on the column-major vec(X)."""
+    m = _drift_blue(p)
+    eye = np.eye(3)
+    noise = np.diag(
+        [0.0, p.kappa_m * (p.n_th + 1.0), p.kappa_e_c + p.kappa_e_i * (p.n_th + 1.0)]
+    )
+    vec = np.linalg.solve(np.kron(eye, m) + np.kron(m.conj(), eye), -noise.ravel(order="F"))
+    return p.kappa_o_c * vec.reshape(3, 3, order="F")[0, 0].real
+
+
 class TestClickRate:
     def test_no_coupling_no_photons(self):
         r_t, r_b = click_rate(_blue(0.0, 1.0), tau=1.0, dt=1.0)
@@ -202,6 +222,37 @@ class TestClickRate:
     def test_unstable_rejected(self):
         with pytest.raises(ValueError, match="unstable"):
             click_rate(_blue(5.0, 1.0), 1.0, 1.0)
+
+    @pytest.mark.parametrize(
+        "device, exact",
+        [
+            ((1.0, 1.0, 1.0, 1.0, 0.0), 7 / 8),
+            ((5.0, 10.0, 0.8, 1.0, 1.0), 16 / 9),
+            ((0.0, 1.0, 1.0, 1.0, 0.0), 0.0),  # a dark source
+        ],
+    )
+    def test_lyapunov_oracle_exact_values(self, device, exact):
+        p = TransducerParams.from_cooperativities(*device, "blue")
+        assert lyapunov_photon_rate(p) == pytest.approx(exact, rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "device",
+        [
+            (0.1, 10.0, 1.0, 1.0, 0.0),
+            (1.0, 1.0, 1.0, 1.0, 0.0),
+            (5.0, 10.0, 0.8, 1.0, 1.0),
+            (2.9, 2.0, 1.0, 1.0, 0.0),
+            (2.9, 2.0, 1.0, 1.0, 0.5),
+            (0.5, 0.3, 0.8, 0.9, 2.0),
+        ],
+    )
+    def test_windowed_flux_misses_only_the_tails(self, device):
+        # the flux is integrated over [-W, W] only: r_t falls short of the
+        # exact rate by the Lorentzian tails, 1.8e-6 to 1.9e-4 relative here
+        p = TransducerParams.from_cooperativities(*device, "blue")
+        exact = lyapunov_photon_rate(p)
+        r_t, _ = click_rate(p, 1.0, 1.0)
+        assert 0.0 <= (exact - r_t) / exact < 2e-4
 
 
 def _mm_capacity(form):
