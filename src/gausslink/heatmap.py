@@ -7,9 +7,8 @@ second left to right.
 """
 
 import csv
+import math
 from pathlib import Path
-
-import numpy as np
 
 from .sweeps import ConfigError
 
@@ -75,7 +74,7 @@ def _read_grid(csv_path: Path, metric: str) -> tuple:
         else:
             parsed = float(cell)
             # non-finite cells (e.g. an infinite boundary) render as neutral
-            values.append(parsed if np.isfinite(parsed) else None)
+            values.append(parsed if math.isfinite(parsed) else None)
     return header[0], header[1], n1, n2, values
 
 
@@ -116,21 +115,20 @@ def emit_heatmap(csv_path, metric: str, svg_path) -> Path:
             f'height="{height:.0f}" viewBox="0 0 {width:.0f} {height:.0f}">\n'
             f'<rect width="{width:.0f}" height="{height:.0f}" fill="white"/>\n'
         )
-        for k, value in enumerate(values):
-            i, j = k // n2, k % n2
-            x = _MARGIN_L + j * cell_w
+        # every cell of a column shares its x, of a row its y, and all their
+        # size; equal values share their color
+        xs = [f'<rect x="{_MARGIN_L + j * cell_w:.2f}" y="' for j in range(n2)]
+        size = f'" width="{cell_w + 0.05:.2f}" height="{cell_h + 0.05:.2f}" fill="'
+        fills = {None: NEUTRAL}
+        for i in range(n1):
             # first axis increases upward
-            y = _MARGIN_T + _PLOT_H - (i + 1) * cell_h
-            if value is None:
-                fill = NEUTRAL
-            elif degenerate:
-                fill = _color(0.5)
-            else:
-                fill = _color((value - vmin) / (vmax - vmin))
-            fh.write(
-                f'<rect x="{x:.2f}" y="{y:.2f}" width="{cell_w + 0.05:.2f}" '
-                f'height="{cell_h + 0.05:.2f}" fill="{fill}"/>\n'
-            )
+            y = f"{_MARGIN_T + _PLOT_H - (i + 1) * cell_h:.2f}{size}"
+            for x, value in zip(xs, values[i * n2 : (i + 1) * n2]):
+                fill = fills.get(value)
+                if fill is None:
+                    frac = 0.5 if degenerate else (value - vmin) / (vmax - vmin)
+                    fill = fills[value] = _color(frac)
+                fh.write(f'{x}{y}{fill}"/>\n')
         fh.write(
             f'<text x="{cx:.0f}" y="{height - 12:.0f}" text-anchor="middle" {label_style}>'
             f"{ax2_name}</text>\n"

@@ -11,7 +11,6 @@ import configparser
 import contextlib
 import csv
 import functools
-import itertools
 import math
 import os
 from dataclasses import dataclass
@@ -509,8 +508,9 @@ def parse_config(path) -> SweepConfig:
 # --- execution ----------------------------------------------------------------
 
 
-def _evaluate_block(experiment: str, fixed: dict, axis_names: tuple, block: np.ndarray) -> tuple:
-    """The experiment's ``(stable, columns)`` of a block of grid coordinates.
+def _evaluate_block(experiment: str, fixed: dict, axes: tuple, rows: np.ndarray) -> tuple:
+    """The experiment's ``(stable, columns)`` of the block of grid rows whose
+    first-axis values are ``rows``.
 
     A ValueError or ArithmeticError is raised as NumericalError naming the
     experiment and the axis values of the first point that fails alone: points
@@ -519,76 +519,89 @@ def _evaluate_block(experiment: str, fixed: dict, axis_names: tuple, block: np.n
     # looked up by name, in the worker too: the fig5 evaluators are closures,
     # which a process pool cannot pickle
     evaluate = EXPERIMENTS[experiment].evaluate
-    columns = {k: np.full(len(block), v) for k, v in fixed.items()}
-    columns.update(zip(axis_names, np.ascontiguousarray(block.T)))
+    coords = _block_coords(rows, axes)
+    columns = {k: np.full(coords[0].size, v) for k, v in fixed.items()}
+    columns.update(zip((axis.name for axis in axes), coords))
     try:
         return evaluate(columns)
     except (ValueError, ArithmeticError):
-        for i, coords in enumerate(block.tolist()):
+        for i, point in enumerate(zip(*(c.tolist() for c in coords))):
             try:
                 evaluate({k: c[i : i + 1] for k, c in columns.items()})
             except (ValueError, ArithmeticError) as exc:
-                where = ", ".join(f"{n}={_format_value(c)}" for n, c in zip(axis_names, coords))
+                names = (axis.name for axis in axes)
+                where = ", ".join("%s=%.12g" % pair for pair in zip(names, point))
                 raise NumericalError(f"{experiment} at {where}: {exc}") from exc
         raise
-
-
-def _format_value(value) -> str:
-    if isinstance(value, str):
-        return value
-    return f"{float(value):.12g}"
 
 
 # blocks each pool worker gets on average: several, so that rows of cheap
 # unstable points do not leave a worker idle while another finishes
 _BLOCKS_PER_JOB = 4
-# most points a block holds at any job count, so that beyond its coordinates
-# a sweep takes the same memory whatever the size of its grid
+# most points a block holds at any job count, so that a sweep takes the same
+# memory whatever the size of its grid
 _BLOCK_POINTS = 2**14
 
 
-def _row_blocks(grid: np.ndarray, axes: tuple, count: int) -> list:
+def _row_blocks(axes: tuple, count: int) -> list:
     """Split a row-major grid into contiguous blocks of whole rows (a row is
-    one value of the first axis): at least ``count`` blocks where the grid has
-    that many rows, and enough that none holds more than ``_BLOCK_POINTS``
-    points unless one row does."""
+    one value of the first axis), each given by its slice of the first axis's
+    values: at least ``count`` blocks where the grid has that many rows, and
+    enough that none holds more than ``_BLOCK_POINTS`` points unless one row
+    does."""
+    first = axes[0].values()
     width = axes[1].points if len(axes) == 2 else 1
-    rows = len(grid) // width
     per_block = max(_BLOCK_POINTS // width, 1)
-    count = min(max(count, -(-rows // per_block)), rows)
-    cuts = [width * (rows * i // count) for i in range(count + 1)]
-    return [grid[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
+    count = min(max(count, -(-first.size // per_block)), first.size)
+    cuts = [first.size * i // count for i in range(count + 1)]
+    return [first[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
 
 
-def _write_block(writer, metrics: tuple, block: np.ndarray, stable: np.ndarray, columns: dict):
-    """Write the CSV rows of an evaluated block; unstable points leave every
-    metric cell empty.  The rows are freed on return, before the sweep takes
-    the next block."""
+def _block_coords(rows: np.ndarray, axes: tuple) -> tuple:
+    """One coordinate column per axis over a block's points, first axis
+    outermost: exact copies of the axes' values, as a meshgrid of the whole
+    grid would hold them."""
+    if len(axes) == 1:
+        return (rows,)
+    second = axes[1].values()
+    return np.repeat(rows, second.size), np.tile(second, rows.size)
+
+
+def _write_block(fh, metrics: tuple, coords: tuple, stable: np.ndarray, columns: dict):
+    """Write the CSV lines of an evaluated block, each from one format string:
+    numbers to 12 significant digits, strings as they are; unstable points
+    leave every metric cell empty.  No cell can hold a comma, quote or line
+    break, so none is quoted."""
     n = int(stable.sum())
-    values = zip(*(np.broadcast_to(columns[name], n).tolist() for name in metrics))
-    empty = ("",) * len(metrics)
-    rows = []
-    for coords, ok in zip(block.tolist(), stable.tolist()):
-        cells = map(_format_value, next(values)) if ok else empty
-        rows.append((*map(_format_value, coords), "1" if ok else "0", *cells))
-    writer.writerows(rows)
+    cells = [np.broadcast_to(columns[name], n) for name in metrics]
+    head = "%.12g," * len(coords)
+    ok_line = head + "1" + "".join(",%s" if c.dtype.kind == "U" else ",%.12g" for c in cells)
+    bad_line = head + "0" + "," * len(metrics)
+    values = zip(*(c[stable].tolist() for c in coords), *(c.tolist() for c in cells))
+    ok = map((ok_line + "\n").__mod__, values)
+    bad = map((bad_line + "\n").__mod__, zip(*(c[~stable].tolist() for c in coords)))
+    fh.writelines(next(ok) if s else next(bad) for s in stable.tolist())
 
 
-def _write_csv(path: Path, header: list, metrics: tuple, results) -> None:
-    """Write ``header``, then the rows of each ``(block, (stable, columns))``
-    that ``results`` yields, before taking the next.  The file is created once
-    the first block is ready, so a sweep that fails there writes nothing; a
-    later failure removes the file."""
-    first = next(results)
+def _write_csv(path: Path, header: list, metrics: tuple, axes: tuple, blocks, results) -> None:
+    """Write ``header``, then the rows of each block of ``blocks`` from the
+    ``(stable, columns)`` that ``results`` yields for it, before taking the
+    next.  The file is created once the first block is ready, so a sweep that
+    fails there writes nothing; a later failure removes the file."""
     fh = None
     try:
-        if path.parent != Path(""):
-            os.makedirs(path.parent, exist_ok=True)
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(header)
-            for block, (stable, columns) in itertools.chain([first], results):
-                _write_block(writer, metrics, block, stable, columns)
+        with contextlib.ExitStack() as stack:
+            # not zipped with the blocks: a zip would hold each block's results
+            # until the next block is evaluated
+            for rows in blocks:
+                stable, columns = next(results)
+                if fh is None:
+                    if path.parent != Path(""):
+                        os.makedirs(path.parent, exist_ok=True)
+                    fh = stack.enter_context(open(path, "w", newline="", encoding="utf-8"))
+                    fh.write(",".join(header) + "\n")
+                _write_block(fh, metrics, _block_coords(rows, axes), stable, columns)
+                del stable, columns
     except BaseException as exc:
         if fh is not None:
             path.unlink(missing_ok=True)
@@ -611,16 +624,12 @@ def run_sweep(config: SweepConfig, out_dir=None, jobs: int = 1) -> SweepResult:
     and leave every metric cell empty.
     """
     spec = EXPERIMENTS[config.experiment]
-    axis_names = tuple(axis.name for axis in config.axes)
-    # one row of coordinates per point, first axis outermost
-    mesh = np.meshgrid(*(axis.values() for axis in config.axes), indexing="ij")
-    grid = np.stack([m.ravel() for m in mesh], axis=-1)
-    blocks = _row_blocks(grid, config.axes, jobs * _BLOCKS_PER_JOB if jobs > 1 else 1)
-    evaluate = functools.partial(_evaluate_block, config.experiment, config.fixed, axis_names)
+    blocks = _row_blocks(config.axes, jobs * _BLOCKS_PER_JOB if jobs > 1 else 1)
+    evaluate = functools.partial(_evaluate_block, config.experiment, config.fixed, config.axes)
     out_path = Path(config.output)
     if out_dir is not None:
         out_path = Path(out_dir) / out_path
-    header = list(axis_names) + ["stable"] + list(spec.metrics)
+    header = [axis.name for axis in config.axes] + ["stable"] + list(spec.metrics)
     with contextlib.ExitStack() as stack:
         if jobs > 1:
             # imported here: multiprocessing adds about 1.2 MB of RSS to every process
@@ -630,5 +639,5 @@ def run_sweep(config: SweepConfig, out_dir=None, jobs: int = 1) -> SweepResult:
             results = pool.map(evaluate, blocks)
         else:
             results = map(evaluate, blocks)
-        _write_csv(out_path, header, spec.metrics, zip(blocks, results))
+        _write_csv(out_path, header, spec.metrics, config.axes, blocks, results)
     return SweepResult(path=out_path, columns=tuple(header), axes=config.axes)

@@ -321,8 +321,9 @@ def _drift_blue(p: TransducerParams) -> np.ndarray:
 
 
 # Drift eigenvalues must have real parts below this to count as stable.  The
-# margin is absolute: a device with 1 + C_em - C_om = 1e-8 still passes, with u
-# near 1e17 to 1e19.
+# margin is absolute: the Routh-Hurwitz test of `stability_check` shifts every
+# decay rate by it, so a device with 1 + C_em - C_om = 1e-8 still passes, with
+# u near 1e17 to 1e19.
 _STABILITY_MARGIN = -1e-9
 
 
@@ -331,11 +332,20 @@ def stability_check(p: TransducerParams) -> bool:
 
     All eigenvalues of the drift matrix must have real part below
     _STABILITY_MARGIN (-1e-9); the parametric gain destabilizes the system
-    once C_om reaches 1 + C_em.  Array-valued parameters give a bool array
-    from one batched eigvals.
+    once C_om reaches 1 + C_em.  The drift's characteristic polynomial is the
+    real cubic (x + a)(x + b)(x + c) + g_em^2 (x + a) - g_om^2 (x + c), with
+    a, b, c the halved optical, mechanical and microwave linewidths; shifted by
+    the margin, its roots lie in the open left half plane exactly when the
+    Routh-Hurwitz conditions hold, so no eigenvalue is computed.
+    Array-valued parameters give a bool array.
     """
     _require(p, "blue")
-    stable = np.max(np.linalg.eigvals(_drift_blue(p)).real, axis=-1) < _STABILITY_MARGIN
+    a, b, c = (k / 2.0 + _STABILITY_MARGIN for k in (p.kappa_o, p.kappa_m, p.kappa_e))
+    g_om2, g_em2 = p.g_om * p.g_om, p.g_em * p.g_em
+    a2 = a + b + c
+    a1 = a * b + b * c + a * c + g_em2 - g_om2
+    a0 = a * b * c + g_em2 * a - g_om2 * c
+    stable = np.asarray((a2 > 0) & (a0 > 0) & (a2 * a1 > a0))
     return stable if stable.ndim else bool(stable)
 
 

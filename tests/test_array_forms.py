@@ -47,6 +47,7 @@ from gausslink.transducer import (
     _drift_red,
     mo_standard_form_spectra,
     output_mo_covariance,
+    stability_check,
 )
 
 _Z2 = np.diag([1.0, -1.0])
@@ -328,6 +329,60 @@ def test_form_check_rejects_what_check_physical_rejects(u, v, w):
         check_physical(cov)
     with pytest.raises(ValueError, match="not physical"):
         TwoModeStandardForm(u, v, w)
+
+
+# --- the stability verdict ------------------------------------------------------
+
+
+def _log_floats(lo, hi):
+    return st.floats(np.log10(lo), np.log10(hi)).map(lambda x: float(10.0**x))
+
+
+@st.composite
+def _near_boundary(draw):
+    """A device with unequal linewidths, at a distance d = 1 + C_em - C_om
+    from the stability boundary of magnitude 1e-12 to 1, on either side."""
+    c_em = draw(st.one_of(st.just(0.0), _log_floats(0.01, 100.0)))
+    d = draw(st.sampled_from([1.0, -1.0])) * draw(_log_floats(1e-12, 1.0))
+    pt = dict(FIXED_DEFAULTS)
+    pt.update(
+        C_om=max(1.0 + c_em - d, 0.0),
+        C_em=c_em,
+        zeta_o=draw(st.floats(0.01, 1.0)),
+        zeta_e=draw(st.floats(0.01, 1.0)),
+        n_th=draw(st.one_of(st.just(0.0), st.floats(0.0, 5.0))),
+        kappa_o=draw(_log_floats(0.03, 30.0)),
+        kappa_e=draw(_log_floats(0.03, 30.0)),
+        kappa_m=draw(_log_floats(0.03, 30.0)),
+    )
+    return pt
+
+
+@settings(max_examples=150, deadline=None)
+@given(points=st.lists(st.one_of(_near_boundary(), _points()), min_size=1, max_size=12))
+def test_stability_verdict_equals_the_eigenvalue_oracle(points):
+    params = [_params(pt) for pt in points]
+    expected = [scalar_stability_check(p) for p in params]
+    assert [stability_check(p) for p in params] == expected
+    assert stability_check(_params(_columns(points))).tolist() == expected
+
+
+@pytest.mark.parametrize(
+    "c_om, c_em, stable",
+    [
+        (0.0, 0.0, True),  # no coupling: the bare decay rates
+        (3.0 - 1e-8, 2.0, True),  # its largest real part is still below the margin
+        (3.0, 2.0, False),  # the boundary C_om = 1 + C_em itself
+        (3.5, 2.0, False),
+    ],
+    ids=["uncoupled", "d=1e-8", "boundary", "d=-0.5"],
+)
+def test_stability_verdict_at_pinned_points(c_om, c_em, stable):
+    pt = dict(FIXED_DEFAULTS, C_om=c_om, C_em=c_em)
+    p = _params(pt)
+    assert stability_check(p) is stable
+    assert scalar_stability_check(p) is stable
+    assert stability_check(_params(_columns([pt, pt]))).tolist() == [stable, stable]
 
 
 # --- scalar wrappers against the scalar code -----------------------------------

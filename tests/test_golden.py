@@ -428,3 +428,58 @@ def test_multi_block_grid(case, tmp_path):
     name, grid, digest = MULTI_BLOCK[case]
     assert 130 * 130 > _BLOCK_POINTS
     assert sweep_files(small_config(name, tmp_path, grid), tmp_path) == {f"{name}.csv": digest}
+
+
+# heatmaps of small hand-written grids, for the renderer's edge cases: empty
+# (unstable) cells beside finite, infinite and NaN metric cells; a degenerate
+# (min = max) map; and a map without one finite cell
+_SVG_MIXED = """C_om,C_em,stable,e_f
+0.1,1,1,0.5
+0.1,2,1,1.25
+0.1,3,1,-0.75
+0.1,4,1,inf
+0.5,1,0,
+0.5,2,1,2
+0.5,3,1,0.001
+0.5,4,1,nan
+2,1,1,-inf
+2,2,1,3.5
+2,3,1,0
+2,4,0,
+"""
+_SVG_FLAT = """C_om,C_em,stable,e_f
+1,0.5,1,0.25
+1,1,0,
+1,1.5,1,0.25
+3,0.5,1,0.25
+3,1,1,0.25
+3,1.5,1,0.25
+"""
+_SVG_NOT_FINITE = """tau,C_om,stable,e_f
+0,1,1,inf
+0,2,0,
+1,1,1,nan
+1,2,1,-inf
+"""
+SVG_EDGES = {
+    "mixed": (
+        _SVG_MIXED,
+        "f0c9ef63cfd5293dab2fec9ef2464fdfdfc63657fb55c1c82988d437fee094c2",
+    ),
+    "flat": (
+        _SVG_FLAT,
+        "7f7556e187d23e19a8cf35e449227321dda735192795ca7afd7bccf7e20db8dd",
+    ),
+    "not-finite": (
+        _SVG_NOT_FINITE,
+        "3b6aa09786dad188bdb4cc5c5fa3030798a7b4a6966a04541ed6e8061719a6a0",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SVG_EDGES))
+def test_heatmap_edge_cases(case, tmp_path):
+    body, digest = SVG_EDGES[case]
+    csv_path = tmp_path / "grid.csv"
+    csv_path.write_text(body, encoding="utf-8")
+    assert sha256(emit_heatmap(csv_path, "e_f", tmp_path / "grid.svg")) == digest

@@ -1,4 +1,6 @@
+import csv
 import dataclasses
+import io
 import subprocess
 import sys
 import tracemalloc
@@ -299,8 +301,9 @@ scale = log
         cfg = parse_config(write_config(tmp_path, body))
         mesh = np.meshgrid(*(axis.values() for axis in cfg.axes), indexing="ij")
         grid = np.stack([m.ravel() for m in mesh], axis=-1)
-        blocks = sweeps._row_blocks(grid, cfg.axes, 2 * sweeps._BLOCKS_PER_JOB)
-        assert np.array_equal(np.concatenate(blocks), grid)
+        blocks = sweeps._row_blocks(cfg.axes, 2 * sweeps._BLOCKS_PER_JOB)
+        coords = [np.stack(sweeps._block_coords(rows, cfg.axes), axis=-1) for rows in blocks]
+        assert np.array_equal(np.concatenate(coords), grid)
         serial = run_sweep(cfg, out_dir=tmp_path / "s", jobs=1)
         parallel = run_sweep(cfg, out_dir=tmp_path / "p", jobs=2)
         assert serial.path.read_bytes() == parallel.path.read_bytes()
@@ -371,7 +374,7 @@ scale = log
         monkeypatch.setattr(TransducerParams, "from_cooperativities", classmethod(failing))
         monkeypatch.setattr(sweeps, "_BLOCK_POINTS", block_points)
         cfg = parse_config(write_config(tmp_path, MINIMAL.replace("custom", "fig2d_eof_map")))
-        assert len(sweeps._row_blocks(np.zeros((4, 2)), cfg.axes, 1)) == blocks
+        assert len(sweeps._row_blocks(cfg.axes, 1)) == blocks
         with pytest.raises(NumericalError) as info:
             run_sweep(cfg, out_dir=tmp_path)
         assert str(info.value) == "fig2d_eof_map at C_om=2, C_em=4: injected failure"
@@ -542,9 +545,8 @@ def test_serial_sweep_setup_does_not_import_multiprocessing(tmp_path):
 
 
 def test_sweep_memory_does_not_grow_with_the_grid(tmp_path):
-    # two and three full blocks of a closed-form map: only the coordinate grid
-    # grows with it, 16 bytes per point of a two-axis grid and as much again
-    # for the mesh it is built from
+    # two and three full blocks of a closed-form map: each block builds its own
+    # coordinates, so only the first axis's values grow with the grid
     width = 128
     rows = 2 * sweeps._BLOCK_POINTS // width
 
@@ -564,3 +566,88 @@ def test_sweep_memory_does_not_grow_with_the_grid(tmp_path):
 
     added = rows // 2 * width
     assert (peak(rows + rows // 2) - peak(rows)) / added < 100
+
+
+def test_sweep_memory_holds_one_block_at_a_time(tmp_path):
+    # the grids of the test above, to a bound a whole-grid array of 8 bytes
+    # per point would break: a block's coordinates and results are freed
+    # before the next block is evaluated
+    width = 128
+    rows = 2 * sweeps._BLOCK_POINTS // width
+    body = (
+        "[sweep]\nexperiment = fig2d_eof_map\noutput = map.csv\n\n"
+        "[axis C_om]\nmin = 0.1\nmax = 10\npoints = {}\nscale = log\n\n"
+        f"[axis C_em]\nmin = 0.1\nmax = 10\npoints = {width}\nscale = log\n"
+    )
+    peaks = []
+    for n_rows in (rows, rows + rows // 2):
+        cfg = parse_config(write_config(tmp_path, body.format(n_rows)))
+        tracemalloc.start()
+        try:
+            run_sweep(cfg, out_dir=tmp_path)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert (peaks[1] - peaks[0]) / (rows // 2 * width) < 4
+
+
+def earlier_write_block(metrics, coords, stable, columns) -> str:
+    """The CSV lines of a block as the earlier writer gave them: csv.writer,
+    and one format call per cell."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    cell = lambda x: x if isinstance(x, str) else f"{float(x):.12g}"  # noqa: E731
+    values = zip(*(np.broadcast_to(columns[m], int(stable.sum())).tolist() for m in metrics))
+    for point, ok in zip(zip(*(c.tolist() for c in coords)), stable.tolist()):
+        cells = map(cell, next(values)) if ok else ("",) * len(metrics)
+        writer.writerow((*map(cell, point), "1" if ok else "0", *cells))
+    return out.getvalue()
+
+
+_ODD = [-0.0, np.inf, -np.inf, np.nan, 5e-324, 1e300, 0.1 + 0.2, 1e16, -1.5e-7, 123456789012.5]
+_WRITER_BLOCKS = {
+    # odd floats in coordinates and metrics, the second point unstable
+    "odd-values": (
+        ("a", "b"),
+        (np.array(_ODD), np.array(_ODD[::-1])),
+        np.arange(10) != 1,
+        {"a": np.array(_ODD[1:]), "b": np.array(_ODD[:-1])[::-1]},
+    ),
+    # fig2a's channel kinds are strings, and its gain axis the only axis
+    "strings-one-axis": (
+        ("kind", "eta_prime"),
+        (np.array([0.5, 1.0, 2.0, 3.0]),),
+        np.array([True, True, False, True]),
+        {
+            "kind": ["thermal_loss", "random_displacement", "thermal_amp"],
+            "eta_prime": [0.25, 1, 4.0],
+        },
+    ),
+    # a metric given once for the whole block, finite or not
+    "whole-block-metric": (
+        ("e_f", "boundary", "cap"),
+        (np.array([0.1, 0.1, 10.0]), np.array([1.0, 2.0, 1.0])),
+        np.array([True, False, True]),
+        {"e_f": np.array([0.5, 0.0]), "boundary": 5.82842712475, "cap": np.inf},
+    ),
+    "all-unstable": (
+        ("u", "boundary"),
+        (np.array([1.0, 2.0]), np.array([3.0, 4.0])),
+        np.zeros(2, dtype=bool),
+        {"u": np.empty(0), "boundary": 2.0},
+    ),
+    "all-stable": (
+        ("u",),
+        (np.geomspace(0.1, 10.0, 7), np.linspace(0.0, 1.0, 7)),
+        np.ones(7, dtype=bool),
+        {"u": np.linspace(1.0, 1e9, 7) / 3.0},
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_WRITER_BLOCKS))
+def test_writer_gives_the_earlier_writers_bytes(case):
+    metrics, coords, stable, columns = _WRITER_BLOCKS[case]
+    out = io.StringIO()
+    sweeps._write_block(out, metrics, coords, stable, columns)
+    assert out.getvalue() == earlier_write_block(metrics, coords, stable, columns)
