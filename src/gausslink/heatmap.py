@@ -8,6 +8,7 @@ second left to right.
 
 import csv
 import math
+from operator import methodcaller
 from pathlib import Path
 
 from .sweeps import ConfigError
@@ -39,15 +40,17 @@ def _read_grid(csv_path: Path, metric: str) -> tuple:
     """Axis names and value counts, and the metric value of each cell (None
     where empty or not finite).
 
-    Rows are read one at a time, keeping only their axis-value indices and
-    metric cell: holding every row whole cost about 7 MB on a 100x100 grid.
+    A sweep CSV quotes no data cell, so each row is split at its commas, up
+    to the second axis or the metric cell, whichever is later.  Rows are read
+    one at a time, keeping only their metric cell and their axis values, one
+    string per distinct value: holding every row whole cost about 7 MB on a
+    100x100 grid.
     """
-    with open(csv_path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ConfigError(f"{csv_path}: empty CSV") from None
+    with open(csv_path, encoding="utf-8") as fh:
+        line = fh.readline()
+        if not line:
+            raise ConfigError(f"{csv_path}: empty CSV")
+        header = next(csv.reader([line]))
         if "stable" not in header:
             raise ConfigError(f"{csv_path}: not a sweep CSV (no 'stable' column)")
         n_axes = header.index("stable")
@@ -56,26 +59,21 @@ def _read_grid(csv_path: Path, metric: str) -> tuple:
         if metric not in header:
             raise ConfigError(f"{csv_path}: no column named {metric!r}")
         mcol = header.index(metric)
-        # each axis value's index in order of first appearance, per row
-        seen1, seen2, idx1, idx2, cells = {}, {}, [], [], []
-        for row in reader:
-            idx1.append(seen1.setdefault(row[0], len(seen1)))
-            idx2.append(seen2.setdefault(row[1], len(seen2)))
+        # each axis's distinct values in order of first appearance
+        seen1, seen2, col1, col2, cells = {}, {}, [], [], []
+        for row in map(methodcaller("split", ",", max(mcol, 1) + 1), fh):
+            col1.append(seen1.setdefault(row[0], row[0]))
+            col2.append(seen2.setdefault(row[1], row[1]))
             cells.append(row[mcol])
     n1, n2 = len(seen1), len(seen2)
     if n1 * n2 != len(cells):
         raise ConfigError(f"{csv_path}: rows do not form a complete {n1} x {n2} grid")
-    values = []
-    for k, cell in enumerate(cells):
-        if (idx1[k], idx2[k]) != (k // n2, k % n2):
-            raise ConfigError(f"{csv_path}: rows are not in row-major grid order")
-        if cell == "":
-            values.append(None)
-        else:
-            parsed = float(cell)
-            # non-finite cells (e.g. an infinite boundary) render as neutral
-            values.append(parsed if math.isfinite(parsed) else None)
-    return header[0], header[1], n1, n2, values
+    if col1 != [x for x in seen1 for _ in range(n2)] or col2 != list(seen2) * n1:
+        raise ConfigError(f"{csv_path}: rows are not in row-major grid order")
+    # an empty cell is unstable, a non-finite one (e.g. an infinite boundary)
+    # renders as neutral too; a last-column cell keeps its line break
+    parsed = map(float, (cell.rstrip("\n") or "nan" for cell in cells))
+    return header[0], header[1], n1, n2, [x if math.isfinite(x) else None for x in parsed]
 
 
 def emit_heatmap(csv_path, metric: str, svg_path) -> Path:

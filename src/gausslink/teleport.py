@@ -41,9 +41,10 @@ _NE_SLACK = 1e-9
 
 GAIN_SEARCH_RANGE = (1e-3, 10.0)
 _COARSE_POINTS = 400
-# lanes per coarse-scan chunk: keeps its (lanes, 402) temporaries at ~26 kB;
-# 32-lane chunks raised the peak RSS of a row-by-row 100x100 map by ~1 MB
-_SCAN_LANES = 8
+# elements per coarse-scan chunk, which keeps each (lanes, gains) temporary at
+# ~26 kB: about 27 lanes of 118 gains; chunks 4x as large raised the peak RSS
+# of a row-by-row 100x100 map by ~1 MB
+_SCAN_ELEMENTS = 8 * 402
 _GOLDEN_TOL = 1e-6
 _PHI = (np.sqrt(5.0) - 1.0) / 2.0
 
@@ -80,22 +81,19 @@ def _bounds_at_gains(form, kappas: np.ndarray) -> np.ndarray:
     # squares as x * x, not pow as in `_induced_channels`: the gain-map golden
     # hashes pin the bits of this arithmetic
     k = np.asarray(kappas, dtype=float)
-    noise = v * k**2 + u - 2.0 * w * k
-    k = np.broadcast_to(k, noise.shape)
-    out = np.zeros_like(noise)
-    unit = np.abs(k - 1.0) < _UNIT_GAIN_TOL
-    if np.any(unit):
-        sigma = noise[unit]
-        good = sigma > 0
-        vals = np.zeros_like(sigma)
-        vals[good] = _coherent_info_displacement(sigma[good])
-        out[unit] = vals
-    rest = ~unit
-    if np.any(rest):
-        eta = k[rest] ** 2
-        n_e = np.maximum(noise[rest] / (2.0 * np.abs(1.0 - eta)) - 0.5, 0.0)
-        out[rest] = _coherent_info_loss_amp(eta, n_e)
-    return np.maximum(out, 0.0)
+    eta = k**2
+    noise = v * eta + u - 2.0 * w * k
+    unit = np.broadcast_to(np.abs(k - 1.0) < _UNIT_GAIN_TOL, noise.shape)
+    sigma = noise[unit] if unit.any() else None
+    # the loss/amplifier bound on every lane, with n_e made in place of the
+    # noise; the unit-gain lanes divide by 1 - eta = 0 and are overwritten
+    with np.errstate(divide="ignore", invalid="ignore"):
+        noise /= 2.0 * np.abs(1.0 - eta)
+        noise -= 0.5
+        out = _coherent_info_loss_amp(eta, np.maximum(noise, 0.0, out=noise))
+        if sigma is not None:
+            out[unit] = np.where(sigma > 0, _coherent_info_displacement(sigma), 0.0)
+    return np.maximum(out, 0.0, out=out)
 
 
 @dataclass(frozen=True)
@@ -123,13 +121,18 @@ class _Lanes(NamedTuple):
 
 @functools.cache
 def _coarse_grid() -> np.ndarray:
-    """The coarse gains every lane of a search scans, with the seed kappa = 1.
+    """The coarse gains every lane of a search scans.
+
+    They are the 400 log-spaced gains of `GAIN_SEARCH_RANGE` and the seed
+    kappa = 1, from the last gain with kappa^2 <= 1/2 on: below it the bound
+    is exactly 0, and that closed node is kept as a lower bracket.
 
     A read-only constant built on the first search, not at import: building
     it pulls about 0.5 MB of numpy code into resident memory, which processes
     that never search gains should not pay for.
     """
     grid = np.sort(np.append(np.geomspace(*GAIN_SEARCH_RANGE, _COARSE_POINTS), 1.0))
+    grid = grid[np.count_nonzero(grid**2 <= 0.5) - 1 :]
     grid.flags.writeable = False
     return grid
 
@@ -139,16 +142,20 @@ def _coarse_scan(lanes: _Lanes, extra: np.ndarray) -> tuple:
 
     A lane's grid is `_coarse_grid()` plus its node in `extra`: its seed w/v,
     or, for an unseeded lane, a repeat of the last node, which moves neither
-    its first maximum nor its upper bracket.  Lanes are scanned `_SCAN_LANES`
-    at a time to bound the temporaries.  Returns the best value, its gain,
-    and the lower and upper bracket, one of each per lane.
+    its first maximum nor its upper bracket.  The first node and any seed
+    below it read 0, so a positive maximum is never the first column, and the
+    column below it holds the gain below it on the full grid too.  Lanes are
+    scanned about `_SCAN_ELEMENTS` values at a time to bound the temporaries.  Returns the best value, its gain, and the
+    lower and upper bracket, one of each per lane (the lower one is
+    meaningless where the best value is 0).
     """
     n = lanes.u.size
     best_q, best_k, a, b = (np.empty(n) for _ in range(4))
     coarse = _coarse_grid()
     last = coarse.size
-    for lo in range(0, n, _SCAN_LANES):
-        part = slice(lo, lo + _SCAN_LANES)
+    chunk = _SCAN_ELEMENTS // (last + 1)
+    for lo in range(0, n, chunk):
+        part = slice(lo, lo + chunk)
         rows = np.arange(extra[part].size)
         grid = np.column_stack([np.broadcast_to(coarse, (rows.size, last)), extra[part]])
         grid.sort(axis=1)
@@ -156,7 +163,7 @@ def _coarse_scan(lanes: _Lanes, extra: np.ndarray) -> tuple:
         best = np.argmax(vals, axis=1)
         best_q[part] = vals[rows, best]
         best_k[part] = grid[rows, best]
-        a[part] = grid[rows, np.maximum(best - 1, 0)]
+        a[part] = grid[rows, best - 1]
         b[part] = grid[rows, np.minimum(best + 1, last)]
     return best_q, best_k, a, b
 
@@ -192,10 +199,15 @@ def optimize_gains(u, v, w) -> tuple:
     scanned on 400 log-spaced gains in [1e-3, 10] plus the seeds kappa = 1
     and kappa = w/v (minimizer of the channel noise, when inside the range),
     then its best bracket is refined by golden-section search down to 1e-6
-    in kappa.  The winner is the best of the refined midpoint, the seeds and
-    the best coarse gain, the larger gain on a tie.  A lane on which no gain
-    opens the channel gets the zero bound at unit gain.  Lanes do not
-    interact: each result equals that of a one-lane search.
+    in kappa.  The scan evaluates the 400 gains only from the last one with
+    kappa^2 <= 1/2 on: the bound log2(eta/|1 - eta|) - g(n_e) is at most 0
+    wherever eta = kappa^2 <= 1/2, so every gain dropped reads exactly 0, and
+    the kept one still brackets a maximum at the next gain; the result is that
+    of the scan of all of them.  The winner is the best of the refined
+    midpoint, the seeds and the best coarse gain, the larger gain on a tie.
+    A lane on which no gain opens the channel gets the zero bound at unit
+    gain.  Lanes do not interact: each result equals that of a one-lane
+    search.
 
     Returns (kappa_opt, q_lb_opt) as arrays, one entry per lane.
     """

@@ -208,6 +208,46 @@ points = 4
             emit_heatmap(res.path, "e_f", tmp_path / "x.svg")
 
 
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            # the second axis in another order in the second row
+            ["0.1,1,1,0.5", "0.1,2,1,0.6", "0.5,2,1,0.7", "0.5,1,1,0.8"],
+            # column-major
+            ["0.1,1,1,0.5", "0.5,1,1,0.6", "0.1,2,1,0.7", "0.5,2,1,0.8"],
+            # the first axis comes back after another value
+            ["0.1,1,1,0.5", "0.5,1,1,0.6", "0.5,2,1,0.7", "0.1,2,1,0.8"],
+        ],
+    )
+    def test_rows_out_of_row_major_order_rejected(self, rows, tmp_path):
+        csv_path = tmp_path / "grid.csv"
+        csv_path.write_text("\n".join(["C_om,C_em,stable,e_f"] + rows) + "\n", encoding="utf-8")
+        with pytest.raises(ConfigError, match="rows are not in row-major grid order"):
+            emit_heatmap(csv_path, "e_f", tmp_path / "x.svg")
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ("", "empty CSV"),
+            ("C_om,C_em,e_f\n0.1,1,0.5\n", "not a sweep CSV"),
+        ],
+    )
+    def test_malformed_csv_messages(self, body, message, tmp_path):
+        csv_path = tmp_path / "grid.csv"
+        csv_path.write_text(body, encoding="utf-8")
+        with pytest.raises(ConfigError, match=message):
+            emit_heatmap(csv_path, "e_f", tmp_path / "x.svg")
+
+    @pytest.mark.parametrize("metric", ["C_om", "stable", "e_f"])
+    def test_crlf_rows_render_like_lf_rows(self, metric, tmp_path):
+        res, _ = self._render(tmp_path)
+        crlf = tmp_path / "crlf.csv"
+        crlf.write_bytes(res.path.read_bytes().replace(b"\n", b"\r\n"))
+        svgs = [emit_heatmap(path, metric, tmp_path / f"{path.stem}.svg").read_bytes()
+                for path in (res.path, crlf)]
+        assert svgs[0] == svgs[1]
+
+
 def test_cli_selftest(capsys):
     assert main(["selftest", "--seed", "7"]) == EXIT_OK
     out = capsys.readouterr().out

@@ -1,10 +1,18 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import gausslink.teleport as teleport
-from gausslink.capacity import RANDOM_DISPLACEMENT, THERMAL_AMP, THERMAL_LOSS
+from gausslink.capacity import (
+    RANDOM_DISPLACEMENT,
+    THERMAL_AMP,
+    THERMAL_LOSS,
+    _coherent_info_displacement,
+    _coherent_info_loss_amp,
+)
 from gausslink.entanglement import duan_quantity, entanglement_of_formation
 from gausslink.selftest import random_physical_form, random_physical_state
 from gausslink.teleport import (
@@ -54,6 +62,121 @@ EDGE_RESULTS = {
     "seed_at_hi": (10.0, 0.008358659386487163),
     "seed_above_hi": (10.0, 0.008358659386487163),
     "unit_gain_optimum": (1.0, 0.5573049591110366),
+}
+
+
+# The reference search: every lane scans all 402 coarse gains, 8 lanes at a
+# time, and takes each bound with separate masks for the unit-gain and the
+# loss/amplifier lanes; its golden section and candidate pick are those of
+# `optimize_gains`, which must give its bits and take no more memory.
+FULL_GRID = np.sort(np.append(np.geomspace(*teleport.GAIN_SEARCH_RANGE, teleport._COARSE_POINTS), 1.0))
+LAST_CLOSED = int(np.count_nonzero(FULL_GRID**2 <= 0.5)) - 1
+
+
+def _masked_bounds_at_gains(form, kappas):
+    u, v, w = form.u, form.v, form.w
+    k = np.asarray(kappas, dtype=float)
+    noise = v * k**2 + u - 2.0 * w * k
+    k = np.broadcast_to(k, noise.shape)
+    out = np.zeros_like(noise)
+    unit = np.abs(k - 1.0) < teleport._UNIT_GAIN_TOL
+    if np.any(unit):
+        sigma = noise[unit]
+        good = sigma > 0
+        vals = np.zeros_like(sigma)
+        vals[good] = _coherent_info_displacement(sigma[good])
+        out[unit] = vals
+    rest = ~unit
+    if np.any(rest):
+        eta = k[rest] ** 2
+        n_e = np.maximum(noise[rest] / (2.0 * np.abs(1.0 - eta)) - 0.5, 0.0)
+        out[rest] = _coherent_info_loss_amp(eta, n_e)
+    return np.maximum(out, 0.0)
+
+
+def _full_grid_scan(lanes, extra):
+    n = lanes.u.size
+    best_q, best_k, a, b = (np.empty(n) for _ in range(4))
+    last = FULL_GRID.size
+    for lo in range(0, n, 8):
+        part = slice(lo, lo + 8)
+        rows = np.arange(extra[part].size)
+        grid = np.column_stack([np.broadcast_to(FULL_GRID, (rows.size, last)), extra[part]])
+        grid.sort(axis=1)
+        vals = _masked_bounds_at_gains(lanes.take(part).column(), grid)
+        best = np.argmax(vals, axis=1)
+        best_q[part] = vals[rows, best]
+        best_k[part] = grid[rows, best]
+        a[part] = grid[rows, np.maximum(best - 1, 0)]
+        b[part] = grid[rows, np.minimum(best + 1, last)]
+    return best_q, best_k, a, b
+
+
+def _masked_golden_section(lanes, a, b):
+    phi, tol = teleport._PHI, teleport._GOLDEN_TOL
+    x1 = b - phi * (b - a)
+    x2 = a + phi * (b - a)
+    f1, f2 = _masked_bounds_at_gains(lanes, x1), _masked_bounds_at_gains(lanes, x2)
+    live = np.flatnonzero(b - a > tol)
+    while live.size:
+        up = f1[live] < f2[live]
+        lu, ld = live[up], live[~up]
+        a[lu], x1[lu], f1[lu] = x1[lu], x2[lu], f2[lu]
+        b[ld], x2[ld], f2[ld] = x2[ld], x1[ld], f1[ld]
+        x2[lu] = a[lu] + phi * (b[lu] - a[lu])
+        x1[ld] = b[ld] - phi * (b[ld] - a[ld])
+        probe = _masked_bounds_at_gains(lanes.take(live), np.where(up, x2[live], x1[live]))
+        f2[lu], f1[ld] = probe[up], probe[~up]
+        live = live[b[live] - a[live] > tol]
+    return 0.5 * (a + b)
+
+
+def full_grid_search(u, v, w):
+    lanes = teleport._Lanes(*(np.asarray(x, dtype=float).reshape(-1) for x in (u, v, w)))
+    lo, hi = teleport.GAIN_SEARCH_RANGE
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = lanes.w / lanes.v
+    seeded = (lanes.v > 0) & (lo < ratio) & (ratio < hi)
+    best_q, best_k, a, b = _full_grid_scan(lanes, np.where(seeded, ratio, FULL_GRID[-1]))
+
+    kappa, q = np.ones_like(best_q), np.zeros_like(best_q)
+    found = np.flatnonzero(best_q > 0.0)
+    if found.size:
+        sub = lanes.take(found)
+        mid = _masked_golden_section(sub, a[found], b[found])
+        seeds = np.where(seeded[found], ratio[found], 1.0)
+        cand_k = np.column_stack([mid, np.ones_like(mid), seeds, best_k[found]])
+        cand_q = _masked_bounds_at_gains(sub.column(), cand_k)
+        top = cand_q.max(axis=1)
+        kappa[found] = np.where(cand_q == top[:, None], cand_k, -np.inf).max(axis=1)
+        q[found] = top
+    return kappa, q
+
+
+def _seeded_form(ratio, v):
+    # w / v is exactly `ratio` for v a power of two, and u puts the form just
+    # inside the physical region w^2 <= (max(u, v) + 1)(min(u, v) - 1)
+    w = ratio * v
+    u = w * w / (v + 1.0) + 1.0
+    if u > v:
+        u = w * w / (v - 1.0) - 1.0
+    return TwoModeStandardForm(u * (1.0 + 1e-9), v, w)
+
+
+# lanes around the last gain with kappa^2 <= 1/2 (the "closed" node, whose
+# bound is 0) and the first one above it (the "open" node); each but the
+# products has a positive bound, and TestPrunedScan checks each hits its case
+NEAR_CLOSED_FORMS = {
+    "seed_below_closed": _seeded_form(0.5, 1.0625),
+    "seed_closed_side": _seeded_form(0.705, 1.0625),
+    "seed_on_closed": _seeded_form(FULL_GRID[LAST_CLOSED], 1.0625),
+    "best_at_seed_open_side": _seeded_form(0.715, 128.0),
+    "best_at_seed_on_open": _seeded_form(FULL_GRID[LAST_CLOSED + 1], 128.0),
+    "best_at_open": _seeded_form(0.72, 128.0),
+    "best_at_seed_on_node": _seeded_form(FULL_GRID[LAST_CLOSED + 6], 128.0),
+    "best_at_seed_one": _seeded_form(1.0, 128.0),
+    "product": TwoModeStandardForm(2.0, 3.0, 0.0),
+    "vacuum": TwoModeStandardForm(1.0, 1.0, 0.0),
 }
 
 
@@ -201,6 +324,91 @@ class TestBatchedSearch:
         assert kappa.shape == q.shape == (0,)
         kappa, q = _search([EDGE_FORMS["product"]] * 3)
         assert kappa.tolist() == [1.0] * 3 and q.tolist() == [0.0] * 3
+
+
+class TestPrunedScan:
+    def test_scanned_grid_is_the_full_grid_from_the_last_closed_node(self):
+        assert LAST_CLOSED == 284
+        assert np.array_equal(teleport._coarse_grid(), FULL_GRID[LAST_CLOSED:])
+        assert FULL_GRID[LAST_CLOSED] ** 2 <= 0.5 < FULL_GRID[LAST_CLOSED + 1] ** 2
+
+    @settings(max_examples=60, deadline=None)
+    @given(form=physical_forms())
+    def test_every_dropped_gain_reads_exactly_zero(self, form):
+        closed = FULL_GRID[: LAST_CLOSED + 1]
+        assert np.all(_bounds_at_gains(form, closed) == 0.0)
+        assert np.all(_masked_bounds_at_gains(form, closed) == 0.0)
+
+    def test_near_closed_lanes_hit_their_case(self):
+        closed, first_open = FULL_GRID[LAST_CLOSED], FULL_GRID[LAST_CLOSED + 1]
+        forms = list(NEAR_CLOSED_FORMS.values())
+        lanes = teleport._Lanes(*(np.array([getattr(f, x) for f in forms]) for x in "uvw"))
+        ratio = lanes.w / lanes.v
+        lo, hi = teleport.GAIN_SEARCH_RANGE
+        best_q, best_k, a, _ = _full_grid_scan(lanes, np.where((lo < ratio) & (ratio < hi), ratio, hi))
+        case = dict(zip(NEAR_CLOSED_FORMS, zip(ratio, best_q, best_k, a)))
+        for name, (seed, q, k, lower) in case.items():
+            assert (q > 0.0) == (name not in ("product", "vacuum")), name
+        assert case["seed_below_closed"][0] < closed
+        assert closed < case["seed_closed_side"][0] < np.sqrt(0.5)
+        assert case["seed_on_closed"][0] == closed
+        for name in ("best_at_seed_open_side", "best_at_seed_on_open", "best_at_open"):
+            assert case[name][3] == closed, name
+        assert np.sqrt(0.5) < case["best_at_seed_open_side"][2] == case["best_at_seed_open_side"][0] < first_open
+        assert case["best_at_seed_on_open"][2] == case["best_at_seed_on_open"][0] == first_open
+        assert case["best_at_open"][2] == first_open < case["best_at_open"][0]
+        assert case["best_at_seed_on_node"][2] == case["best_at_seed_on_node"][0] == FULL_GRID[LAST_CLOSED + 6]
+        assert case["best_at_seed_one"][2] == case["best_at_seed_one"][0] == 1.0
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), forms=st.lists(physical_forms(), max_size=40))
+    def test_search_equals_the_full_grid_search_bit_for_bit(self, data, forms):
+        extra = list(EDGE_FORMS.values()) + list(NEAR_CLOSED_FORMS.values())
+        lanes = data.draw(st.permutations(forms + extra))
+        u, v, w = (np.array([getattr(f, x) for f in lanes]) for x in "uvw")
+        kappa, q = optimize_gains(u, v, w)
+        ref_kappa, ref_q = full_grid_search(u, v, w)
+        assert kappa.tobytes() == ref_kappa.tobytes()
+        assert q.tobytes() == ref_q.tobytes()
+
+    def test_search_equals_the_full_grid_search_on_random_lanes(self, rng):
+        n = 3000
+        low = rng.uniform(1.0, 30.0, n)
+        high = rng.uniform(low, 300.0)
+        flip = rng.random(n) < 0.5
+        reach = 1.0 - 10.0 ** rng.uniform(-6.0, 0.0, n)
+        u, v = np.where(flip, high, low), np.where(flip, low, high)
+        w = reach * np.sqrt((high + 1.0) * (low - 1.0))
+        kappa, q = optimize_gains(u, v, w)
+        ref_kappa, ref_q = full_grid_search(u, v, w)
+        assert np.count_nonzero(q > 0.0) > n // 10
+        assert kappa.tobytes() == ref_kappa.tobytes()
+        assert q.tobytes() == ref_q.tobytes()
+
+    @pytest.mark.parametrize("n", [100, 10_000])
+    def test_search_memory_peak_is_not_above_the_full_grid_search(self, n):
+        # tracemalloc peaks with numpy 2.4 on CPython 3.11: the full-grid
+        # search 354,156 B at 100 lanes and 1,576,424 B at 10,000 lanes, the
+        # pruned one 296,584 B and 1,566,416 B.  Coarse-scan chunks of twice
+        # the element budget raise the pruned peak above the full-grid one at
+        # 100 lanes.
+        rng = np.random.default_rng(7)
+        low = rng.uniform(1.0, 30.0, n)
+        high = rng.uniform(low, 300.0)
+        flip = rng.random(n) < 0.5
+        reach = 1.0 - 10.0 ** rng.uniform(-6.0, 0.0, n)
+        lanes = (np.where(flip, high, low), np.where(flip, low, high),
+                 reach * np.sqrt((high + 1.0) * (low - 1.0)))
+        peaks = []
+        for search in (full_grid_search, optimize_gains):
+            search(*lanes)
+            tracemalloc.start()
+            try:
+                search(*lanes)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= peaks[0]
 
 
 class TestTeleportOracle:
