@@ -11,7 +11,6 @@ from .capacity import (
     BosonicChannelKind,
     dqt_capacity_boundary,
     g_function,
-    q_lb_bandwidth_integrated,
     q_lb_displacement,
     q_lb_loss_amp,
 )
@@ -90,7 +89,6 @@ __all__ = [
     "optimize_gain",
     "optimize_gains",
     "output_mo_covariance",
-    "q_lb_bandwidth_integrated",
     "q_lb_displacement",
     "q_lb_loss_amp",
     "quadrature_scattering",

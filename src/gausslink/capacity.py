@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gaussian import GaussianChannelSpec
-from .transducer import TransducerParams, _dqt_eta_ne, _require
+from .transducer import TransducerParams
 
 __all__ = [
     "BosonicChannelKind",
@@ -16,7 +16,6 @@ __all__ = [
     "q_lb_displacement",
     "coherent_info_displacement",
     "dqt_capacity_boundary",
-    "q_lb_bandwidth_integrated",
 ]
 
 THERMAL_LOSS = "thermal_loss"
@@ -70,11 +69,9 @@ class BosonicChannelKind:
 def _g(x) -> np.ndarray:
     """Bosonic entropy g(x) = (x+1) log2(x+1) - x log2(x) of an array, 0 where x <= 0."""
     x = np.asarray(x, dtype=float)
-    out = np.zeros_like(x)
-    pos = x > 0
-    xp = x[pos]
-    out[pos] = (xp + 1.0) * np.log2(xp + 1.0) - xp * np.log2(xp)
-    return out
+    # every lane is computed; those at x <= 0 (nan or -inf there) are replaced
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(x > 0, (x + 1.0) * np.log2(x + 1.0) - x * np.log2(x), 0.0)
 
 
 def g_function(x: float) -> float:
@@ -252,15 +249,3 @@ def integrate_spectrum(fn, omega_max: float) -> float:
     """Nested trapezoid of a vectorized, pointwise spectral function on [-W, W]:
     the one-lane _nested_trapezoids."""
     return float(_nested_trapezoids(lambda rows, omegas: fn(omegas), 1, omega_max)[0])
-
-
-def q_lb_bandwidth_integrated(p: TransducerParams) -> float:
-    """Frequency-integrated capacity rate of the direct conversion channel.
-
-    Integrates max{0, log2(eta/(1-eta)) - g(n_e)} over the frequency window,
-    using the conversion channel at each offset; the result scales linearly
-    with the overall rate unit, i.e. it is a rate in ebits per second when
-    the decay rates are in rad/s.
-    """
-    _require(p, "red")
-    return integrate_spectrum(lambda omegas: _q_lb_loss_amp(*_dqt_eta_ne(p, omegas)), _window(p))

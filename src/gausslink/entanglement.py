@@ -84,9 +84,14 @@ def _swap_form(u, v, w) -> tuple:
     return v - off, off
 
 
+def _duan(u, v, w):
+    """u + v - 2w of floats or arrays; values below 1 certify entanglement."""
+    return u + v - 2 * w
+
+
 def duan_quantity(form: TwoModeStandardForm) -> float:
-    """u + v - 2w; values below 1 certify entanglement."""
-    return form.u + form.v - 2 * form.w
+    """u + v - 2w of a standard form; see `_duan`."""
+    return _duan(form.u, form.v, form.w)
 
 
 def _entanglement_rates(p: TransducerParams, taus) -> np.ndarray:

@@ -11,6 +11,7 @@ import configparser
 import contextlib
 import csv
 import functools
+import itertools
 import math
 import os
 from dataclasses import dataclass
@@ -24,7 +25,7 @@ from .capacity import (
     _q_lb_loss_amp,
     dqt_capacity_boundary,
 )
-from .entanglement import _check_tau, _entanglement_rates, _eof, _optical_loss, _swap_form
+from .entanglement import _check_tau, _duan, _entanglement_rates, _eof, _optical_loss, _swap_form
 from .swap import _click_rates
 from .teleport import _induced_channels, optimize_gains
 from .transducer import (
@@ -240,7 +241,7 @@ def _eval_custom(columns):
         u=u,
         v=v,
         w=w,
-        duan=u + v - 2 * w,
+        duan=_duan(u, v, w),
         e_f=_eof(u, v, w)[0],
         q_lb_eqt=q[: u.size],
         kappa_opt=kappa[: u.size],
@@ -508,9 +509,9 @@ def parse_config(path) -> SweepConfig:
 # --- execution ----------------------------------------------------------------
 
 
-def _evaluate_block(experiment: str, fixed: dict, axes: tuple, rows: np.ndarray) -> tuple:
-    """The experiment's ``(stable, columns)`` of the block of grid rows whose
-    first-axis values are ``rows``.
+def _evaluate_block(experiment: str, fixed: dict, axes: tuple, rows: np.ndarray) -> list:
+    """The CSV text of the block of grid rows whose first-axis values are
+    ``rows``, one string per grid row.
 
     A ValueError or ArithmeticError is raised as NumericalError naming the
     experiment and the axis values of the first point that fails alone: points
@@ -518,21 +519,23 @@ def _evaluate_block(experiment: str, fixed: dict, axes: tuple, rows: np.ndarray)
     """
     # looked up by name, in the worker too: the fig5 evaluators are closures,
     # which a process pool cannot pickle
-    evaluate = EXPERIMENTS[experiment].evaluate
-    coords = _block_coords(rows, axes)
+    spec = EXPERIMENTS[experiment]
+    second = axes[1].values() if len(axes) == 2 else None
+    coords = _block_coords(rows, second)
     columns = {k: np.full(coords[0].size, v) for k, v in fixed.items()}
     columns.update(zip((axis.name for axis in axes), coords))
     try:
-        return evaluate(columns)
+        stable, metrics = spec.evaluate(columns)
     except (ValueError, ArithmeticError):
         for i, point in enumerate(zip(*(c.tolist() for c in coords))):
             try:
-                evaluate({k: c[i : i + 1] for k, c in columns.items()})
+                spec.evaluate({k: c[i : i + 1] for k, c in columns.items()})
             except (ValueError, ArithmeticError) as exc:
                 names = (axis.name for axis in axes)
                 where = ", ".join("%s=%.12g" % pair for pair in zip(names, point))
                 raise NumericalError(f"{experiment} at {where}: {exc}") from exc
         raise
+    return _format_block(spec.metrics, rows, second, stable, metrics)
 
 
 # blocks each pool worker gets on average: several, so that rows of cheap
@@ -557,51 +560,50 @@ def _row_blocks(axes: tuple, count: int) -> list:
     return [first[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
 
 
-def _block_coords(rows: np.ndarray, axes: tuple) -> tuple:
+def _block_coords(rows: np.ndarray, second) -> tuple:
     """One coordinate column per axis over a block's points, first axis
-    outermost: exact copies of the axes' values, as a meshgrid of the whole
-    grid would hold them."""
-    if len(axes) == 1:
+    outermost, from the block's first-axis values and the second axis's values
+    (None on a one-axis grid): exact copies of the axes' values, as a meshgrid
+    of the whole grid would hold them."""
+    if second is None:
         return (rows,)
-    second = axes[1].values()
     return np.repeat(rows, second.size), np.tile(second, rows.size)
 
 
-def _write_block(fh, metrics: tuple, coords: tuple, stable: np.ndarray, columns: dict):
-    """Write the CSV lines of an evaluated block, each from one format string:
-    numbers to 12 significant digits, strings as they are; unstable points
-    leave every metric cell empty.  No cell can hold a comma, quote or line
-    break, so none is quoted."""
-    n = int(stable.sum())
-    cells = [np.broadcast_to(columns[name], n) for name in metrics]
-    head = "%.12g," * len(coords)
-    ok_line = head + "1" + "".join(",%s" if c.dtype.kind == "U" else ",%.12g" for c in cells)
-    bad_line = head + "0" + "," * len(metrics)
-    values = zip(*(c[stable].tolist() for c in coords), *(c.tolist() for c in cells))
-    ok = map((ok_line + "\n").__mod__, values)
-    bad = map((bad_line + "\n").__mod__, zip(*(c[~stable].tolist() for c in coords)))
-    fh.writelines(next(ok) if s else next(bad) for s in stable.tolist())
+def _format_block(metrics: tuple, rows: np.ndarray, second, stable: np.ndarray, columns: dict):
+    """The CSV lines of an evaluated block, one string per grid row: each axis
+    value formatted once, and each point's metric cells from one format string.
+    Numbers take 12 significant digits and strings stay as they are; unstable
+    points leave every metric cell empty.  No cell can hold a comma, quote or
+    line break, so none is quoted."""
+    cells = [np.broadcast_to(columns[name], int(stable.sum())) for name in metrics]
+    ok = "1" + "".join(",%s" if c.dtype.kind == "U" else ",%.12g" for c in cells) + "\n"
+    bad = "0" + "," * len(metrics) + "\n"
+    values = map(ok.__mod__, zip(*(c.tolist() for c in cells)))
+    tails = (next(values) if s else bad for s in stable.tolist())
+    seconds = [""] if second is None else ["%.12g," % x for x in second.tolist()]
+    return [
+        head + head.join(map(str.__add__, seconds, itertools.islice(tails, len(seconds))))
+        for head in ("%.12g," % x for x in rows.tolist())
+    ]
 
 
-def _write_csv(path: Path, header: list, metrics: tuple, axes: tuple, blocks, results) -> None:
-    """Write ``header``, then the rows of each block of ``blocks`` from the
-    ``(stable, columns)`` that ``results`` yields for it, before taking the
-    next.  The file is created once the first block is ready, so a sweep that
-    fails there writes nothing; a later failure removes the file."""
+def _write_csv(path: Path, header: list, texts) -> None:
+    """Write ``header``, then each block's text as ``texts`` yields it, letting
+    go of one block's text before taking the next.  The file is created once
+    the first block is ready, so a sweep that fails there writes nothing; a
+    later failure removes the file."""
     fh = None
     try:
         with contextlib.ExitStack() as stack:
-            # not zipped with the blocks: a zip would hold each block's results
-            # until the next block is evaluated
-            for rows in blocks:
-                stable, columns = next(results)
+            for text in texts:
                 if fh is None:
                     if path.parent != Path(""):
                         os.makedirs(path.parent, exist_ok=True)
                     fh = stack.enter_context(open(path, "w", newline="", encoding="utf-8"))
                     fh.write(",".join(header) + "\n")
-                _write_block(fh, metrics, _block_coords(rows, axes), stable, columns)
-                del stable, columns
+                fh.writelines(text)
+                del text  # else held while the next block is evaluated
     except BaseException as exc:
         if fh is not None:
             path.unlink(missing_ok=True)
@@ -615,9 +617,10 @@ def run_sweep(config: SweepConfig, out_dir=None, jobs: int = 1) -> SweepResult:
 
     The grid is evaluated in contiguous blocks of whole rows, each of at most
     ``_BLOCK_POINTS`` points; with ``jobs`` above 1 there are at least
-    ``jobs * _BLOCKS_PER_JOB`` blocks, spread over a process pool.  Each
-    block's rows are written before the next block is taken, so no more than
-    one block's rows are kept in memory.  Rows are always written in
+    ``jobs * _BLOCKS_PER_JOB`` blocks, spread over a process pool of at most
+    one worker per block.  Each block is evaluated and formatted to its CSV
+    text in one step, in a worker when there is a pool, and its text is
+    written before the next block's is taken.  Rows are always written in
     deterministic row-major axis order with fixed 12-significant-digit
     formatting, so identical configs produce byte-identical files at any
     ``jobs``.  Unstable source points keep their axis columns, carry stable=0
@@ -635,9 +638,9 @@ def run_sweep(config: SweepConfig, out_dir=None, jobs: int = 1) -> SweepResult:
             # imported here: multiprocessing adds about 1.2 MB of RSS to every process
             from concurrent.futures import ProcessPoolExecutor
 
-            pool = stack.enter_context(ProcessPoolExecutor(max_workers=jobs))
-            results = pool.map(evaluate, blocks)
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=min(jobs, len(blocks))))
+            texts = pool.map(evaluate, blocks)
         else:
-            results = map(evaluate, blocks)
-        _write_csv(out_path, header, spec.metrics, config.axes, blocks, results)
+            texts = map(evaluate, blocks)
+        _write_csv(out_path, header, texts)
     return SweepResult(path=out_path, columns=tuple(header), axes=config.axes)

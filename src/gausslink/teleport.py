@@ -21,6 +21,7 @@ from .capacity import (
     _coherent_info_displacement,
     _coherent_info_loss_amp,
 )
+from .entanglement import _duan
 from .gaussian import check_physical
 from .transducer import TwoModeStandardForm, _all
 
@@ -62,7 +63,7 @@ def _induced_channels(u, v, w, kappa) -> tuple:
         raise ValueError("negative effective occupation: source form is unphysical")
     kinds = [RANDOM_DISPLACEMENT if un else THERMAL_LOSS if k < 1.0 else THERMAL_AMP
              for un, k in zip(unit.tolist(), kappa.tolist())]
-    return kinds, np.where(unit, 1.0, eta), np.where(unit, u + v - 2 * w, np.maximum(n_e, 0.0))
+    return kinds, np.where(unit, 1.0, eta), np.where(unit, _duan(u, v, w), np.maximum(n_e, 0.0))
 
 
 def induced_channel(form: TwoModeStandardForm, kappa: float) -> BosonicChannelKind:

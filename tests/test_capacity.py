@@ -17,7 +17,6 @@ from gausslink.capacity import (
     g_function,
     _nested_trapezoids,
     integrate_spectrum,
-    q_lb_bandwidth_integrated,
     q_lb_displacement,
     q_lb_loss_amp,
 )
@@ -164,79 +163,6 @@ class TestChannelKind:
             BosonicChannelKind("random_displacement", 1.5, 1.0)
         with pytest.raises(ValueError):
             BosonicChannelKind("squeeze", 1.0, 0.0)
-
-
-def _red(c_om, c_em, n_th=0.0, scale=1.0):
-    return TransducerParams.from_cooperativities(
-        c_om, c_em, 1.0, 1.0, n_th, "red",
-        kappa_o=scale, kappa_e=scale, kappa_m=scale,
-    )
-
-
-class TestBandwidthIntegrated:
-    def test_zero_below_boundary(self):
-        assert q_lb_bandwidth_integrated(_red(1.0, 1.0)) == 0.0
-
-    def test_positive_above_boundary(self):
-        assert q_lb_bandwidth_integrated(_red(4.0, 4.0)) > 0.0
-
-    def test_rate_scales_with_linewidths(self):
-        base = q_lb_bandwidth_integrated(_red(4.0, 4.0, 0.2, scale=1.0))
-        doubled = q_lb_bandwidth_integrated(_red(4.0, 4.0, 0.2, scale=2.0))
-        assert doubled == pytest.approx(2.0 * base, rel=1e-6)
-
-    def test_half_range_symmetry(self):
-        # integrand is even, so integrating [0, W] and doubling must agree
-        from gausslink.transducer import _dqt_eta_ne
-        from gausslink.capacity import _g
-
-        p = _red(4.0, 4.0, 0.2)
-        w_max = 10.0 * max(p.kappa_o, p.kappa_e, p.kappa_m)
-
-        def integrand(omegas):
-            eta, n_e = _dqt_eta_ne(p, omegas)
-            out = np.zeros_like(eta)
-            mask = eta > 0.5
-            out[mask] = np.maximum(
-                0.0, np.log2(eta[mask] / (1 - eta[mask])) - _g(n_e[mask])
-            )
-            return out
-
-        n = 1 << 16
-        full_grid = np.linspace(-w_max, w_max, 2 * n + 1)
-        half_grid = np.linspace(0.0, w_max, n + 1)
-        full = np.trapezoid(integrand(full_grid), full_grid)
-        half = 2.0 * np.trapezoid(integrand(half_grid), half_grid)
-        assert abs(full - half) < 1e-9 * max(1.0, abs(full))
-
-    def test_convergence_on_refinement(self):
-        # halving the trapezoid step changes the result by < 1e-6 relative
-        from gausslink.transducer import _dqt_eta_ne
-        from gausslink.capacity import _g
-
-        p = _red(6.0, 3.0, 0.4)
-        w_max = 10.0 * max(p.kappa_o, p.kappa_e, p.kappa_m)
-
-        def integrand(omegas):
-            eta, n_e = _dqt_eta_ne(p, omegas)
-            out = np.zeros_like(eta)
-            mask = eta > 0.5
-            out[mask] = np.maximum(
-                0.0, np.log2(eta[mask] / (1 - eta[mask])) - _g(n_e[mask])
-            )
-            return out
-
-        n = (1 << 14) + 1
-        coarse_grid = np.linspace(-w_max, w_max, n)
-        fine_grid = np.linspace(-w_max, w_max, 2 * n - 1)
-        coarse = np.trapezoid(integrand(coarse_grid), coarse_grid)
-        fine = np.trapezoid(integrand(fine_grid), fine_grid)
-        assert abs(fine - coarse) < 1e-6 * abs(fine)
-
-    def test_blue_rejected(self):
-        p = TransducerParams.from_cooperativities(1.0, 1.0, detuning="blue")
-        with pytest.raises(ValueError, match="red"):
-            q_lb_bandwidth_integrated(p)
 
 
 def _full_grid_doubling(fn, omega_max):

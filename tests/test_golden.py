@@ -315,10 +315,10 @@ def sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def sweep_files(config_path, out: Path) -> dict:
+def sweep_files(config_path, out: Path, jobs: int = 1) -> dict:
     """sha256 of each file `gausslink sweep` writes for the config."""
     config = parse_config(config_path)
-    result = run_sweep(config, out_dir=out)
+    result = run_sweep(config, out_dir=out, jobs=jobs)
     files = [result.path]
     if config.emit_svg:
         files.append(result.path.with_suffix(".svg"))
@@ -423,11 +423,17 @@ MULTI_BLOCK = {
 }
 
 
-@pytest.mark.parametrize("case", sorted(MULTI_BLOCK))
-def test_multi_block_grid(case, tmp_path):
+# each case at one job, and at two, whose workers format the blocks
+@pytest.mark.parametrize(
+    "case, jobs",
+    [(case, jobs) for case in sorted(MULTI_BLOCK) for jobs in (1, 2)],
+    ids=[case + ("" if jobs == 1 else "-jobs2") for case in sorted(MULTI_BLOCK) for jobs in (1, 2)],
+)
+def test_multi_block_grid(case, jobs, tmp_path):
     name, grid, digest = MULTI_BLOCK[case]
     assert 130 * 130 > _BLOCK_POINTS
-    assert sweep_files(small_config(name, tmp_path, grid), tmp_path) == {f"{name}.csv": digest}
+    written = sweep_files(small_config(name, tmp_path, grid), tmp_path, jobs)
+    assert written == {f"{name}.csv": digest}
 
 
 # heatmaps of small hand-written grids, for the renderer's edge cases: empty

@@ -302,7 +302,8 @@ scale = log
         mesh = np.meshgrid(*(axis.values() for axis in cfg.axes), indexing="ij")
         grid = np.stack([m.ravel() for m in mesh], axis=-1)
         blocks = sweeps._row_blocks(cfg.axes, 2 * sweeps._BLOCKS_PER_JOB)
-        coords = [np.stack(sweeps._block_coords(rows, cfg.axes), axis=-1) for rows in blocks]
+        second = cfg.axes[1].values() if len(cfg.axes) == 2 else None
+        coords = [np.stack(sweeps._block_coords(rows, second), axis=-1) for rows in blocks]
         assert np.array_equal(np.concatenate(coords), grid)
         serial = run_sweep(cfg, out_dir=tmp_path / "s", jobs=1)
         parallel = run_sweep(cfg, out_dir=tmp_path / "p", jobs=2)
@@ -310,6 +311,28 @@ scale = log
         if body in (GAIN_MAP, FIG5A_MAP, FIG5B_MAP, FIG2A_MAP):
             assert len(blocks) > 2
             assert any(row[2] == "0" for row in serial.rows)
+
+    def test_no_more_workers_than_blocks(self, tmp_path, monkeypatch):
+        # three rows make three blocks, so six jobs start three workers
+        import concurrent.futures
+
+        started = []
+
+        class Recording(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, max_workers=None, **kwargs):
+                started.append(max_workers)
+                super().__init__(max_workers, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+        body = MINIMAL.replace("custom", "fig2d_eof_map")
+        body = body.replace("max = 2.0\npoints = 2", "max = 2.0\npoints = 3")
+        body = body.replace("max = 4.0\npoints = 2", "max = 4.0\npoints = 4")
+        cfg = parse_config(write_config(tmp_path, body))
+        serial = run_sweep(cfg, out_dir=tmp_path / "s", jobs=1)
+        parallel = run_sweep(cfg, out_dir=tmp_path / "p", jobs=6)
+        assert started == [3]
+        assert len(serial.rows) == 12
+        assert serial.path.read_bytes() == parallel.path.read_bytes()
 
     @pytest.mark.parametrize(
         "experiment", ["fig1a_dqt_boundary", "fig2bc_capacity_maps", "fig4a_mm_eof"]
@@ -605,18 +628,21 @@ def earlier_write_block(metrics, coords, stable, columns) -> str:
 
 
 _ODD = [-0.0, np.inf, -np.inf, np.nan, 5e-324, 1e300, 0.1 + 0.2, 1e16, -1.5e-7, 123456789012.5]
+# (metrics, first-axis values, second-axis values or None, stable mask, columns)
 _WRITER_BLOCKS = {
-    # odd floats in coordinates and metrics, the second point unstable
+    # odd floats on both axes and in the metrics, every seventh point unstable
     "odd-values": (
         ("a", "b"),
-        (np.array(_ODD), np.array(_ODD[::-1])),
-        np.arange(10) != 1,
-        {"a": np.array(_ODD[1:]), "b": np.array(_ODD[:-1])[::-1]},
+        np.array(_ODD),
+        np.array(_ODD[::-1]),
+        np.arange(100) % 7 != 1,
+        {"a": np.resize(_ODD[1:], 85), "b": np.resize(_ODD[:-1], 85)[::-1]},
     ),
     # fig2a's channel kinds are strings, and its gain axis the only axis
     "strings-one-axis": (
         ("kind", "eta_prime"),
-        (np.array([0.5, 1.0, 2.0, 3.0]),),
+        np.array([0.5, 1.0, 2.0, 3.0]),
+        None,
         np.array([True, True, False, True]),
         {
             "kind": ["thermal_loss", "random_displacement", "thermal_amp"],
@@ -626,28 +652,34 @@ _WRITER_BLOCKS = {
     # a metric given once for the whole block, finite or not
     "whole-block-metric": (
         ("e_f", "boundary", "cap"),
-        (np.array([0.1, 0.1, 10.0]), np.array([1.0, 2.0, 1.0])),
-        np.array([True, False, True]),
-        {"e_f": np.array([0.5, 0.0]), "boundary": 5.82842712475, "cap": np.inf},
+        np.array([0.1, 10.0]),
+        np.array([1.0, 2.0]),
+        np.array([True, False, True, True]),
+        {"e_f": np.array([0.5, 0.0, 0.25]), "boundary": 5.82842712475, "cap": np.inf},
     ),
     "all-unstable": (
         ("u", "boundary"),
-        (np.array([1.0, 2.0]), np.array([3.0, 4.0])),
-        np.zeros(2, dtype=bool),
+        np.array([1.0, 2.0]),
+        np.array([3.0, 4.0]),
+        np.zeros(4, dtype=bool),
         {"u": np.empty(0), "boundary": 2.0},
     ),
     "all-stable": (
         ("u",),
-        (np.geomspace(0.1, 10.0, 7), np.linspace(0.0, 1.0, 7)),
-        np.ones(7, dtype=bool),
-        {"u": np.linspace(1.0, 1e9, 7) / 3.0},
+        np.geomspace(0.1, 10.0, 7),
+        np.linspace(0.0, 1.0, 3),
+        np.ones(21, dtype=bool),
+        {"u": np.linspace(1.0, 1e9, 21) / 3.0},
     ),
 }
 
 
 @pytest.mark.parametrize("case", sorted(_WRITER_BLOCKS))
 def test_writer_gives_the_earlier_writers_bytes(case):
-    metrics, coords, stable, columns = _WRITER_BLOCKS[case]
-    out = io.StringIO()
-    sweeps._write_block(out, metrics, coords, stable, columns)
-    assert out.getvalue() == earlier_write_block(metrics, coords, stable, columns)
+    # one string per grid row, whose lines join to the earlier writer's
+    metrics, rows, second, stable, columns = _WRITER_BLOCKS[case]
+    text = sweeps._format_block(metrics, rows, second, stable, columns)
+    width = 1 if second is None else second.size
+    assert [row.count("\n") for row in text] == [width] * rows.size
+    coords = sweeps._block_coords(rows, second)
+    assert "".join(text) == earlier_write_block(metrics, coords, stable, columns)
