@@ -66,19 +66,20 @@ class BosonicChannelKind:
         return GaussianChannelSpec(T=t, N=n)
 
 
-def _g(x) -> np.ndarray:
-    """Bosonic entropy g(x) = (x+1) log2(x+1) - x log2(x) of an array, 0 where x <= 0."""
-    x = np.asarray(x, dtype=float)
-    # every lane is computed; those at x <= 0 (nan or -inf there) are replaced
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(x > 0, (x + 1.0) * np.log2(x + 1.0) - x * np.log2(x), 0.0)
+def _check_finite(**values) -> None:
+    """Raise ValueError naming the first of the scalar ``values`` that is nan or infinite."""
+    for name, x in values.items():
+        if not math.isfinite(x):
+            raise ValueError(f"{name} must be finite")
 
 
 def g_function(x: float) -> float:
     """Bosonic entropy g(x) = (x+1) log2(x+1) - x log2(x), with g(0) = 0."""
+    _check_finite(x=x)
     if x < 0:
         raise ValueError("mean photon number must be nonnegative")
-    return float(_g(x))
+    # minus the loss/amplifier bound at eta = 1/2, whose log term is log2(1) = 0
+    return 0.0 - float(_coherent_info_loss_amp(np.array([0.5]), np.array([float(x)]))[0])
 
 
 # log2(eta / |1 - eta|) has slope 4 / ln 2 at eta = 1/2, so one ulp of round-off
@@ -87,10 +88,31 @@ def g_function(x: float) -> float:
 _LOG_ROUNDOFF = 1e-14
 
 
-def _coherent_info_loss_amp(eta, n_e) -> np.ndarray:
-    """log2(eta / |1 - eta|) - g(n_e) of arrays, unclamped below zero."""
-    log_term = np.log2(eta / np.abs(1.0 - eta))
-    return np.where(np.abs(log_term) < _LOG_ROUNDOFF, 0.0, log_term) - _g(n_e)
+def _loss_amp_info(eta: np.ndarray, gap: np.ndarray, n_e: np.ndarray) -> np.ndarray:
+    """log2(eta / gap) - g(n_e) of arrays, unclamped below zero, for
+    gap = |1 - eta| > 0 and n_e >= 0 of the result's shape, with
+    g(x) = (x+1) log2(x+1) - x log2(x) and g(0) = 0.
+
+    It sets no floating-point error state and takes no log of 0, so only
+    inputs outside these ranges warn or raise, as the caller's error state
+    has it.  Its temporaries are updated in place, not rebuilt per operation.
+    """
+    log_term = eta / gap
+    np.log2(log_term, out=log_term)
+    log_term = np.where(np.abs(log_term) < _LOG_ROUNDOFF, 0.0, log_term)
+    up = n_e + 1.0
+    g = np.log2(up)
+    g *= up
+    # up stays n_e + 1 = 1 where n_e = 0, so that x log2(x) reads 1 * 0 = 0 there
+    np.log2(n_e, out=up, where=n_e > 0)
+    up *= n_e
+    g -= up
+    return np.subtract(log_term, g, out=g)
+
+
+def _coherent_info_loss_amp(eta: np.ndarray, n_e: np.ndarray) -> np.ndarray:
+    """log2(eta / |1 - eta|) - g(n_e) of arrays of one shape, unclamped below zero."""
+    return _loss_amp_info(eta, np.abs(1.0 - eta), n_e)
 
 
 def _coherent_info_displacement(sigma_sq) -> np.ndarray:
@@ -109,17 +131,19 @@ def _q_lb_loss_amp(eta: np.ndarray, n_e: np.ndarray) -> np.ndarray:
 
 def coherent_info_loss_amp(eta: float, n_e: float) -> float:
     """Unclamped coherent-information bound log2(eta/|1-eta|) - g(n_e)."""
+    _check_finite(eta=eta, n_e=n_e)
     if eta <= 0:
         raise ValueError("eta must be positive")
     if abs(eta - 1.0) < _UNIT_ETA_TOL:
         raise ValueError("eta = 1 is the displacement channel; use its bound")
     if n_e < 0:
         raise ValueError("n_e must be nonnegative")
-    return float(_coherent_info_loss_amp(eta, n_e))
+    return float(_coherent_info_loss_amp(np.array([float(eta)]), np.array([float(n_e)]))[0])
 
 
 def q_lb_loss_amp(eta: float, n_e: float) -> float:
     """Capacity lower bound of a thermal loss or amplification channel (bits)."""
+    _check_finite(eta=eta, n_e=n_e)
     if 0.0 <= eta <= 0.5 and n_e >= 0:  # log2(eta / (1 - eta)) <= 0 - g(n_e)
         return 0.0
     return max(0.0, coherent_info_loss_amp(eta, n_e))
@@ -127,6 +151,7 @@ def q_lb_loss_amp(eta: float, n_e: float) -> float:
 
 def coherent_info_displacement(sigma_sq: float) -> float:
     """Unclamped achievable rate log2(2 / (e sigma^2)) of grid-state encoding."""
+    _check_finite(sigma_sq=sigma_sq)
     if sigma_sq <= 0:
         raise ValueError("sigma^2 must be positive")
     return float(_coherent_info_displacement(sigma_sq))

@@ -7,6 +7,7 @@ Every named experiment carries defaults matching the corresponding figure,
 so a config may consist of nothing but the experiment name.
 """
 
+import collections
 import configparser
 import contextlib
 import csv
@@ -538,8 +539,9 @@ def _evaluate_block(experiment: str, fixed: dict, axes: tuple, rows: np.ndarray)
     return _format_block(spec.metrics, rows, second, stable, metrics)
 
 
-# blocks each pool worker gets on average: several, so that rows of cheap
-# unstable points do not leave a worker idle while another finishes
+# blocks each pool worker gets on average, and has in flight at most: several,
+# so that rows of cheap unstable points do not leave a worker idle while
+# another finishes
 _BLOCKS_PER_JOB = 4
 # most points a block holds at any job count, so that a sweep takes the same
 # memory whatever the size of its grid
@@ -612,15 +614,34 @@ def _write_csv(path: Path, header: list, texts) -> None:
         raise
 
 
+def _in_order(pool, fn, items: list, depth: int):
+    """``pool.map(fn, items)`` with at most ``depth`` items submitted and not
+    yet taken, so that results wait in memory only that many at a time however
+    slowly they are taken.  Items not yet run are cancelled if the caller stops
+    early."""
+    pending = collections.deque()
+    try:
+        for item in items:
+            if len(pending) == depth:
+                yield pending.popleft().result()
+            pending.append(pool.submit(fn, item))
+        while pending:
+            yield pending.popleft().result()
+    finally:
+        for future in pending:
+            future.cancel()
+
+
 def run_sweep(config: SweepConfig, out_dir=None, jobs: int = 1) -> SweepResult:
     """Evaluate the configured grid and write the CSV file.
 
     The grid is evaluated in contiguous blocks of whole rows, each of at most
     ``_BLOCK_POINTS`` points; with ``jobs`` above 1 there are at least
     ``jobs * _BLOCKS_PER_JOB`` blocks, spread over a process pool of at most
-    one worker per block.  Each block is evaluated and formatted to its CSV
-    text in one step, in a worker when there is a pool, and its text is
-    written before the next block's is taken.  Rows are always written in
+    one worker per block, with at most that many blocks submitted and not yet
+    written.  Each block is evaluated and formatted to its CSV text in one
+    step, in a worker when there is a pool, and its text is written before
+    the next block's is taken.  Rows are always written in
     deterministic row-major axis order with fixed 12-significant-digit
     formatting, so identical configs produce byte-identical files at any
     ``jobs``.  Unstable source points keep their axis columns, carry stable=0
@@ -639,7 +660,7 @@ def run_sweep(config: SweepConfig, out_dir=None, jobs: int = 1) -> SweepResult:
             from concurrent.futures import ProcessPoolExecutor
 
             pool = stack.enter_context(ProcessPoolExecutor(max_workers=min(jobs, len(blocks))))
-            texts = pool.map(evaluate, blocks)
+            texts = _in_order(pool, evaluate, blocks, jobs * _BLOCKS_PER_JOB)
         else:
             texts = map(evaluate, blocks)
         _write_csv(out_path, header, texts)

@@ -19,7 +19,7 @@ from .capacity import (
     THERMAL_AMP,
     THERMAL_LOSS,
     _coherent_info_displacement,
-    _coherent_info_loss_amp,
+    _loss_amp_info,
 )
 from .entanglement import _duan
 from .gaussian import check_physical
@@ -82,17 +82,24 @@ def _bounds_at_gains(form, kappas: np.ndarray) -> np.ndarray:
     # squares as x * x, not pow as in `_induced_channels`: the gain-map golden
     # hashes pin the bits of this arithmetic
     k = np.asarray(kappas, dtype=float)
-    eta = k**2
+    eta = k * k
     noise = v * eta + u - 2.0 * w * k
-    unit = np.broadcast_to(np.abs(k - 1.0) < _UNIT_GAIN_TOL, noise.shape)
-    sigma = noise[unit] if unit.any() else None
-    # the loss/amplifier bound on every lane, with n_e made in place of the
-    # noise; the unit-gain lanes divide by 1 - eta = 0 and are overwritten
-    with np.errstate(divide="ignore", invalid="ignore"):
-        noise /= 2.0 * np.abs(1.0 - eta)
-        noise -= 0.5
-        out = _coherent_info_loss_amp(eta, np.maximum(noise, 0.0, out=noise))
-        if sigma is not None:
+    unit = np.abs(k - 1.0) < _UNIT_GAIN_TOL
+    gap = np.abs(1.0 - eta)
+    sigma = None
+    if np.count_nonzero(unit):
+        # a stand-in for 1 - eta = 0, so that no division below is by zero;
+        # the unit-gain lanes are overwritten
+        gap[unit] = 1.0
+        if unit.shape != noise.shape:
+            unit = np.broadcast_to(unit, noise.shape)
+        sigma = noise[unit]
+    # the loss/amplifier bound on every lane, with n_e made in place of the noise
+    noise /= 2.0 * gap
+    noise -= 0.5
+    out = _loss_amp_info(eta, gap, np.maximum(noise, 0.0, out=noise))
+    if sigma is not None:
+        with np.errstate(divide="ignore", invalid="ignore"):  # sigma <= 0 reads 0
             out[unit] = np.where(sigma > 0, _coherent_info_displacement(sigma), 0.0)
     return np.maximum(out, 0.0, out=out)
 
@@ -174,23 +181,35 @@ def _golden_section(lanes: _Lanes, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
     All lanes advance together: each takes the steps, with the arithmetic, of
     a one-lane search, and drops out once its bracket is within _GOLDEN_TOL.
-    Overwrites `a` and `b`.
+    A step selects each lane's move with masks over the live lanes, whose
+    arrays shrink only after a step that leaves some lane done.
     """
+    mid = np.empty_like(a)
     x1 = b - _PHI * (b - a)
     x2 = a + _PHI * (b - a)
     f1, f2 = _bounds_at_gains(lanes, x1), _bounds_at_gains(lanes, x2)
-    live = np.flatnonzero(b - a > _GOLDEN_TOL)
-    while live.size:
-        up = f1[live] < f2[live]
-        lu, ld = live[up], live[~up]
-        a[lu], x1[lu], f1[lu] = x1[lu], x2[lu], f2[lu]
-        b[ld], x2[ld], f2[ld] = x2[ld], x1[ld], f1[ld]
-        x2[lu] = a[lu] + _PHI * (b[lu] - a[lu])
-        x1[ld] = b[ld] - _PHI * (b[ld] - a[ld])
-        probe = _bounds_at_gains(lanes.take(live), np.where(up, x2[live], x1[live]))
-        f2[lu], f1[ld] = probe[up], probe[~up]
-        live = live[b[live] - a[live] > _GOLDEN_TOL]
-    return 0.5 * (a + b)
+    rows = np.arange(a.size)  # the live lanes' places in `mid`
+    width = b - a
+    while True:
+        live = width > _GOLDEN_TOL
+        n_live = np.count_nonzero(live)
+        if n_live < rows.size:
+            done = ~live
+            mid[rows[done]] = 0.5 * (a[done] + b[done])
+            rows, a, b, x1, x2, f1, f2 = (x[live] for x in (rows, a, b, x1, x2, f1, f2))
+            lanes = lanes.take(live)
+        if not n_live:
+            return mid
+        # where f1 < f2 the bracket drops [a, x1) and x2 becomes x1, else it
+        # drops (x2, b] and x1 becomes x2; the probe is the new inner point
+        up = f1 < f2
+        a, b = np.where(up, x1, a), np.where(up, b, x2)
+        width = b - a
+        step = _PHI * width
+        probe = np.where(up, a + step, b - step)
+        x1, x2 = np.where(up, x2, probe), np.where(up, probe, x1)
+        f = _bounds_at_gains(lanes, probe)
+        f1, f2 = np.where(up, f2, f), np.where(up, f, f1)
 
 
 def optimize_gains(u, v, w) -> tuple:

@@ -12,6 +12,7 @@ from gausslink.capacity import (
     _ABS_TOL,
     _CHUNK_NODES,
     BosonicChannelKind,
+    coherent_info_displacement,
     coherent_info_loss_amp,
     dqt_capacity_boundary,
     g_function,
@@ -107,6 +108,40 @@ class TestDisplacementBound:
     def test_positive_iff_below_threshold(self, rng):
         for s in rng.uniform(0.01, 3.0, 100):
             assert (q_lb_displacement(s) > 0) == (s < 2.0 / np.e)
+
+
+class TestNonfiniteInputsRejected:
+    # g_function(inf) read nan and g_function(nan) 0.0, and
+    # coherent_info_loss_amp(0.7, nan) 1.2224, before the scalar entries checked
+    @pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
+    def test_g_function(self, x):
+        with pytest.raises(ValueError, match="x must be finite"):
+            g_function(x)
+
+    @pytest.mark.parametrize("bound", [coherent_info_loss_amp, q_lb_loss_amp])
+    @pytest.mark.parametrize("eta, n_e, name", [
+        (0.7, math.nan, "n_e"),
+        (0.7, math.inf, "n_e"),
+        (0.3, math.inf, "n_e"),
+        (math.nan, 0.0, "eta"),
+        (math.inf, 0.0, "eta"),
+        (math.nan, math.nan, "eta"),
+    ])
+    def test_loss_amp_bounds(self, bound, eta, n_e, name):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            bound(eta, n_e)
+
+    @pytest.mark.parametrize("bound", [coherent_info_displacement, q_lb_displacement])
+    @pytest.mark.parametrize("sigma_sq", [math.inf, math.nan])
+    def test_displacement_bounds(self, bound, sigma_sq):
+        with pytest.raises(ValueError, match="sigma_sq must be finite"):
+            bound(sigma_sq)
+
+    def test_finite_inputs_keep_their_values(self):
+        assert g_function(np.float64(0.5)) == g_function(0.5) > 0.0
+        assert coherent_info_loss_amp(0.7, 0.0) == float(np.log2(0.7 / abs(1.0 - 0.7)))
+        assert q_lb_loss_amp(0.3, 1e300) == 0.0
+        assert coherent_info_displacement(1e-300) > 0.0
 
 
 class TestBoundary:

@@ -3,6 +3,7 @@ import dataclasses
 import io
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -612,6 +613,39 @@ def test_sweep_memory_holds_one_block_at_a_time(tmp_path):
         finally:
             tracemalloc.stop()
     assert (peaks[1] - peaks[0]) / (rows // 2 * width) < 4
+
+
+def test_pool_sweep_memory_holds_a_few_blocks_per_job(tmp_path, monkeypatch):
+    # the writer stalls before its first block, as on a slow disk, while two
+    # workers finish every block they are given: the parent holds the texts of
+    # jobs * _BLOCKS_PER_JOB blocks, not of every block of the grid
+    monkeypatch.setattr(sweeps, "_BLOCK_POINTS", 256)
+    write = sweeps._write_csv
+
+    def stalled_write(path, header, texts):
+        time.sleep(0.3)
+        write(path, header, texts)
+
+    monkeypatch.setattr(sweeps, "_write_csv", stalled_write)
+    width = 64
+    rows = 256  # 64 blocks of 4 rows
+    body = (
+        "[sweep]\nexperiment = fig2d_eof_map\noutput = map.csv\n\n"
+        "[axis C_om]\nmin = 0.1\nmax = 10\npoints = {}\nscale = log\n\n"
+        f"[axis C_em]\nmin = 0.1\nmax = 10\npoints = {width}\nscale = log\n"
+    )
+    peaks = []
+    # the first pool sweep imports the pool's modules; the second is measured
+    for n_rows in (rows, rows, 2 * rows):
+        cfg = parse_config(write_config(tmp_path, body.format(n_rows)))
+        assert len(sweeps._row_blocks(cfg.axes, 2 * sweeps._BLOCKS_PER_JOB)) == n_rows // 4
+        tracemalloc.start()
+        try:
+            run_sweep(cfg, out_dir=tmp_path, jobs=2)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert (peaks[2] - peaks[1]) / (rows * width) < 4
 
 
 def earlier_write_block(metrics, coords, stable, columns) -> str:

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from gausslink.capacity import (
     RANDOM_DISPLACEMENT,
     THERMAL_AMP,
     THERMAL_LOSS,
+    _LOG_ROUNDOFF,
     _coherent_info_displacement,
     _coherent_info_loss_amp,
 )
@@ -409,6 +411,96 @@ class TestPrunedScan:
             finally:
                 tracemalloc.stop()
         assert peaks[1] <= peaks[0]
+
+
+def _ulps(x, n):
+    # n representable steps from x, up for n > 0 and down for n < 0
+    for _ in range(abs(n)):
+        x = np.nextafter(x, np.inf if n > 0 else -np.inf)
+    return float(x)
+
+
+def _bits_unwarned(form, kappas):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with np.errstate(all="raise"):
+            return _bounds_at_gains(form, kappas).tobytes()
+
+
+class TestBoundKernel:
+    """`_bounds_at_gains` against the masked reference on the edge lanes of its
+    arithmetic: bit for bit, with no floating-point warning or error escaping."""
+
+    # gains at and around the unit-gain window |kappa - 1| < 1e-9
+    UNIT_GAINS = [1.0, _ulps(1.0, 1), _ulps(1.0, -1), 1.0 + 1e-12, 1.0 - 1e-12,
+                  1.0 + 1e-10, 1.0 - 1e-10, 1.0 + 9.99e-10, 1.0 - 9.99e-10,
+                  1.0 + 1e-9, 1.0 - 1e-9, 1.0 + 1.01e-9, 1.0 - 1.01e-9, 1.0 + 2e-9, 0.5, 2.0]
+
+    def test_gains_around_unit_gain(self):
+        k = np.array(self.UNIT_GAINS)
+        unit = np.abs(k - 1.0) < teleport._UNIT_GAIN_TOL
+        assert 0 < np.count_nonzero(unit) < k.size
+        for form in (WORKED, EDGE_FORMS["unit_gain_optimum"], EDGE_FORMS["product"]):
+            assert _bits_unwarned(form, k) == _masked_bounds_at_gains(form, k).tobytes()
+        # a unit-gain lane whose Duan variance is not positive reads 0
+        bad = teleport._Lanes(1.0, 1.0, 1.0)
+        assert _bits_unwarned(bad, k) == _masked_bounds_at_gains(bad, k).tobytes()
+        assert not _bounds_at_gains(bad, k)[unit].any()
+
+    def test_occupation_at_and_below_zero(self):
+        # (1, 1, 3/4) at kappa = 3/4 and (1, 1, 1/2) at kappa = 2 give n_e = 0
+        # exactly, every step being exact in binary; a w one ulp above gives
+        # n_e just below 0
+        forms = teleport._Lanes(np.ones(4), np.ones(4),
+                                np.array([0.75, _ulps(0.75, 1), 0.5, _ulps(0.5, 1)]))
+        k = np.array([0.75, 0.75, 2.0, 2.0])
+        eta = k * k
+        n_e = (forms.v * eta + forms.u - 2.0 * forms.w * k) / (2.0 * np.abs(1.0 - eta)) - 0.5
+        assert n_e[0] == n_e[2] == 0.0 and n_e[1] < 0.0 and n_e[3] < 0.0
+        bits = _bits_unwarned(forms, k)
+        assert bits == _masked_bounds_at_gains(forms, k).tobytes()
+        assert np.array_equal(np.frombuffer(bits), np.log2(eta / np.abs(1.0 - eta)))
+
+    def test_transmissivity_ulps_from_half(self):
+        # the pure form (3, 3, 2 sqrt 2) has n_e = 0 at kappa^2 = 1/2, so the
+        # zeroed round-off of the log term is all there is to the bound there
+        form = TwoModeStandardForm(3.0, 3.0, 2.0 * np.sqrt(2.0))
+        k = np.array([_ulps(np.sqrt(0.5), n) for n in range(-8, 9)])
+        eta = k * k
+        log_term = np.log2(eta / np.abs(1.0 - eta))
+        n_e = (form.v * eta + form.u - 2.0 * form.w * k) / (2.0 * np.abs(1.0 - eta)) - 0.5
+        zeroed = (log_term > 0.0) & (log_term < _LOG_ROUNDOFF) & (n_e <= 0.0)
+        assert zeroed.any()
+        bits = _bits_unwarned(form, k)
+        assert bits == _masked_bounds_at_gains(form, k).tobytes()
+        assert not np.frombuffer(bits)[zeroed].any()
+
+    def test_lane_and_gain_shapes(self, rng):
+        forms = [random_physical_form(rng) for _ in range(6)] + list(EDGE_FORMS.values())
+        lanes = teleport._Lanes(*(np.array([getattr(f, x) for f in forms]) for x in "uvw"))
+        gains = np.concatenate([self.UNIT_GAINS, [_ulps(np.sqrt(0.5), 1), 0.75, 9.5]])
+        # (m, 1) lanes against (m, k) gains, as the coarse scan and the candidates
+        grid = np.broadcast_to(gains, (len(forms), gains.size)).copy()
+        grid[:, ::2] = grid[:, ::2][::-1]
+        assert _bits_unwarned(lanes.column(), grid) == \
+            _masked_bounds_at_gains(lanes.column(), grid).tobytes()
+        # one gain per lane, as the golden section
+        one = grid[:, 3]
+        assert _bits_unwarned(lanes, one) == _masked_bounds_at_gains(lanes, one).tobytes()
+        # a scalar form against 1-D gains, and (m, 1) lanes against one shared 1-D grid
+        for form in forms:
+            assert _bits_unwarned(form, gains) == _masked_bounds_at_gains(form, gains).tobytes()
+        assert _bits_unwarned(lanes.column(), gains) == \
+            _masked_bounds_at_gains(lanes.column(), gains).tobytes()
+
+    def test_loss_amp_kernel_raises_under_the_callers_state(self):
+        # fig2a evaluates the kernel under divide/invalid = raise: n_e = 0 takes
+        # no log of 0, and a division by 1 - eta = 0 is not hidden
+        eta, n_e = np.array([0.75, 4.0]), np.zeros(2)
+        with np.errstate(divide="raise", invalid="raise"):
+            assert np.array_equal(_coherent_info_loss_amp(eta, n_e), np.log2(eta / np.abs(1.0 - eta)))
+            with pytest.raises(FloatingPointError):
+                _coherent_info_loss_amp(np.array([1.0]), np.zeros(1))
 
 
 class TestTeleportOracle:

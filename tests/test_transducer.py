@@ -198,6 +198,28 @@ class TestBlueScattering:
             worst = max(worst, abs(a.u - b.u), abs(a.v - b.v), abs(a.w - b.w))
         assert worst < 1e-9
 
+    @settings(max_examples=120, deadline=None)
+    @given(
+        log_d=st.floats(-8.0, -2.0),
+        c_em=st.floats(0.2, 8.0),
+        zetas=st.tuples(st.floats(0.2, 1.0), st.floats(0.2, 1.0)),
+        n_th=st.one_of(st.just(0.0), st.floats(0.0, 2.0)),
+        kappas=st.tuples(*[st.floats(0.5, 4.0)] * 3),
+    )
+    def test_closed_matches_numeric_near_the_stability_boundary(self, log_d, c_em, zetas, n_th, kappas):
+        # u, v and w grow like 1/d^2 as C_om -> 1 + C_em, d = 1 + C_em - C_om,
+        # and the relative gap between the two routes like 1/d: at most
+        # 8e-15 / d was seen from d = 1e-2 down to 1e-8
+        c_om = 1.0 + c_em - 10.0**log_d
+        p = make(c_om, c_em, *zetas, n_th, "blue", kappa_o=kappas[0], kappa_e=kappas[1],
+                 kappa_m=kappas[2])
+        assume(stability_check(p))
+        d = 1.0 + c_em - c_om
+        a = output_mo_covariance(p, method="closed")
+        b = output_mo_covariance(p, method="numeric")
+        for closed, numeric in ((a.u, b.u), (a.v, b.v), (a.w, b.w)):
+            assert abs(closed - numeric) <= 4e-14 / d * abs(numeric)
+
     def test_unstable_rejected(self):
         p = make(5.0, 1.0, detuning="blue")
         with pytest.raises(ValueError, match="unstable"):
