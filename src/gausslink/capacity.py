@@ -47,6 +47,7 @@ class BosonicChannelKind:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"unknown channel kind {self.kind!r}")
+        _check_finite(eta=self.eta, noise=self.noise)
         if self.eta <= 0:
             raise ValueError("eta must be positive")
         if self.noise < 0:
@@ -194,11 +195,18 @@ _MAX_DOUBLINGS = 12
 # about 3e-5); such totals are accurate to 1e-12 absolute, not 1e-6 relative.
 _ABS_TOL = 1e-12
 # Elements (lanes x nodes) per call of the integrand.  A fig5b call costs about
-# 1.5 kB per node (the spectra) and 0.2 kB per element (the EoF), so it peaks
-# below 3.5 MB; a lane whose new nodes alone are more (the 524,288 midpoints of a
-# twelfth doubling would need 0.8 GB) gets them in chunks.  On a 30-lane fig5b
-# device 2**11 peaks 0.1 MB above one lane at a time, and 2**12 0.5 MB.
+# 0.9 kB per node (the spectra) and 0.11 kB per element (the EoF), so it peaks
+# near 2 MB; a lane whose new nodes alone are more (the 524,288 midpoints of a
+# twelfth doubling would need 0.5 GB) gets them in chunks.  On 40 fig5b devices
+# of 30 lanes, calls of 2**10, 2**12 and 2**13 elements took 27%, 5% and 21%
+# longer: smaller calls pay more overhead, larger ones outgrow the cache.
 _CHUNK_NODES = 2**11
+# Values (lanes x nodes) a lane group holds on one level, 128 kB: the 30 tau
+# lanes of a fig5b row go up to 513 nodes as one group, with one node array,
+# one trapezoid and one stop test per level.  Integrating such a device peaks
+# at 0.57 MB, against 0.25 MB for one lane and 0.37 MB for groups of 2**11
+# values; with calls of 2**12 elements it peaks at 0.92 MB.
+_GROUP_ELEMENTS = 8 * _CHUNK_NODES
 
 
 def _window(p: TransducerParams) -> float:
@@ -206,14 +214,26 @@ def _window(p: TransducerParams) -> float:
     return _WINDOW_FACTOR * max(p.kappa_o, p.kappa_e, p.kappa_m)
 
 
-def _evaluate(fn, rows: np.ndarray, omegas: np.ndarray) -> np.ndarray:
-    """``fn`` of the lanes ``rows`` at ``omegas``, a (rows.size, omegas.size)
-    array; one lane with more than _CHUNK_NODES nodes gets them in calls of
-    that many."""
-    values = np.empty((rows.size, omegas.size))
-    for at in range(0, omegas.size, _CHUNK_NODES):
-        values[:, at : at + _CHUNK_NODES] = fn(rows, omegas[at : at + _CHUNK_NODES])
-    return values
+def _evaluate(fn, rows: np.ndarray, omegas: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Fill ``out``, (rows.size, omegas.size), with ``fn`` of the lanes ``rows``
+    at ``omegas``, from calls of at most _CHUNK_NODES elements (lanes x nodes);
+    one lane with more nodes than that gets them in calls of that many."""
+    step = max(1, _CHUNK_NODES // omegas.size)
+    for lo in range(0, rows.size, step):
+        for at in range(0, omegas.size, _CHUNK_NODES):
+            out[lo : lo + step, at : at + _CHUNK_NODES] = fn(
+                rows[lo : lo + step], omegas[at : at + _CHUNK_NODES]
+            )
+    return out
+
+
+def _trapezoid(values: np.ndarray, omegas: np.ndarray) -> np.ndarray:
+    """np.trapezoid(values, omegas) along the last axis of C-contiguous 2-D
+    ``values``, with its operations and bits, in one temporary instead of three."""
+    areas = values[:, 1:] + values[:, :-1]
+    areas *= np.diff(omegas)
+    areas /= 2.0
+    return areas.sum(axis=-1)
 
 
 def _nested_trapezoids(fn, lanes: int, omega_max: float) -> np.ndarray:
@@ -224,19 +244,20 @@ def _nested_trapezoids(fn, lanes: int, omega_max: float) -> np.ndarray:
     at ``omegas``, shape (rows.size, omegas.size), or (omegas.size,) for one lane.
     linspace(-W, W, 2n - 1)[::2] is linspace(-W, W, n) exactly, so each doubling
     evaluates ``fn`` only at the new midpoints.  The lanes go up the levels in
-    groups, so that no call of ``fn`` gets more than _CHUNK_NODES elements (lanes
-    x new nodes) unless one lane alone has more; a group splits as its levels
-    grow, each part going on to convergence in turn, so memory stays bounded
-    however many lanes run deep.  A group shares each level's nodes and one
-    trapezoid along the last axis of its C-contiguous values, whose row sums are
-    the 1-D sums, so every lane stops at its own doubling with the bits of a lone
-    integral; since ``fn`` is pointwise, grouping changes no total.  A lane that
-    runs out of doublings raises, the lowest such lane first.
+    groups that hold at most _GROUP_ELEMENTS values (lanes x nodes) each, unless
+    one lane alone has more; a group splits as its levels grow, each part going
+    on to convergence in turn, so memory stays bounded however many lanes run
+    deep.  A group shares each level's nodes, one trapezoid along the last axis
+    of its C-contiguous values, whose row sums are the 1-D sums, and one stop
+    test, so every lane stops at its own doubling with the bits of a lone
+    integral.  ``fn`` itself gets at most _CHUNK_NODES elements a call
+    (`_evaluate`); since it is pointwise, neither grouping changes a total.  A
+    lane that runs out of doublings raises, the lowest such lane first.
     """
     totals = np.empty(lanes)
     n = _INITIAL_POINTS
     first = np.linspace(-omega_max, omega_max, n)
-    fit = max(1, _CHUNK_NODES // n)
+    fit = max(1, _GROUP_ELEMENTS // n)
     # lane groups left, the lowest on top: (rows, their values and totals on the
     # level they have reached, the change of their last doubling, doublings)
     todo = [(np.arange(lo, min(lo + fit, lanes)), None, None, None, 0)
@@ -244,14 +265,14 @@ def _nested_trapezoids(fn, lanes: int, omega_max: float) -> np.ndarray:
     while todo:
         rows, values, total, change, doubling = todo.pop()
         if values is None:
-            values = _evaluate(fn, rows, first)
-            total, change = np.trapezoid(values, first), np.full(rows.size, math.inf)
+            values = _evaluate(fn, rows, first, np.empty((rows.size, first.size)))
+            total, change = _trapezoid(values, first), np.full(rows.size, math.inf)
         while rows.size:
             if doubling >= _MAX_DOUBLINGS:
                 raise ValueError(f"frequency integral not converged on {values.shape[1]} nodes: "
                                  f"last change {change[0]:.3e} on a total of {total[0]:.3e}")
             n = 2 * values.shape[1] - 1
-            fit = max(1, _CHUNK_NODES // (n // 2))
+            fit = max(1, _GROUP_ELEMENTS // n)
             if rows.size > fit:
                 todo += [tuple(x[lo : lo + fit] for x in (rows, values, total, change)) + (doubling,)
                          for lo in reversed(range(0, rows.size, fit))]
@@ -259,9 +280,9 @@ def _nested_trapezoids(fn, lanes: int, omega_max: float) -> np.ndarray:
             omegas = np.linspace(-omega_max, omega_max, n)
             finer = np.empty((rows.size, n))
             finer[:, ::2] = values
-            finer[:, 1::2] = _evaluate(fn, rows, omegas[1::2])
+            _evaluate(fn, rows, omegas[1::2], finer[:, 1::2])
             values, prev = finer, total
-            total = np.trapezoid(values, omegas)
+            total = _trapezoid(values, omegas)
             change = np.abs(total - prev)
             done = change <= np.maximum(_REL_TOL * np.abs(total), _ABS_TOL)
             totals[rows[done]] = total[done]

@@ -28,27 +28,60 @@ def _eof(u, v, w) -> tuple:
     u v - w^2 >= 1, so u + v > 2|w| and beta_- > 0.
     """
     u, v, w = np.asarray(u, dtype=float), np.asarray(v, dtype=float), np.abs(w)
-    det_v = (u * v - w * w) ** 2
-    delta = u * u + v * v + 2.0 * w * w
+    if len({np.shape(x) for x in (u, v, w) if np.ndim(x)}) > 1:  # no update may broadcast up
+        u, v, w = np.broadcast_arrays(u, v, w)
+    # the textbook operations in the textbook order, the arrays among their
+    # temporaries updated in place: an augmented operation is in place on an
+    # array and the same operation on a 0-d value, where x **= 2 is pow(x, 2)
+    # as x ** 2 is, not x * x
+    ww = w * w
+    det_v = u * v
+    det_v -= ww
+    det_v **= 2
+    w2 = 2.0 * w
+    delta = u * u
+    delta += v * v
+    delta += w2 * w
     # nu_min^2 nu_max^2 = det_v: the small root from the large one, which does
     # not cancel where nu_min << nu_max, near the stability boundary
-    nu_max_sq = 0.5 * (delta + np.sqrt(np.maximum(delta * delta - 4.0 * det_v, 0.0)))
+    nu_max_sq = delta * delta
+    nu_max_sq -= 4.0 * det_v
+    nu_max_sq = np.sqrt(np.maximum(nu_max_sq, 0.0))
+    nu_max_sq += delta
+    nu_max_sq *= 0.5
     nu_min_sq = det_v / nu_max_sq
-    gamma = 2.0 * (det_v + 1.0) - (u - v) ** 2
-    beta_plus = (u + v + 2.0 * w) ** 2
-    beta_minus = (u + v - 2.0 * w) ** 2
-    rad = np.sqrt(np.maximum(gamma * gamma - beta_plus * beta_minus, 0.0))
+    gamma = det_v + 1.0
+    gamma *= 2.0
+    delta = u - v
+    delta **= 2
+    gamma -= delta
+    beta_minus = u + v
+    beta_plus = beta_minus + w2
+    beta_plus **= 2
+    beta_minus -= w2
+    beta_minus **= 2
+    rad = gamma * gamma
+    rad -= beta_plus * beta_minus
+    rad = np.sqrt(np.maximum(rad, 0.0))
     with np.errstate(divide="ignore", invalid="ignore"):
-        arg = (gamma - rad) / beta_minus
-    entangled = (nu_min_sq < _PPT_THRESHOLD) & (arg > 1.0)
-    if not entangled.any():  # r = 0 and E_F = 1 log2(1) - 0 = 0 on every lane
-        e_f, r = np.zeros((2,) + entangled.shape)
-        return e_f, nu_min_sq, gamma, beta_plus, beta_minus, r
-    r = np.where(entangled, 0.25 * np.log(np.where(entangled, arg, 1.0)), 0.0)
-    c2 = np.cosh(r) ** 2
-    s2 = np.sinh(r) ** 2
-    with np.errstate(divide="ignore", invalid="ignore"):
-        e_f = c2 * np.log2(c2) - np.where(s2 > 0, s2 * np.log2(np.maximum(s2, 1e-300)), 0.0)
+        arg = gamma - rad
+        arg /= beta_minus
+        entangled = (nu_min_sq < _PPT_THRESHOLD) & (arg > 1.0)
+        if not entangled.any():  # r = 0 and E_F = 1 log2(1) - 0 = 0 on every lane
+            e_f, r = np.zeros((2,) + entangled.shape)
+            return e_f, nu_min_sq, gamma, beta_plus, beta_minus, r
+        r = np.zeros(entangled.shape)
+        np.log(arg, out=r, where=entangled)
+        r *= 0.25
+        c2 = np.cosh(r)
+        c2 **= 2
+        s2 = np.sinh(r)
+        s2 **= 2
+        e_f = np.log2(c2)
+        e_f *= c2
+        tail = np.log2(np.maximum(s2, 1e-300))
+        tail *= s2
+        e_f -= np.where(s2 > 0, tail, 0.0)
     return e_f, nu_min_sq, gamma, beta_plus, beta_minus, r
 
 

@@ -7,9 +7,10 @@ second left to right.
 """
 
 import csv
-import math
 from operator import methodcaller
 from pathlib import Path
+
+import numpy as np
 
 from .sweeps import ConfigError
 
@@ -36,9 +37,41 @@ def _color(frac: float) -> str:
     return "#{:02x}{:02x}{:02x}".format(*rgb)
 
 
+# each segment's first stop a and its rise b - a, exact floats
+_LOW = np.array(_STOPS[:-1], dtype=float)
+_RISE = np.array(_STOPS[1:], dtype=float) - _LOW
+
+
+def _fills(values: np.ndarray, vmin: float, vmax: float, names: dict) -> list:
+    """The fill of each cell of ``values``: NEUTRAL where it is nan, else the
+    color `_color` gives its fraction of [vmin, vmax] (0.5 where vmax <= vmin),
+    computed for all of them at once with the same arithmetic.  ``names`` maps
+    each color code met so far to its fill string, and gains the new ones, so
+    that cells of one color share one string."""
+    finite = ~np.isnan(values)
+    if vmax <= vmin:
+        pos = np.full(np.count_nonzero(finite), 0.5)
+    else:
+        pos = (values[finite] - vmin) / (vmax - vmin)
+    np.clip(pos, 0.0, 1.0, out=pos)
+    pos *= len(_STOPS) - 1
+    i = np.minimum(pos.astype(int), len(_STOPS) - 2)
+    pos -= i
+    # round(a + (b - a) t), half to even
+    rgb = _RISE[i]
+    rgb *= pos[:, None]
+    rgb += _LOW[i]
+    codes = np.full(values.shape, -1)
+    codes[finite] = np.rint(rgb, out=rgb) @ [1 << 16, 1 << 8, 1]
+    codes = codes.tolist()
+    for code in set(codes).difference(names):
+        names[code] = "#%06x" % code if code >= 0 else NEUTRAL
+    return [names[code] for code in codes]
+
+
 def _read_grid(csv_path: Path, metric: str) -> tuple:
-    """Axis names and value counts, and the metric value of each cell (None
-    where empty or not finite).
+    """Axis names and value counts, and the metric value of each cell as a
+    float array (nan where empty or not finite).
 
     A sweep CSV quotes no data cell, so each row is split at its commas, up
     to the second axis or the metric cell, whichever is later.  Rows are read
@@ -72,8 +105,9 @@ def _read_grid(csv_path: Path, metric: str) -> tuple:
         raise ConfigError(f"{csv_path}: rows are not in row-major grid order")
     # an empty cell is unstable, a non-finite one (e.g. an infinite boundary)
     # renders as neutral too; a last-column cell keeps its line break
-    parsed = map(float, (cell.rstrip("\n") or "nan" for cell in cells))
-    return header[0], header[1], n1, n2, [x if math.isfinite(x) else None for x in parsed]
+    values = np.fromiter((float(cell.rstrip("\n") or "nan") for cell in cells), float, len(cells))
+    values[np.isinf(values)] = np.nan
+    return header[0], header[1], n1, n2, values
 
 
 def emit_heatmap(csv_path, metric: str, svg_path) -> Path:
@@ -82,7 +116,7 @@ def emit_heatmap(csv_path, metric: str, svg_path) -> Path:
     svg_path = Path(svg_path)
     ax1_name, ax2_name, n1, n2, values = _read_grid(csv_path, metric)
 
-    finite = [v for v in values if v is not None]
+    finite = values[~np.isnan(values)].tolist()
     if not finite:
         vmin = vmax = 0.0
     else:
@@ -113,20 +147,15 @@ def emit_heatmap(csv_path, metric: str, svg_path) -> Path:
             f'height="{height:.0f}" viewBox="0 0 {width:.0f} {height:.0f}">\n'
             f'<rect width="{width:.0f}" height="{height:.0f}" fill="white"/>\n'
         )
-        # every cell of a column shares its x, of a row its y, and all their
-        # size; equal values share their color
+        # every cell of a column shares its x, of a row its y, and all their size
         xs = [f'<rect x="{_MARGIN_L + j * cell_w:.2f}" y="' for j in range(n2)]
         size = f'" width="{cell_w + 0.05:.2f}" height="{cell_h + 0.05:.2f}" fill="'
-        fills = {None: NEUTRAL}
+        names = {}
         for i in range(n1):
             # first axis increases upward
             y = f"{_MARGIN_T + _PLOT_H - (i + 1) * cell_h:.2f}{size}"
-            for x, value in zip(xs, values[i * n2 : (i + 1) * n2]):
-                fill = fills.get(value)
-                if fill is None:
-                    frac = 0.5 if degenerate else (value - vmin) / (vmax - vmin)
-                    fill = fills[value] = _color(frac)
-                fh.write(f'{x}{y}{fill}"/>\n')
+            fills = _fills(values[i * n2 : (i + 1) * n2], vmin, vmax, names)
+            fh.write("".join([f'{x}{y}{fill}"/>\n' for x, fill in zip(xs, fills)]))
         fh.write(
             f'<text x="{cx:.0f}" y="{height - 12:.0f}" text-anchor="middle" {label_style}>'
             f"{ax2_name}</text>\n"

@@ -1,6 +1,7 @@
 import math
 import re
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from gausslink import capacity
 from gausslink.capacity import (
     _ABS_TOL,
     _CHUNK_NODES,
+    _GROUP_ELEMENTS,
     BosonicChannelKind,
     coherent_info_displacement,
     coherent_info_loss_amp,
@@ -136,6 +138,27 @@ class TestNonfiniteInputsRejected:
     def test_displacement_bounds(self, bound, sigma_sq):
         with pytest.raises(ValueError, match="sigma_sq must be finite"):
             bound(sigma_sq)
+
+    @pytest.mark.parametrize("kind, eta", [
+        ("thermal_loss", 0.5),
+        ("thermal_amplification", 2.0),
+        ("random_displacement", 1.0),
+    ])
+    @pytest.mark.parametrize("bad, name", [
+        ((math.nan, None), "eta"),
+        ((math.inf, None), "eta"),
+        ((-math.inf, None), "eta"),
+        ((None, math.nan), "noise"),
+        ((None, math.inf), "noise"),
+        ((math.nan, math.nan), "eta"),
+    ])
+    def test_channel_kinds(self, kind, eta, bad, name):
+        # nan failed every comparison of the checks, so nan and inf constructed
+        eta_bad, noise_bad = bad
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            BosonicChannelKind(kind, eta if eta_bad is None else eta_bad,
+                               0.5 if noise_bad is None else noise_bad)
+        assert BosonicChannelKind(kind, eta, 0.5).noise == 0.5
 
     def test_finite_inputs_keep_their_values(self):
         assert g_function(np.float64(0.5)) == g_function(0.5) > 0.0
@@ -459,3 +482,34 @@ class TestNestedTrapezoids:
             assert seen.size == sum(alone)
             depths.add(seen.size)
         assert len(depths) > 3
+
+    def test_a_row_of_lanes_shares_each_level(self, monkeypatch):
+        # 30 lanes that all converge on 513 nodes, as the tau lanes of a fig5b
+        # row do, go up as one group: two trapezoids in all, one per level
+        width = np.geomspace(0.02, 0.1, 30)
+        fn, fns = _lorentzians(np.ones(30), np.zeros(30), width)
+        assert all(30 * n <= _GROUP_ELEMENTS for n in (257, 513))
+        recording, trapezoids = _recorded(capacity._trapezoid)
+        monkeypatch.setattr(capacity, "_trapezoid", recording)
+        totals = _nested_trapezoids(fn, 30, 1.0)
+        assert [values.shape for values, _ in trapezoids] == [(30, 257), (30, 513)]
+        assert _same_bits(totals, [earlier_integrate_spectrum(f, 1.0) for f in fns])
+
+    @pytest.mark.parametrize("lanes", [30, 1000])
+    def test_memory_follows_the_group_budget(self, lanes):
+        # every lane of a Lorentzian of width 1e-4 on [-1, 1] runs to 131,073
+        # nodes.  Below the deepest level, the lane groups waiting on the stack
+        # hold at most _GROUP_ELEMENTS values per level; at it, one lane alone
+        # holds its nodes, their spacings, its finer and coarser values and
+        # one temporary of the trapezoid.  The bound holds at any lane count.
+        deepest = 131073
+        fn, _ = _lorentzians(np.ones(lanes), np.zeros(lanes), np.full(lanes, 1e-4))
+        held = 5 * max(deepest, _GROUP_ELEMENTS) + capacity._MAX_DOUBLINGS * _GROUP_ELEMENTS
+        tracemalloc.start()
+        try:
+            totals = _nested_trapezoids(fn, lanes, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.unique(totals).size == 1
+        assert peak < 8 * held

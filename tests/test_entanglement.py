@@ -15,7 +15,12 @@ from gausslink.entanglement import (
 from gausslink.gaussian import extract_modes, symplectic_eigenvalues, two_mode_squeezed
 from gausslink.selftest import random_physical_form
 from gausslink.teleport import optimize_gains
-from gausslink.transducer import TransducerParams, TwoModeStandardForm, _closed_form_uvw
+from gausslink.transducer import (
+    TransducerParams,
+    TwoModeStandardForm,
+    _closed_form_uvw,
+    mo_standard_form_spectra,
+)
 
 
 def tmsv_form(s):
@@ -265,3 +270,128 @@ def test_thermal_noise_does_not_increase_q_lb_eqt(device, extra):
 def test_q_lb_mm_does_not_decrease_with_tau(device, tau, gap):
     form = _closed_form_uvw(*device)
     assert _q_at_most(_q_lb_mm(*form, tau), _q_lb_mm(*form, min(1.0, tau + gap)))
+
+
+# --- the in-place EoF kernel against the textbook form -------------------------
+
+
+def earlier_eof(u, v, w) -> tuple:
+    """`_eof` as it was before its temporaries were updated in place: the same
+    operations in the same order, each in a new array, under two errstates."""
+    u, v, w = np.asarray(u, dtype=float), np.asarray(v, dtype=float), np.abs(w)
+    det_v = (u * v - w * w) ** 2
+    delta = u * u + v * v + 2.0 * w * w
+    nu_max_sq = 0.5 * (delta + np.sqrt(np.maximum(delta * delta - 4.0 * det_v, 0.0)))
+    nu_min_sq = det_v / nu_max_sq
+    gamma = 2.0 * (det_v + 1.0) - (u - v) ** 2
+    beta_plus = (u + v + 2.0 * w) ** 2
+    beta_minus = (u + v - 2.0 * w) ** 2
+    rad = np.sqrt(np.maximum(gamma * gamma - beta_plus * beta_minus, 0.0))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        arg = (gamma - rad) / beta_minus
+    entangled = (nu_min_sq < 1.0 - 1e-9) & (arg > 1.0)
+    if not entangled.any():
+        e_f, r = np.zeros((2,) + entangled.shape)
+        return e_f, nu_min_sq, gamma, beta_plus, beta_minus, r
+    r = np.where(entangled, 0.25 * np.log(np.where(entangled, arg, 1.0)), 0.0)
+    c2 = np.cosh(r) ** 2
+    s2 = np.sinh(r) ** 2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        e_f = c2 * np.log2(c2) - np.where(s2 > 0, s2 * np.log2(np.maximum(s2, 1e-300)), 0.0)
+    return e_f, nu_min_sq, gamma, beta_plus, beta_minus, r
+
+
+def _assert_same_eof(u, v, w):
+    got, expected = _eof(u, v, w), earlier_eof(u, v, w)
+    assert len(got) == len(expected) == 6
+    for a, b in zip(got, expected):
+        a, b = np.asarray(a), np.asarray(b)
+        assert a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+        assert np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def _near_boundary_forms():
+    """Closed-form (u, v, w) from C_om = 1 + C_em - d, u up to about 1e8."""
+    d = np.geomspace(1e-2, 2e-4, 9)
+    return _closed_form_uvw(3.0 - d, 2.0, 1.0, 1.0, 0.0)
+
+
+def _swapped(u, v, w, tau):
+    """The (u, v, w) form of the swapped pair after optical loss tau."""
+    u, w = _optical_loss(u, w, tau)
+    diag, off = _swap_form(u, v, w)
+    return diag, diag, off
+
+
+_EOF_EDGES = {
+    "0-d": (17.0, 9.0, 12.0),
+    "0-d-arrays": (np.array(3.0), np.array(2.0), np.array(-1.5)),
+    "0-d-separable": (2.0, 2.0, 0.5),
+    "w-zero": (np.array([1.0, 3.0, 5.0]), np.array([1.0, 2.0, 5.0]), np.zeros(3)),
+    "w-negative-zero": (np.array([1.0, 3.0, 5.0]), np.array([1.0, 2.0, 5.0]), np.full(3, -0.0)),
+    # w^2 and 2 w^2 are subnormal or zero, where 2.0 * w * w is not 2 (w * w)
+    "w-subnormal-square": (np.ones(6), np.ones(6), np.array([1e-155, 3e-160, 2.2e-162, 1e-170, 5e-324, -3e-159])),
+    # the same with u = v = 0, where 2 w^2 alone is delta: nu_max^2 reads 0 or
+    # not, and nu_min^2 = 0 / nu_max^2 nan or 0, by how 2 w^2 rounds
+    "w-subnormal-square-alone": (np.zeros(5), np.zeros(5), np.array([1.2e-162, 1.8e-162, 3e-162, 1e-160, 1e-155])),
+    "pure": _closed_form_uvw(np.linspace(0.05, 2.2, 12), 1.5, 1.0, 1.0, 0.0),
+    "pure-swapped": _swapped(*_closed_form_uvw(np.linspace(0.05, 2.2, 12), 1.5, 1.0, 1.0, 0.0), 1.0),
+    "swapped-at-half": _swapped(*_closed_form_uvw(np.linspace(0.05, 9.0, 12), 10.0, 0.9, 0.8, 0.3), 0.5),
+    "near-boundary": _near_boundary_forms(),
+    "near-boundary-swapped": _swapped(*_near_boundary_forms(), 0.9),
+    "mixed-shapes": (np.array([[3.0, 9.0], [2.0, 40.0]]), 3.0, np.array([2.0, 1.0])),
+    # 0-d u and v square u - v as pow(u - v, 2), which a libm pow may round
+    # away from (u - v) * (u - v), as it does for this u - v on x86-64 glibc
+    "0-d-u-v-with-w-lanes": (205.80276645593358, 1.0, np.array([0.0, 1.0, 10.0])),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_EOF_EDGES))
+def test_eof_edges_equal_the_earlier_eof(case):
+    if case == "w-subnormal-square-alone":  # 0 / 0 in nu_min^2 = det_v / nu_max^2
+        with np.errstate(invalid="ignore"):
+            _assert_same_eof(*_EOF_EDGES[case])
+    else:
+        _assert_same_eof(*_EOF_EDGES[case])
+
+
+def test_eof_edge_forms_reach_their_regimes():
+    # the edge forms above hold what their names say
+    assert np.max(_EOF_EDGES["near-boundary"][0]) > 5e7
+    w = _EOF_EDGES["w-subnormal-square"][2]
+    assert np.any((w * w != 0) & (np.abs(w * w) < np.finfo(float).tiny))
+    w = _EOF_EDGES["w-subnormal-square-alone"][2]
+    assert np.any(2.0 * w * w != 2.0 * (w * w))
+    with np.errstate(invalid="ignore"):
+        assert np.isnan(_eof(*_EOF_EDGES["w-subnormal-square-alone"])[1]).any()
+    half = _eof(*_EOF_EDGES["swapped-at-half"])
+    assert np.all(half[0] == 0.0)
+    assert _eof(*_EOF_EDGES["pure"])[0].min() > 0.0
+    assert isinstance(_eof(17.0, 9.0, 12.0)[0], np.floating)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    forms=st.lists(
+        st.tuples(st.floats(1.0, 1e3), st.floats(1.0, 1e3), st.floats(0.0, 1.0), st.sampled_from([1.0, -1.0])),
+        min_size=1,
+        max_size=12,
+    ),
+    tau=st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0)),
+)
+def test_eof_equals_the_earlier_eof_on_physical_forms(forms, tau):
+    u, v, reach, sign = (np.array(x) for x in zip(*forms))
+    w = sign * reach * np.sqrt((np.minimum(u, v) - 1.0) * (np.maximum(u, v) + 1.0))
+    _assert_same_eof(u, v, w)
+    _assert_same_eof(*_swapped(u, v, np.abs(w), tau))
+    _assert_same_eof(u[0], v[0], w[0])
+
+
+@settings(max_examples=100, deadline=None)
+@given(device=_stable_devices(), taus=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8))
+def test_eof_equals_the_earlier_eof_on_swapped_spectra(device, taus):
+    # fig5b's integrand shape: tau lanes by frequencies
+    p = TransducerParams.from_cooperativities(*device, "blue")
+    u, v, w = mo_standard_form_spectra(p, np.linspace(-10.0, 10.0, 33))
+    _assert_same_eof(*_swapped(u, v, w, np.array(taus)[:, None]))
