@@ -227,15 +227,6 @@ def _evaluate(fn, rows: np.ndarray, omegas: np.ndarray, out: np.ndarray) -> np.n
     return out
 
 
-def _trapezoid(values: np.ndarray, omegas: np.ndarray) -> np.ndarray:
-    """np.trapezoid(values, omegas) along the last axis of C-contiguous 2-D
-    ``values``, with its operations and bits, in one temporary instead of three."""
-    areas = values[:, 1:] + values[:, :-1]
-    areas *= np.diff(omegas)
-    areas /= 2.0
-    return areas.sum(axis=-1)
-
-
 def _nested_trapezoids(fn, lanes: int, omega_max: float) -> np.ndarray:
     """Nested trapezoids of ``lanes`` vectorized, pointwise spectral functions on
     [-W, W], one total per lane.
@@ -257,7 +248,8 @@ def _nested_trapezoids(fn, lanes: int, omega_max: float) -> np.ndarray:
     totals = np.empty(lanes)
     n = _INITIAL_POINTS
     first = np.linspace(-omega_max, omega_max, n)
-    fit = max(1, _GROUP_ELEMENTS // n)
+    # no lane can stop on the first level, so groups are sized for the second
+    fit = max(1, _GROUP_ELEMENTS // (2 * n - 1))
     # lane groups left, the lowest on top: (rows, their values and totals on the
     # level they have reached, the change of their last doubling, doublings)
     todo = [(np.arange(lo, min(lo + fit, lanes)), None, None, None, 0)
@@ -266,7 +258,7 @@ def _nested_trapezoids(fn, lanes: int, omega_max: float) -> np.ndarray:
         rows, values, total, change, doubling = todo.pop()
         if values is None:
             values = _evaluate(fn, rows, first, np.empty((rows.size, first.size)))
-            total, change = _trapezoid(values, first), np.full(rows.size, math.inf)
+            total, change = np.trapezoid(values, first), np.full(rows.size, math.inf)
         while rows.size:
             if doubling >= _MAX_DOUBLINGS:
                 raise ValueError(f"frequency integral not converged on {values.shape[1]} nodes: "
@@ -282,7 +274,7 @@ def _nested_trapezoids(fn, lanes: int, omega_max: float) -> np.ndarray:
             finer[:, ::2] = values
             _evaluate(fn, rows, omegas[1::2], finer[:, 1::2])
             values, prev = finer, total
-            total = _trapezoid(values, omegas)
+            total = np.trapezoid(values, omegas)
             change = np.abs(total - prev)
             done = change <= np.maximum(_REL_TOL * np.abs(total), _ABS_TOL)
             totals[rows[done]] = total[done]

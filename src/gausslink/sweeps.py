@@ -521,7 +521,7 @@ def _evaluate_block(experiment: str, fixed: dict, axes: tuple, rows: np.ndarray)
     # looked up by name, in the worker too: the fig5 evaluators are closures,
     # which a process pool cannot pickle
     spec = EXPERIMENTS[experiment]
-    second, cells = _axis_cells(axes[1]) if len(axes) == 2 else (None, None)
+    second = axes[1].values() if len(axes) == 2 else None
     coords = _block_coords(rows, second)
     columns = {k: np.full(coords[0].size, v) for k, v in fixed.items()}
     columns.update(zip((axis.name for axis in axes), coords))
@@ -536,7 +536,8 @@ def _evaluate_block(experiment: str, fixed: dict, axes: tuple, rows: np.ndarray)
                 where = ", ".join("%s=%.12g" % pair for pair in zip(names, point))
                 raise NumericalError(f"{experiment} at {where}: {exc}") from exc
         raise
-    return _format_block(spec.metrics, rows, second, stable, metrics, cells)
+    cells = [""] if second is None else ["%.12g," % x for x in second.tolist()]
+    return _format_block(spec.metrics, rows, cells, stable, metrics)
 
 
 # blocks each pool worker gets on average, and has in flight at most: several,
@@ -572,15 +573,16 @@ def _block_coords(rows: np.ndarray, second) -> tuple:
     return np.repeat(rows, second.size), np.tile(second, rows.size)
 
 
-def _format_block(metrics: tuple, rows: np.ndarray, second, stable: np.ndarray, columns: dict,
-                  cells=None):
-    """The CSV lines of an evaluated block, one string per grid row: each axis
-    value formatted once, and each point's metric cells from one format string.
-    ``cells`` are the second axis's ``"%.12g,"`` cells, if already formatted.
-    Numbers take 12 significant digits and strings stay as they are; a metric
-    given once for the whole block is formatted once, into the format string.
-    Unstable points leave every metric cell empty.  No cell can hold a comma,
-    quote or line break, so none is quoted."""
+def _format_block(metrics: tuple, rows: np.ndarray, cells: list, stable: np.ndarray,
+                  columns: dict):
+    """The CSV lines of an evaluated block, one string per grid row: each first
+    axis value formatted once, followed by each of ``cells`` (the second axis's
+    ``"%.12g,"`` cells, or ``[""]`` on a one-axis grid) and that point's metric
+    cells, which come from one format string.  Numbers take 12 significant
+    digits and strings stay as they are; a metric given once for the whole block
+    is formatted once, into the format string.  Unstable points leave every
+    metric cell empty.  No cell can hold a comma, quote or line break, so none
+    is quoted."""
     ok, lanes = "1", []
     for name in metrics:
         value = np.asarray(columns[name])
@@ -594,27 +596,10 @@ def _format_block(metrics: tuple, rows: np.ndarray, second, stable: np.ndarray, 
     bad = "0" + "," * len(metrics) + "\n"
     values = map(ok.__mod__, zip(*lanes)) if lanes else itertools.repeat(ok % ())
     tails = (next(values) if s else bad for s in stable.tolist())
-    if cells is None:
-        cells = [""] if second is None else ["%.12g," % x for x in second.tolist()]
     return [
         head + head.join(map(str.__add__, cells, itertools.islice(tails, len(cells))))
         for head in ("%.12g," % x for x in rows.tolist())
     ]
-
-
-@functools.lru_cache(maxsize=8)
-def _axis_table(axis: Axis, signs: tuple) -> tuple:
-    values = axis.values()
-    values.flags.writeable = False
-    return values, tuple("%.12g," % x for x in values.tolist())
-
-
-def _axis_cells(axis: Axis) -> tuple:
-    """An axis's values and their ``"%.12g,"`` cells, computed once per distinct
-    axis and shared, so neither can be changed.  Axes whose bounds differ only
-    in the sign of a zero compare equal but print differently, so the signs are
-    part of the key."""
-    return _axis_table(axis, (math.copysign(1.0, axis.lo), math.copysign(1.0, axis.hi)))
 
 
 def _write_csv(path: Path, header: list, texts) -> None:
