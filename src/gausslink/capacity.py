@@ -194,18 +194,19 @@ _MAX_DOUBLINGS = 12
 # configs or golden grids reaches (the smallest positive fig5b integral is
 # about 3e-5); such totals are accurate to 1e-12 absolute, not 1e-6 relative.
 _ABS_TOL = 1e-12
-# Elements (lanes x nodes) per call of the integrand.  A fig5b call costs about
-# 0.9 kB per node (the spectra) and 0.11 kB per element (the EoF), so it peaks
-# near 2 MB; a lane whose new nodes alone are more (the 524,288 midpoints of a
-# twelfth doubling would need 0.5 GB) gets them in chunks.  On 40 fig5b devices
-# of 30 lanes, calls of 2**10, 2**12 and 2**13 elements took 27%, 5% and 21%
-# longer: smaller calls pay more overhead, larger ones outgrow the cache.
+# Nodes per call of the integrand, which gets all lanes of a group at once: a
+# lane whose new nodes alone are more (the 524,288 midpoints of a twelfth
+# doubling) gets them in chunks.  A fig5b call costs about 0.9 kB per node (the
+# spectra) and a few buffers of 8 bytes per element (the EoF).  Calls of 2**12
+# and 2**13 elements once ran 5% and 21% slower than 2**11 per element: the
+# integrand then built a new array per operation, and glibc trimmed and
+# page-faulted those heap temporaries back in, a cost that larger calls hit
+# more often and that goes away with raised malloc trim and mmap thresholds.
 _CHUNK_NODES = 2**11
-# Values (lanes x nodes) a lane group holds on one level, 128 kB: the 30 tau
-# lanes of a fig5b row go up to 513 nodes as one group, with one node array,
-# one trapezoid and one stop test per level.  Integrating such a device peaks
-# at 0.57 MB, against 0.25 MB for one lane and 0.37 MB for groups of 2**11
-# values; with calls of 2**12 elements it peaks at 0.92 MB.
+# Values (lanes x nodes) a lane group holds on one level, 128 kB, which also
+# bounds the elements of one call: the 30 tau lanes of a fig5b row go up to
+# 513 nodes as one group, with one node array, one integrand call, one
+# trapezoid and one stop test per level.
 _GROUP_ELEMENTS = 8 * _CHUNK_NODES
 
 
@@ -216,14 +217,9 @@ def _window(p: TransducerParams) -> float:
 
 def _evaluate(fn, rows: np.ndarray, omegas: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Fill ``out``, (rows.size, omegas.size), with ``fn`` of the lanes ``rows``
-    at ``omegas``, from calls of at most _CHUNK_NODES elements (lanes x nodes);
-    one lane with more nodes than that gets them in calls of that many."""
-    step = max(1, _CHUNK_NODES // omegas.size)
-    for lo in range(0, rows.size, step):
-        for at in range(0, omegas.size, _CHUNK_NODES):
-            out[lo : lo + step, at : at + _CHUNK_NODES] = fn(
-                rows[lo : lo + step], omegas[at : at + _CHUNK_NODES]
-            )
+    at ``omegas``: one call of all the rows per _CHUNK_NODES nodes."""
+    for at in range(0, omegas.size, _CHUNK_NODES):
+        out[:, at : at + _CHUNK_NODES] = fn(rows, omegas[at : at + _CHUNK_NODES])
     return out
 
 
@@ -238,16 +234,19 @@ def _nested_trapezoids(fn, lanes: int, omega_max: float) -> np.ndarray:
     groups that hold at most _GROUP_ELEMENTS values (lanes x nodes) each, unless
     one lane alone has more; a group splits as its levels grow, each part going
     on to convergence in turn, so memory stays bounded however many lanes run
-    deep.  A group shares each level's nodes, one trapezoid along the last axis
-    of its C-contiguous values, whose row sums are the 1-D sums, and one stop
-    test, so every lane stops at its own doubling with the bits of a lone
-    integral.  ``fn`` itself gets at most _CHUNK_NODES elements a call
-    (`_evaluate`); since it is pointwise, neither grouping changes a total.  A
-    lane that runs out of doublings raises, the lowest such lane first.
+    deep.  A group shares each level's nodes, one call of ``fn`` per
+    _CHUNK_NODES new nodes (`_evaluate`), so at most _GROUP_ELEMENTS elements a
+    call, one trapezoid along the last axis of its C-contiguous values, whose
+    row sums are the 1-D sums, and one stop test, so every lane stops at its
+    own doubling with the bits of a lone integral; since ``fn`` is pointwise,
+    neither grouping changes a total.  Every level's nodes are a view of the
+    finest level built so far, so groups that follow one another up the same
+    levels, as single deep lanes do, build each level's nodes once.  A lane
+    that runs out of doublings raises, the lowest such lane first.
     """
     totals = np.empty(lanes)
     n = _INITIAL_POINTS
-    first = np.linspace(-omega_max, omega_max, n)
+    first = finest = np.linspace(-omega_max, omega_max, n)
     # no lane can stop on the first level, so groups are sized for the second
     fit = max(1, _GROUP_ELEMENTS // (2 * n - 1))
     # lane groups left, the lowest on top: (rows, their values and totals on the
@@ -269,7 +268,9 @@ def _nested_trapezoids(fn, lanes: int, omega_max: float) -> np.ndarray:
                 todo += [tuple(x[lo : lo + fit] for x in (rows, values, total, change)) + (doubling,)
                          for lo in reversed(range(0, rows.size, fit))]
                 break
-            omegas = np.linspace(-omega_max, omega_max, n)
+            if n > finest.size:
+                finest = np.linspace(-omega_max, omega_max, n)
+            omegas = finest[:: (finest.size - 1) // (n - 1)]
             finer = np.empty((rows.size, n))
             finer[:, ::2] = values
             _evaluate(fn, rows, omegas[1::2], finer[:, 1::2])
@@ -277,8 +278,9 @@ def _nested_trapezoids(fn, lanes: int, omega_max: float) -> np.ndarray:
             total = np.trapezoid(values, omegas)
             change = np.abs(total - prev)
             done = change <= np.maximum(_REL_TOL * np.abs(total), _ABS_TOL)
-            totals[rows[done]] = total[done]
-            rows, values, total, change = (x[~done] for x in (rows, values, total, change))
+            if done.any():
+                totals[rows[done]] = total[done]
+                rows, values, total, change = (x[~done] for x in (rows, values, total, change))
             doubling += 1
     return totals
 

@@ -117,6 +117,83 @@ def _swap_form(u, v, w) -> tuple:
     return v - off, off
 
 
+def _swapped_eof(u, v, w, tau) -> np.ndarray:
+    """E_F of the swapped microwave pair after optical loss tau, from source
+    form arrays (u, v, w) of one shape and a tau that broadcasts against them
+    (a column of lanes against a row of frequencies).  It has the bits of
+    ``_eof(diag, diag, off)[0]`` with ``lossy_u, lossy_w = _optical_loss(u, w,
+    tau)`` and ``diag, off = _swap_form(lossy_u, v, lossy_w)``.
+
+    It runs the same operations in the same order on a few buffers updated in
+    place, with one product d d of the diagonal d for the composition's u v,
+    u u and v v.  Three steps that change no bit of E_F are left out: |off|,
+    as off >= +0 where u >= 1; gamma -= (u - v)^2, as that is +0 where d is
+    finite and a d that is not fails the PPT test; and zeroing the entropy
+    tail off the entangled elements, where r = +0 makes E_F = +0 - (-0).  It
+    returns zeros as soon as no element passes the PPT test, and sets arg to 1
+    off the entangled elements before its log, which reads r = +0 there as the
+    masked log does, but faster.
+    """
+    lossy = tau * (u - 1.0)
+    lossy += 1.0
+    off = np.sqrt(tau) * w
+    off *= off
+    lossy *= 2.0
+    off /= lossy
+    d = np.subtract(v, off, out=lossy)
+    delta = d * d
+    det_v = off * off
+    np.subtract(delta, det_v, out=det_v)
+    det_v *= det_v
+    w2 = off * 2.0
+    off *= w2
+    delta += delta
+    delta += off
+    nu_sq = np.multiply(delta, delta, out=off)
+    nu_sq -= det_v * 4.0
+    np.maximum(nu_sq, 0.0, out=nu_sq)
+    np.sqrt(nu_sq, out=nu_sq)
+    nu_sq += delta
+    nu_sq *= 0.5
+    np.divide(det_v, nu_sq, out=nu_sq)
+    ppt = nu_sq < _PPT_THRESHOLD
+    if not ppt.any():
+        return np.zeros(nu_sq.shape)
+    gamma = np.add(det_v, 1.0, out=det_v)
+    gamma *= 2.0
+    d += d
+    beta = np.add(d, w2, out=delta)
+    beta_minus = np.subtract(d, w2, out=d)
+    beta *= beta
+    beta_minus *= beta_minus
+    beta *= beta_minus
+    rad = np.multiply(gamma, gamma, out=w2)
+    rad -= beta
+    np.maximum(rad, 0.0, out=rad)
+    np.sqrt(rad, out=rad)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        arg = np.subtract(gamma, rad, out=rad)
+        arg /= beta_minus
+        entangled = arg > 1.0
+        entangled &= ppt
+        if not entangled.any():
+            return np.zeros(arg.shape)
+        np.putmask(arg, ~entangled, 1.0)
+        r = np.log(arg, out=arg)
+        r *= 0.25
+        c2 = np.cosh(r, out=beta_minus)
+        c2 *= c2
+        s2 = np.sinh(r, out=r)
+        s2 *= s2
+        e_f = np.log2(c2, out=beta)
+        e_f *= c2
+        tail = np.maximum(s2, 1e-300, out=gamma)
+        np.log2(tail, out=tail)
+        tail *= s2
+        e_f -= tail
+    return e_f
+
+
 def _duan(u, v, w):
     """u + v - 2w of floats or arrays; values below 1 certify entanglement."""
     return u + v - 2 * w
@@ -132,9 +209,11 @@ def _entanglement_rates(p: TransducerParams, taus) -> np.ndarray:
 
     Every tau is checked before anything is integrated.  The lanes share one
     nested trapezoid, which stops each lane at the doubling its one-lane
-    integral stops at, with the same bits.  The source spectra depend on the
-    device only: they are solved once per node array the trapezoid asks for,
-    keyed by the nodes themselves, and every lane group reads them.  That cache
+    integral stops at, with the same bits, and evaluates `_swapped_eof` once per
+    lane group and level (per node chunk, on levels past _CHUNK_NODES new
+    nodes).  The source spectra depend on the device only: they are solved once
+    per node array the trapezoid asks for, keyed by the nodes themselves, so the
+    cache holds one entry per level (per chunk) that every lane group reads.  It
     lives for this call and holds 3 floats (and the node itself as key) per node
     visited by the deepest lane.
     """
@@ -146,10 +225,7 @@ def _entanglement_rates(p: TransducerParams, taus) -> np.ndarray:
         key = omegas.tobytes()
         if key not in spectra:
             spectra[key] = mo_standard_form_spectra(p, omegas)
-        u, v, w = spectra[key]
-        u, w = _optical_loss(u, w, taus[rows, None])
-        diag, off = _swap_form(u, v, w)
-        return _eof(diag, diag, off)[0]
+        return _swapped_eof(*spectra[key], taus[rows, None])
 
     return _nested_trapezoids(integrand, taus.size, _window(p)) / (2.0 * np.pi)
 

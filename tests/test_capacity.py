@@ -452,13 +452,15 @@ class TestNestedTrapezoids:
     @pytest.mark.parametrize("lanes", [1, 100])
     def test_calls_stay_within_the_element_cap(self, lanes):
         # a Lorentzian of width 1e-4 on [-1, 1] converges on 131,073 nodes,
-        # whose last 65,536 midpoints exceed the cap even for one lane
+        # whose last 65,536 midpoints exceed the node cap even for one lane;
+        # a call gets all lanes of a group, which hold at most the group budget
         fn, fns = _lorentzians(np.ones(lanes), np.zeros(lanes), np.full(lanes, 1e-4))
         recording, calls = _recorded(fn)
         totals = _nested_trapezoids(recording, lanes, 1.0)
         assert _same_bits(totals, [earlier_integrate_spectrum(fns[0], 1.0)] * lanes)
+        assert max(omegas.size for _, omegas in calls) == _CHUNK_NODES
         sizes = [rows.size * omegas.size for rows, omegas in calls]
-        assert max(sizes) == _CHUNK_NODES
+        assert max(sizes) <= _GROUP_ELEMENTS
         assert sum(sizes) == lanes * 131073
 
     def test_each_node_is_evaluated_once_per_lane(self):
@@ -485,14 +487,17 @@ class TestNestedTrapezoids:
 
     def test_a_row_of_lanes_shares_each_level(self, monkeypatch):
         # 30 lanes that all converge on 513 nodes, as the tau lanes of a fig5b
-        # row do, go up as one group: two trapezoids in all, one per level
+        # row do, go up as one group: two integrand calls and two trapezoids
+        # in all, one of each per level
         width = np.geomspace(0.02, 0.1, 30)
         fn, fns = _lorentzians(np.ones(30), np.zeros(30), width)
         assert all(30 * n <= _GROUP_ELEMENTS for n in (257, 513))
+        fn, calls = _recorded(fn)
         recording, trapezoids = _recorded(np.trapezoid)
         monkeypatch.setattr(np, "trapezoid", recording)
         totals = _nested_trapezoids(fn, 30, 1.0)
         monkeypatch.undo()
+        assert [(rows.size, omegas.size) for rows, omegas in calls] == [(30, 257), (30, 256)]
         assert [values.shape for values, _ in trapezoids] == [(30, 257), (30, 513)]
         assert _same_bits(totals, [earlier_integrate_spectrum(f, 1.0) for f in fns])
 

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,9 +7,11 @@ from hypothesis import strategies as st
 
 from gausslink.capacity import g_function
 from gausslink.entanglement import (
+    _PPT_THRESHOLD,
     _eof,
     _optical_loss,
     _swap_form,
+    _swapped_eof,
     duan_quantity,
     entanglement_of_formation,
     entanglement_rate,
@@ -395,3 +399,82 @@ def test_eof_equals_the_earlier_eof_on_swapped_spectra(device, taus):
     p = TransducerParams.from_cooperativities(*device, "blue")
     u, v, w = mo_standard_form_spectra(p, np.linspace(-10.0, 10.0, 33))
     _assert_same_eof(*_swapped(u, v, w, np.array(taus)[:, None]))
+
+
+# --- the swapped-pair kernel against the composition it fuses -----------------
+
+
+# tau lanes at the ends of [0, 1], one ulp below 1 and at the separability
+# boundary 1/2, as a column against forms along a row, the integrand's layout
+_TAU_EDGES = np.array([0.0, 0.5, np.nextafter(1.0, 0.0), 1.0])
+
+
+def _assert_same_swapped_eof(u, v, w, tau):
+    """`_swapped_eof` has the bits of E_F of the composed swapped form, and
+    neither route warns."""
+    tau = np.asarray(tau, dtype=float)[:, None]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = _swapped_eof(u, v, w, tau)
+        expected = _eof(*_swapped(u, v, w, tau))[0]
+    assert got.shape == expected.shape == (tau.size, np.size(u))
+    assert got.tobytes() == expected.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    forms=st.lists(
+        st.tuples(st.floats(1.0, 1e3), st.floats(1.0, 1e3), st.floats(0.0, 1.0)),
+        min_size=1,
+        max_size=12,
+    ),
+    taus=st.lists(st.floats(0.0, 1.0), max_size=6),
+)
+def test_swapped_eof_equals_the_composition_on_physical_forms(forms, taus):
+    u, v, reach = (np.array(x) for x in zip(*forms))
+    w = reach * np.sqrt((np.minimum(u, v) - 1.0) * (np.maximum(u, v) + 1.0))
+    _assert_same_swapped_eof(u, v, w, np.concatenate([_TAU_EDGES, taus]))
+
+
+def _thermal_near_boundary_forms(d):
+    """Closed-form (u, v, w) of thermal devices (n_th = 0.2 and 1) with
+    C_om = 1 + C_em - d, as flat arrays."""
+    forms = _closed_form_uvw(3.0 - np.asarray(d)[:, None], 2.0, 1.0, 1.0, np.array([0.2, 1.0]))
+    return tuple(x.ravel() for x in forms)
+
+
+_SWAPPED_EOF_EDGES = {
+    "pure": _closed_form_uvw(np.linspace(0.05, 2.2, 12), 1.5, 1.0, 1.0, 0.0),
+    "near-boundary": _near_boundary_forms(),
+    # u from 8e7 to 1e10
+    "thermal-near-boundary": _thermal_near_boundary_forms([1e-3, 3e-4, 1e-4]),
+    "w-zero": (np.array([1.0, 3.0, 5.0]), np.array([1.0, 2.0, 5.0]), np.zeros(3)),
+    "w-negative-zero": (np.array([1.0, 3.0, 5.0]), np.array([1.0, 2.0, 5.0]), np.full(3, -0.0)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_SWAPPED_EOF_EDGES))
+def test_swapped_eof_edges_equal_the_composition(case, rng):
+    taus = np.concatenate([_TAU_EDGES, rng.random(4)])
+    _assert_same_swapped_eof(*_SWAPPED_EOF_EDGES[case], taus)
+
+
+# (forms, tau lanes, lanes that pass the PPT test, lanes with E_F > 0): blocks
+# that leave the kernel at each of its returns.  Thermal forms of u >= 8e8 near
+# the stability boundary pass the PPT test but read E_F = 0, as gamma - rad
+# cancels there.
+_SWAPPED_EOF_BLOCKS = {
+    "no-lane-passes-ppt": (_SWAPPED_EOF_EDGES["pure"], [0.0, 0.25, 0.5], 0, 0),
+    "no-lane-entangled": (_thermal_near_boundary_forms([3e-4, 1e-4]), [0.6, 0.9, 1.0], 3, 0),
+    "some-lanes-entangled": (_SWAPPED_EOF_EDGES["pure"], [0.0, 0.5, 0.9, 1.0], 2, 2),
+    "every-lane-entangled": (_SWAPPED_EOF_EDGES["pure"], [0.7, np.nextafter(1.0, 0.0), 1.0], 3, 3),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_SWAPPED_EOF_BLOCKS))
+def test_swapped_eof_blocks_equal_the_composition(case):
+    form, taus, ppt_lanes, entangled_lanes = _SWAPPED_EOF_BLOCKS[case]
+    e_f, nu_min_sq = _eof(*_swapped(*form, np.array(taus)[:, None]))[:2]
+    assert np.any(nu_min_sq < _PPT_THRESHOLD, axis=1).sum() == ppt_lanes
+    assert np.any(e_f > 0.0, axis=1).sum() == entangled_lanes
+    _assert_same_swapped_eof(*form, taus)
