@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from .capacity import _nested_trapezoids, _window
+from .capacity import _even, _nested_trapezoids, _window
 from .transducer import TransducerParams, TwoModeStandardForm, _all, mo_standard_form_spectra
 
 __all__ = [
@@ -211,16 +211,20 @@ def _entanglement_rates(p: TransducerParams, taus) -> np.ndarray:
     nested trapezoid, which stops each lane at the doubling its one-lane
     integral stops at, with the same bits, and evaluates `_swapped_eof` once per
     lane group and level (per node chunk, on levels past _CHUNK_NODES new
-    nodes).  The source spectra depend on the device only: they are solved once
-    per node array the trapezoid asks for, keyed by the nodes themselves, so the
-    cache holds one entry per level (per chunk) that every lane group reads.  It
-    lives for this call and holds 3 floats (and the node itself as key) per node
-    visited by the deepest lane.
+    nodes).  The spectra, and so E_F, are even in omega bit for bit: on a node
+    array that is its own mirror image `_even` solves and swaps its nonnegative
+    half only and reflects the values.  The source spectra depend on the device
+    only: they are solved once per node array evaluated, keyed by the nodes
+    themselves (the nonnegative half of a mirror image, or the whole chunk), so
+    the cache holds one entry per level (per chunk) that every lane group reads.
+    It lives for this call and holds 3 floats (and the node itself as key) per
+    node evaluated for the deepest lane.
     """
     taus = np.asarray(taus, dtype=float)
     _check_tau(taus)
     spectra = {}
 
+    @_even
     def integrand(rows, omegas):
         key = omegas.tobytes()
         if key not in spectra:

@@ -10,7 +10,7 @@ the same optical outputs.
 
 import numpy as np
 
-from .capacity import _window, integrate_spectrum
+from .capacity import _even, _window, integrate_spectrum
 from .entanglement import _check_tau, _optical_loss, _swap_form
 from .gaussian import GaussianState, general_dyne_condition, tensor, two_mode_squeezed
 from .transducer import TransducerParams, TwoModeStandardForm, _all, mo_standard_form_spectra
@@ -85,7 +85,8 @@ def _click_rates(p: TransducerParams, tau, dt) -> tuple:
 
     The photon-flux spectral density of the optical coupling output,
     (S_qq + S_pp - 2)/4 in vacuum units, is integrated over frequency once
-    (divided by 2 pi); r_t scales it by each lane's path transmissivity.  With
+    (divided by 2 pi), on the nonnegative half of each mirror-image node array
+    (`_even`); r_t scales it by each lane's path transmissivity.  With
     two devices feeding the detectors the Bell rate follows the Poisson
     heralding model r_B = 2 r_t exp(-r_t dt).
     """
@@ -93,6 +94,7 @@ def _click_rates(p: TransducerParams, tau, dt) -> tuple:
     if not _all(dt > 0):
         raise ValueError("pulse duration must be positive")
 
+    @_even
     def flux(omegas):
         u, _, _ = mo_standard_form_spectra(p, omegas)
         # optical q and p spectra coincide, so S_qq + S_pp - 2 = 2 (u - 1);

@@ -128,7 +128,8 @@ def _source_forms(columns: dict) -> tuple:
     """Stable mask of a block, and the validated on-resonance closed-form
     (u, v, w) arrays over its stable points.
 
-    One blue device per point; one batched eigenvalue solve finds the stable ones.
+    One blue device per point; one batched Routh-Hurwitz test of the drift's
+    characteristic cubic (`stability_check`) finds the stable ones.
     """
     p = _params(columns, "blue")
     stable = stability_check(p)

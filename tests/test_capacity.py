@@ -14,6 +14,7 @@ from gausslink.capacity import (
     _CHUNK_NODES,
     _GROUP_ELEMENTS,
     BosonicChannelKind,
+    _even,
     coherent_info_displacement,
     coherent_info_loss_amp,
     dqt_capacity_boundary,
@@ -519,3 +520,50 @@ class TestNestedTrapezoids:
             tracemalloc.stop()
         assert np.unique(totals).size == 1
         assert peak < 8 * held
+
+
+_DEEP_MIDPOINTS = np.linspace(-1.0, 1.0, 8193)[1::2]
+# node arrays, and whether each is its own mirror image
+_MIRROR_CASES = {
+    "odd": (np.linspace(-10.0, 10.0, 257), True),
+    "even": (np.linspace(-17.0, 17.0, 513)[1::2], True),
+    "odd-W1.23": (np.linspace(-1.23, 1.23, 257), False),
+    "even-W1.23": (np.linspace(-1.23, 1.23, 513)[1::2], False),
+    "negative-chunk": (_DEEP_MIDPOINTS[:_CHUNK_NODES], False),
+    "positive-chunk": (_DEEP_MIDPOINTS[_CHUNK_NODES:], False),
+}
+
+
+class TestEven:
+    """The half-node evaluation of even integrands against the whole one."""
+
+    @pytest.mark.parametrize("omegas, halved", _MIRROR_CASES.values(), ids=_MIRROR_CASES.keys())
+    def test_equals_the_whole_evaluation(self, omegas, halved):
+        h = omegas.size // 2
+        assert bool(np.array_equal(omegas[:h], -omegas[::-1][:h])) == halved
+        seen = omegas[h:] if halved else omegas
+        lanes, _ = _lorentzians([1.0, 0.5, 2.0], np.zeros(3), [0.3, 1e-4, 5.0])
+        rows = np.array([2, 0, 1])
+        recording, calls = _recorded(lanes)
+        got = _even(recording)(rows, omegas)
+        assert got.shape == (3, omegas.size)
+        assert got.tobytes() == lanes(rows, omegas).tobytes()
+        assert [x.tobytes() for x in calls[0]] == [rows.tobytes(), seen.tobytes()]
+        one = []
+        fn = lambda om: one.append(om.copy()) or 1.0 / (1.0 + (om / 0.3) ** 2)  # noqa: E731
+        got = _even(fn)(omegas)
+        assert got.shape == omegas.shape
+        assert got.tobytes() == fn(omegas).tobytes()
+        assert one[0].tobytes() == seen.tobytes()
+
+    def test_deep_chunked_lanes_keep_their_totals(self):
+        # a Lorentzian of width 1e-4 on [-1, 1] converges on 131,073 nodes: its
+        # levels up to 4,097 nodes are mirror images and evaluated by halves,
+        # the 2,048-node chunks of the deeper ones are one-sided and whole
+        lanes, _ = _lorentzians([1.0, 3.0], np.zeros(2), [1e-4, 2e-4])
+        recording, calls = _recorded(lanes)
+        totals = _nested_trapezoids(_even(recording), 2, 1.0)
+        assert totals.tobytes() == _nested_trapezoids(lanes, 2, 1.0).tobytes()
+        sizes = [omegas.size for _, omegas in calls]
+        assert sizes[:5] == [129, 128, 256, 512, 1024]
+        assert set(sizes[5:]) == {_CHUNK_NODES}

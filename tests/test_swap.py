@@ -1,10 +1,21 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from gausslink.entanglement import entanglement_of_formation, entanglement_rate
+from gausslink import entanglement, swap
+from gausslink.capacity import _nested_trapezoids, _window, integrate_spectrum
+from gausslink.entanglement import (
+    _entanglement_rates,
+    _swapped_eof,
+    entanglement_of_formation,
+    entanglement_rate,
+)
 from gausslink.gaussian import symplectic_form
 from gausslink.selftest import random_physical_form, random_stable_blue_params
 from gausslink.swap import (
+    _FLUX_FLOOR,
+    _click_rates,
     apply_optical_loss,
     click_rate,
     mm_standard_form,
@@ -17,6 +28,7 @@ from gausslink.transducer import (
     TransducerParams,
     TwoModeStandardForm,
     _drift_blue,
+    mo_standard_form_spectra,
     output_mo_covariance,
 )
 
@@ -293,3 +305,64 @@ class TestMmCapacity:
                 entanglement_of_formation(mm_standard_form(form))
                 <= entanglement_of_formation(form) + 1e-9
             )
+
+
+def earlier_entanglement_rates(p, taus):
+    """`_entanglement_rates` as it was before its integrand evaluated half of
+    each mirror-image node array: every node solved and swapped."""
+    taus = np.asarray(taus, dtype=float)
+    spectra = {}
+
+    def integrand(rows, omegas):
+        key = omegas.tobytes()
+        if key not in spectra:
+            spectra[key] = mo_standard_form_spectra(p, omegas)
+        return _swapped_eof(*spectra[key], taus[rows, None])
+
+    return _nested_trapezoids(integrand, taus.size, _window(p)) / (2.0 * np.pi)
+
+
+def earlier_click_rates(p, tau, dt):
+    """`_click_rates` as it was before its flux evaluated half of each
+    mirror-image node array: every node solved."""
+
+    def flux(omegas):
+        excess = np.maximum(mo_standard_form_spectra(p, omegas)[0] - 1.0, 0.0)
+        excess[excess < _FLUX_FLOOR] = 0.0
+        return excess / 2.0
+
+    r_t = tau * integrate_spectrum(flux, _window(p)) / (2.0 * np.pi)
+    return r_t, 2.0 * r_t * np.exp(-r_t * dt)
+
+
+# windows W = 10 max(kappa): 10 and 17, whose node arrays are their own mirror
+# images, and 1.23, whose are not
+_WINDOWS = {
+    "W10": {},
+    "W17": dict(kappa_o=1.7),
+    "W1.23": dict(kappa_o=0.123, kappa_e=0.0123, kappa_m=0.07),
+}
+
+
+@pytest.mark.parametrize("kappas", _WINDOWS.values(), ids=_WINDOWS.keys())
+@pytest.mark.parametrize("c_om, c_em, n_th", [(0.5, 1.0, 0.0), (1.0, 2.0, 0.1), (1.5, 10.0, 0.02)])
+def test_rates_equal_the_earlier_rates(kappas, c_om, c_em, n_th, monkeypatch):
+    p = _blue(c_om, c_em, zeta_o=0.9, zeta_e=0.8, n_th=n_th, **kappas)
+    tau, dt = np.array([0.0, 0.5, 1.0]), np.array([1.0, 0.3, 2.0])
+    expected = (earlier_entanglement_rates(p, tau),) + earlier_click_rates(p, tau, dt)
+    sizes = {}
+    for module in (entanglement, swap):
+        def spectra(p, omegas, seen=sizes.setdefault(module, [])):
+            seen.append(omegas.size)
+            return mo_standard_form_spectra(p, omegas)
+
+        monkeypatch.setattr(module, "mo_standard_form_spectra", spectra)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = (_entanglement_rates(p, tau),) + _click_rates(p, tau, dt)
+    for a, b in zip(got, expected):
+        assert a.tobytes() == b.tobytes()
+    assert expected[0][-1] > 0.0 and expected[1][-1] > 0.0
+    # the mirror-image levels solve the spectra on their nonnegative halves
+    first = [257, 256] if "kappa_m" in kappas else [129, 128]
+    assert [seen[:2] for seen in sizes.values()] == [first, first]

@@ -481,3 +481,32 @@ def test_spectra_are_physical_across_the_window(p, where):
     # the standard forms the frequency integrals read, away from resonance too
     omegas = np.array(where) * capacity._window(p)
     _check_forms(*mo_standard_form_spectra(p, omegas))
+
+
+@st.composite
+def _lopsided_blue(draw):
+    """Stable blue devices with unequal, non-unit linewidths, a warm bath,
+    lossy extraction and C_om up to 0.999 (1 + C_em)."""
+    kappas = draw(st.lists(st.floats(0.05, 8.0).filter(lambda k: k != 1.0),
+                           min_size=3, max_size=3, unique=True))
+    c_em = draw(st.floats(0.01, 8.0))
+    c_om = draw(st.floats(0.0, 0.999)) * (1.0 + c_em)
+    zo, ze = draw(st.tuples(*(st.floats(0.05, 0.99),) * 2))
+    p = make(c_om, c_em, zo, ze, draw(st.floats(0.01, 2.0)), "blue",
+             kappa_o=kappas[0], kappa_e=kappas[1], kappa_m=kappas[2])
+    assume(stability_check(p))
+    return p
+
+
+@settings(max_examples=200, deadline=None)
+@given(p=_lopsided_blue(), where=st.lists(st.floats(-1.0, 1.0), max_size=12))
+def test_spectra_are_even_bit_for_bit(p, where):
+    # conj(M) = D M D with D = diag(1, -1, 1) for the blue drift M, so the
+    # resolvent at -omega is D conj(R(omega)) D, and rounding and pivoting treat
+    # those sign flips and conjugates alike: the frequency integrals evaluate
+    # the nonnegative half of a mirror-image node array and reflect it
+    window = capacity._window(p)
+    omegas = np.array([0.0, window, -window, window / 3.0, 0.1] + [x * window for x in where])
+    for at_minus, at_plus in zip(mo_standard_form_spectra(p, -omegas),
+                                 mo_standard_form_spectra(p, omegas)):
+        assert at_minus.tobytes() == at_plus.tobytes()
