@@ -62,11 +62,11 @@ def main(argv=None) -> int:
         if jobs < 1:
             source = "--jobs" if args.jobs is not None else JOBS_ENV_VAR
             raise ConfigError(f"{source}: must be at least 1")
+        if args.svg and len(config.axes) != 2:
+            raise ConfigError("--svg: heatmaps need a two-axis sweep")
         result = run_sweep(config, out_dir=args.out, jobs=jobs)
         print(f"wrote {result.path} ({math.prod(a.points for a in result.axes)} rows)")
         if config.emit_svg or args.svg:
-            if len(config.axes) != 2:
-                raise ConfigError("[sweep] emit_svg: heatmaps need a two-axis sweep")
             svg_path = result.path.with_suffix(".svg")
             emit_heatmap(result.path, config.svg_metric, svg_path)
             print(f"wrote {svg_path}")

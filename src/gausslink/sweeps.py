@@ -84,9 +84,26 @@ class Axis:
     scale: str = "linear"
 
     def values(self) -> np.ndarray:
-        if self.scale == "log":
-            return np.geomspace(self.lo, self.hi, self.points)
-        return np.linspace(self.lo, self.hi, self.points)
+        """The axis's points, with the bits of np.geomspace (log scale) or
+        np.linspace: built on the first call, then the same read-only array on
+        every call.  A log axis needs nonzero bounds of one sign.  The array is
+        not pickled: a worker builds its own."""
+        values = self.__dict__.get("_values")
+        if values is None:
+            if self.scale == "log" and not (self.lo > 0 < self.hi or self.lo < 0 > self.hi):
+                raise ValueError("a log axis needs nonzero bounds of one sign")
+            if self.points == 1:  # what either spacing gives, without its set-up
+                values = np.array([self.lo], dtype=float)
+            elif self.scale == "log":
+                values = np.geomspace(self.lo, self.hi, self.points)
+            else:
+                values = np.linspace(self.lo, self.hi, self.points)
+            values.flags.writeable = False
+            object.__setattr__(self, "_values", values)
+        return values
+
+    def __getstate__(self):
+        return {k: v for k, v in self.__dict__.items() if k != "_values"}
 
 
 @dataclass(frozen=True)
@@ -124,19 +141,33 @@ def _params(pt: dict, detuning: str) -> TransducerParams:
     )
 
 
+def _shape(columns: dict) -> tuple:
+    """The shape of a block's points: that of its array columns."""
+    return next((c.shape for c in columns.values() if getattr(c, "ndim", 0)), ())
+
+
+def _at(x, where) -> np.ndarray:
+    """A block's column ``x``, a float or an array, at the points the mask
+    ``where`` selects: always an array, so that what is computed from it takes
+    the array route whether or not ``x`` varies."""
+    return x[where] if getattr(x, "ndim", 0) else np.full(np.count_nonzero(where), x)
+
+
 def _source_forms(columns: dict) -> tuple:
     """Stable mask of a block, and the validated on-resonance closed-form
     (u, v, w) arrays over its stable points.
 
-    One blue device per point; one batched Routh-Hurwitz test of the drift's
-    characteristic cubic (`stability_check`) finds the stable ones.
+    One blue device per point, built from floats where a parameter is fixed;
+    one batched Routh-Hurwitz test of the drift's characteristic cubic
+    (`stability_check`) finds the stable ones.
     """
     p = _params(columns, "blue")
-    stable = stability_check(p)
-    c_om, c_em = cooperativities(p)
-    u, v, w = _closed_form_uvw(
-        *(x[stable] for x in (c_om, c_em, p.zeta_o, p.zeta_e, p.n_th))
-    )
+    stable = np.broadcast_to(stability_check(p), _shape(columns))
+    c_om, c_em = (_at(x, stable) for x in cooperativities(p))
+    # the forms are arrays through c_om, and only arithmetic in the rest: a
+    # fixed ratio or occupation stays a float
+    rest = (x[stable] if getattr(x, "ndim", 0) else x for x in (p.zeta_o, p.zeta_e, p.n_th))
+    u, v, w = _closed_form_uvw(c_om, c_em, *rest)
     _check_forms(u, v, w)
     return stable, u, v, w
 
@@ -145,7 +176,7 @@ def _swapped_forms(columns: dict) -> tuple:
     """Stable mask, the source (u, v, w) after optical loss tau, and (diag, off)
     of the swapped microwave pair, over the stable points of a block."""
     stable, u, v, w = _source_forms(columns)
-    tau = columns["tau"][stable]
+    tau = _at(columns["tau"], stable)
     _check_tau(tau)
     u, w = _optical_loss(u, w, tau)
     _check_forms(u, v, w)
@@ -154,16 +185,23 @@ def _swapped_forms(columns: dict) -> tuple:
     return stable, u, v, w, diag, off
 
 
+def _red_channels(columns: dict, shape: tuple) -> tuple:
+    """(eta, n_e) of direct conversion on resonance at each point of a block of
+    ``shape``, one array lane per point even where the device is fixed."""
+    return _dqt_eta_ne(_params(columns, "red"), np.zeros(shape))
+
+
 def _boundary(columns: dict) -> float:
     # the extraction ratios are fixed, never swept
-    return dqt_capacity_boundary(columns["zeta_o"][0], columns["zeta_e"][0])
+    return dqt_capacity_boundary(*(np.ravel(columns[k])[0] for k in ("zeta_o", "zeta_e")))
 
 
 def _eval_fig1a(columns):
-    eta, n_e = _dqt_eta_ne(_params(columns, "red"), 0.0)
+    shape = _shape(columns)
+    eta, n_e = _red_channels(columns, shape)
     product = columns["C_om"] * columns["C_em"]
     boundary = _boundary(columns)
-    return np.ones(product.size, dtype=bool), dict(
+    return np.ones(shape, dtype=bool), dict(
         eta0=eta,
         q_lb_dqt=_q_lb_loss_amp(eta, n_e),
         cc_product=product,
@@ -180,7 +218,7 @@ def _eval_capacity_map(columns):
 
 def _eval_fig2a(columns):
     stable, u, v, w = _source_forms(columns)
-    kinds, eta, noise = _induced_channels(u, v, w, columns["kappa"][stable])
+    kinds, eta, noise = _induced_channels(u, v, w, _at(columns["kappa"], stable))
     disp = eta == 1.0  # exactly the displacement lanes: elsewhere |kappa - 1| >= 1e-9
     raw = np.empty(eta.shape)
     with np.errstate(divide="raise", invalid="raise"):  # as the scalar bounds' checks
@@ -209,23 +247,27 @@ def _eval_fig4b(columns):
 
 
 def _by_device(per_lane: tuple, rates, metrics: tuple):
-    """Evaluator of a block grouped by device, a device being every column but
-    ``per_lane``.  Each device is built from Python floats, as from a single
-    point, and checked for stability once; each stable one fills ``metrics``
-    on its lanes with ``rates(p, *per-lane columns)``."""
+    """Evaluator of a block grouped by device, a device being the values of the
+    swept columns but ``per_lane``.  Each device is built from Python floats,
+    as from a single point, and checked for stability once; each stable one
+    fills ``metrics`` on its lanes with ``rates(p, *per-lane columns)``."""
 
     def evaluate(columns):
-        keys = [k for k in columns if k not in per_lane]
+        stable = np.zeros(_shape(columns), dtype=bool)
+        keys = [k for k in columns if k not in per_lane and getattr(columns[k], "ndim", 0)]
         lanes = {}
-        for i, device in enumerate(zip(*(columns[k].tolist() for k in keys))):
+        devices = zip(*(columns[k].tolist() for k in keys)) if keys else [()] * stable.size
+        for i, device in enumerate(devices):
             lanes.setdefault(device, []).append(i)
-        stable = np.zeros(columns[per_lane[0]].size, dtype=bool)
+        by_lane = [np.broadcast_to(columns[k], stable.shape) for k in per_lane]
         values = [np.empty(stable.size) for _ in metrics]
+        point = dict(columns)
         for device, idx in lanes.items():
-            p = _params(dict(zip(keys, device)), "blue")
+            point.update(zip(keys, device))
+            p = _params(point, "blue")
             if stability_check(p):
                 stable[idx] = True
-                for column, x in zip(values, rates(p, *(columns[k][idx] for k in per_lane))):
+                for column, x in zip(values, rates(p, *(c[idx] for c in by_lane))):
                     column[idx] = x
         return stable, {name: column[stable] for name, column in zip(metrics, values)}
 
@@ -236,7 +278,7 @@ def _eval_custom(columns):
     stable, u, v, w, diag, off = _swapped_forms(columns)
     # the lossy source and its swapped form share one search
     kappa, q = optimize_gains(*np.concatenate([[u, v, w], [diag, diag, off]], axis=1))
-    eta, n_e = (x[stable] for x in _dqt_eta_ne(_params(columns, "red"), 0.0))
+    eta, n_e = (x[stable] for x in _red_channels(columns, stable.shape))
     return stable, dict(
         eta0=eta,
         q_lb_dqt=_q_lb_loss_amp(eta, n_e),
@@ -270,10 +312,12 @@ def _axes_fig5() -> tuple:
 class ExperimentSpec:
     """A registered experiment.
 
-    ``evaluate`` takes a block of grid points as one dict of equal-length
-    float arrays, a column per parameter, and returns ``(stable, columns)``:
-    the block's stable-point mask, and per name in ``metrics`` one value per
-    stable point or one value for all of them.
+    ``evaluate`` takes a block of grid points as one dict with an entry per
+    parameter: an array with one value per point for a swept parameter, a
+    float for a fixed one (arrays of one repeated value are accepted too, and
+    give the same bits).  It returns ``(stable, columns)``: the block's
+    stable-point mask, one flag per point, and per name in ``metrics`` one
+    value per stable point or one value for all of them.
     """
 
     name: str
@@ -423,7 +467,14 @@ def _parse_axis(section: str, items: dict) -> Axis:
     extra = set(items) - {"min", "max", "points", "scale"}
     if extra:
         raise ConfigError(f"[{section}] {sorted(extra)[0]}: unknown field")
-    return Axis(name, lo, hi, points, scale)
+    axis = Axis(name, lo, hi, points, scale)
+    try:  # built here, and cached, so that an axis no array can hold is a config error
+        size = axis.values().size
+    except (ValueError, IndexError, OverflowError, MemoryError):
+        size = None
+    if size != points:
+        raise ConfigError(f"[{section}] points: {points} values do not fit in one array")
+    return axis
 
 
 def _parse_bool(section: str, key: str, raw: str) -> bool:
@@ -497,6 +548,8 @@ def parse_config(path) -> SweepConfig:
         raise ConfigError("a sweep needs one or two [axis NAME] sections")
     if len(axes) == 2 and axes[0].name == axes[1].name:
         raise ConfigError(f"[axis {axes[1].name}]: duplicate axis name")
+    if emit_svg and len(axes) != 2:
+        raise ConfigError("[sweep] emit_svg: heatmaps need a two-axis sweep")
 
     return SweepConfig(
         experiment=name,
@@ -513,7 +566,8 @@ def parse_config(path) -> SweepConfig:
 
 def _evaluate_block(experiment: str, fixed: dict, axes: tuple, rows: np.ndarray) -> list:
     """The CSV text of the block of grid rows whose first-axis values are
-    ``rows``, one string per grid row.
+    ``rows``, one string per grid row.  The experiment gets each parameter in
+    ``fixed`` as the float it is and each axis as a column over the block.
 
     A ValueError or ArithmeticError is raised as NumericalError naming the
     experiment and the axis values of the first point that fails alone: points
@@ -524,16 +578,17 @@ def _evaluate_block(experiment: str, fixed: dict, axes: tuple, rows: np.ndarray)
     spec = EXPERIMENTS[experiment]
     second = axes[1].values() if len(axes) == 2 else None
     coords = _block_coords(rows, second)
-    columns = {k: np.full(coords[0].size, v) for k, v in fixed.items()}
-    columns.update(zip((axis.name for axis in axes), coords))
+    names = [axis.name for axis in axes]
+    columns = dict(fixed)
+    columns.update(zip(names, coords))
     try:
         stable, metrics = spec.evaluate(columns)
     except (ValueError, ArithmeticError):
         for i, point in enumerate(zip(*(c.tolist() for c in coords))):
+            columns.update((name, c[i : i + 1]) for name, c in zip(names, coords))
             try:
-                spec.evaluate({k: c[i : i + 1] for k, c in columns.items()})
+                spec.evaluate(columns)
             except (ValueError, ArithmeticError) as exc:
-                names = (axis.name for axis in axes)
                 where = ", ".join("%s=%.12g" % pair for pair in zip(names, point))
                 raise NumericalError(f"{experiment} at {where}: {exc}") from exc
         raise
@@ -613,9 +668,12 @@ def _write_csv(path: Path, header: list, texts) -> None:
         with contextlib.ExitStack() as stack:
             for text in texts:
                 if fh is None:
-                    if path.parent != Path(""):
+                    try:
+                        fh = open(path, "w", newline="", encoding="utf-8")
+                    except FileNotFoundError:  # the directory is made only when missing
                         os.makedirs(path.parent, exist_ok=True)
-                    fh = stack.enter_context(open(path, "w", newline="", encoding="utf-8"))
+                        fh = open(path, "w", newline="", encoding="utf-8")
+                    stack.enter_context(fh)
                     fh.write(",".join(header) + "\n")
                 fh.writelines(text)
                 del text  # else held while the next block is evaluated
@@ -663,9 +721,7 @@ def run_sweep(config: SweepConfig, out_dir=None, jobs: int = 1) -> SweepResult:
     spec = EXPERIMENTS[config.experiment]
     blocks = _row_blocks(config.axes, jobs * _BLOCKS_PER_JOB if jobs > 1 else 1)
     evaluate = functools.partial(_evaluate_block, config.experiment, config.fixed, config.axes)
-    out_path = Path(config.output)
-    if out_dir is not None:
-        out_path = Path(out_dir) / out_path
+    out_path = Path(config.output) if out_dir is None else Path(out_dir, config.output)
     header = [axis.name for axis in config.axes] + ["stable"] + list(spec.metrics)
     with contextlib.ExitStack() as stack:
         if jobs > 1:

@@ -61,8 +61,10 @@ class TransducerParams:
     and the intrinsic microwave port; optical inputs are always vacuum.
     ``detuning`` selects the pump sideband: "red" for direct conversion,
     "blue" for entanglement generation.  The numeric fields may also be
-    equal-shaped arrays, one device per lane; every input check then applies
-    to every lane.
+    arrays, one device per lane, mixed with floats or with each other as long
+    as they broadcast against each other (a fixed C_om and a swept C_em give a
+    float ``g_om`` and an array ``g_em``); every input check then applies to
+    every lane.
     """
 
     g_om: float
@@ -194,10 +196,15 @@ class TwoModeStandardForm:
 # --- red detuning: beam-splitter conversion ---------------------------------
 
 
+def _lane_shape(p: TransducerParams) -> tuple:
+    """The shape the numeric fields of ``p`` broadcast to."""
+    return np.broadcast(p.g_om, p.g_em, p.kappa_o, p.kappa_e, p.kappa_m).shape
+
+
 def _drift_red(p: TransducerParams) -> np.ndarray:
     """Drift matrix of each lane, shape (..., 3, 3)."""
     # mode order (a, c, b); resonance terms removed by the rotating frame
-    drift = np.zeros(np.shape(p.g_om) + (3, 3), dtype=complex)
+    drift = np.zeros(_lane_shape(p) + (3, 3), dtype=complex)
     drift[..., 0, 0] = -p.kappa_o / 2.0
     drift[..., 0, 2] = drift[..., 2, 0] = -1j * p.g_om
     drift[..., 1, 1] = -p.kappa_e / 2.0
@@ -235,6 +242,8 @@ def _scattering_batch(p: TransducerParams, omegas, ports=slice(None)) -> np.ndar
     else:
         drift = _drift_blue(p)
         rates = (p.kappa_o_c, p.kappa_o_i, p.kappa_m, p.kappa_e_c, p.kappa_e_i)
+    if len({getattr(r, "shape", ()) for r in rates}) > 1:
+        rates = np.broadcast_arrays(*rates)
     rows, amps = _PORT_ROWS[p.detuning], np.sqrt(np.stack(rates, axis=-1))
     omegas = np.asarray(omegas, dtype=float)[..., None, None]
     inv = np.linalg.inv(-1j * omegas * np.eye(3) - drift)
@@ -310,7 +319,7 @@ def dqt_efficiency_bandwidth(p: TransducerParams, omega) -> np.ndarray:
 def _drift_blue(p: TransducerParams) -> np.ndarray:
     """Drift matrix of each lane, shape (..., 3, 3)."""
     # mode order (a^dag, b, c); parametric optical-mechanical coupling
-    drift = np.zeros(np.shape(p.g_om) + (3, 3), dtype=complex)
+    drift = np.zeros(_lane_shape(p) + (3, 3), dtype=complex)
     drift[..., 0, 0] = -p.kappa_o / 2.0
     drift[..., 0, 1] = -1j * p.g_om
     drift[..., 1, 0] = 1j * p.g_om

@@ -45,6 +45,7 @@ from gausslink.transducer import (
     TwoModeStandardForm,
     _drift_blue,
     _drift_red,
+    _dqt_eta_ne,
     mo_standard_form_spectra,
     output_mo_covariance,
     stability_check,
@@ -301,6 +302,34 @@ def test_block_drift_equals_the_scalar_drift(points):
         for part in (np.real, np.imag):
             assert np.array_equal(part(block), part(expected))
             assert np.array_equal(np.signbit(part(block)), np.signbit(part(expected)))
+
+
+def _same_bytes(mixed, arrays):
+    """Whether ``mixed``, broadcast to the shape of ``arrays``, has its bytes."""
+    arrays = np.asarray(arrays)
+    mixed = np.broadcast_to(mixed, arrays.shape)
+    return mixed.dtype == arrays.dtype and mixed.tobytes() == arrays.tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(points=st.lists(_points(), min_size=1, max_size=6), data=st.data())
+def test_block_of_floats_and_arrays_equals_the_array_block(points, data):
+    # a parameter every point shares may stay a float: the device's fields
+    # broadcast, and its drift, stability, conversion channel and source forms
+    # have the bits of the block whose every parameter is an array
+    shared = data.draw(st.sets(st.sampled_from(sorted(points[0]))))
+    points = [dict(pt, **{k: points[0][k] for k in shared}) for pt in points]
+    arrays = _columns(points)
+    mixed = {k: points[0][k] if k in shared else c for k, c in arrays.items()}
+    for detuning, drift in (("blue", _drift_blue), ("red", _drift_red)):
+        assert _same_bytes(drift(_params(mixed, detuning)), drift(_params(arrays, detuning)))
+    assert _same_bytes(stability_check(_params(mixed)), stability_check(_params(arrays)))
+    zeros = np.zeros(len(points))
+    for x, y in zip(_dqt_eta_ne(_params(mixed, "red"), zeros),
+                    _dqt_eta_ne(_params(arrays, "red"), zeros)):
+        assert _same_bytes(x, y)
+    for x, y in zip(_source_forms(mixed), _source_forms(arrays)):
+        assert _same_bytes(x, y)
 
 
 @settings(max_examples=60, deadline=None)

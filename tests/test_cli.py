@@ -51,6 +51,24 @@ class TestCliSweep:
         assert main(["sweep", str(cfg), "--out", str(tmp_path), "--svg"]) == EXIT_OK
         assert (tmp_path / "map.svg").exists()
 
+    def test_one_axis_heatmap_is_refused_before_the_sweep(self, tmp_path, capsys):
+        # a heatmap needs two axes: neither the config nor --svg may run a
+        # one-axis sweep and leave its file behind
+        body = "[sweep]\nexperiment = fig2a_gain_curves\noutput = one.csv\n"
+        cfg = tmp_path / "one.ini"
+        cfg.write_text(body + "emit_svg = true\n", encoding="utf-8")
+        with pytest.raises(ConfigError, match="emit_svg: heatmaps need a two-axis sweep"):
+            parse_config(cfg)
+        assert main(["sweep", str(cfg), "--out", str(tmp_path)]) == EXIT_CONFIG
+        assert "config error: [sweep] emit_svg: heatmaps need" in capsys.readouterr().err
+        assert not (tmp_path / "one.csv").exists()
+        cfg.write_text(body, encoding="utf-8")
+        assert main(["sweep", str(cfg), "--out", str(tmp_path), "--svg"]) == EXIT_CONFIG
+        assert "config error: --svg: heatmaps need a two-axis sweep" in capsys.readouterr().err
+        assert not (tmp_path / "one.csv").exists()
+        assert main(["sweep", str(cfg), "--out", str(tmp_path)]) == EXIT_OK
+        assert (tmp_path / "one.csv").exists()
+
     def test_config_error_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.ini"
         bad.write_text("[sweep]\nexperiment = nothing\n", encoding="utf-8")

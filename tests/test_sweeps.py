@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import gausslink.sweeps as sweeps
-from gausslink.cli import EXIT_NUMERICAL, main
+from gausslink.cli import EXIT_CONFIG, EXIT_NUMERICAL, main
 from gausslink.transducer import TransducerParams
 from gausslink.sweeps import (
     Axis,
@@ -551,6 +551,73 @@ def test_axis_values():
     assert np.allclose(lin.values(), [1.0, 2.0, 3.0])
     log = Axis("C_om", 0.1, 10.0, 3, "log")
     assert np.allclose(log.values(), [0.1, 1.0, 10.0])
+
+
+@pytest.mark.parametrize(
+    "lo, hi, points",
+    [(0.1, 10.0, 100), (0.1, 10.0, 1), (3.0, 3.0, 1), (10.0, 0.1, 7), (1e-300, 1e300, 33),
+     (-2.0, -1e-3, 9), (-5.0, -5.0, 1), (-1e-3, -2.0, 2), (0.5, 2.0, 2), (7.0, 7.0, 0)],
+)
+@pytest.mark.parametrize("scale", ["log", "linear"])
+def test_axis_values_have_the_spacing_bits(lo, hi, points, scale):
+    axis = Axis("C_om", lo, hi, points, scale)
+    spaced = (np.geomspace if scale == "log" else np.linspace)(lo, hi, points)
+    values = axis.values()
+    assert values.dtype == spaced.dtype == np.float64
+    assert values.tobytes() == spaced.tobytes()
+    # built once: every call returns the same array, which cannot be written
+    assert axis.values() is values
+    assert not values.flags.writeable
+    with pytest.raises(ValueError):
+        values[...] = 0.0
+
+
+@pytest.mark.parametrize("lo, hi, points", [(0.0, 1.0, 3), (1.0, 0.0, 1), (-1.0, 1.0, 3),
+                                            (-1.0, 1.0, 1), (2.0, -3.0, 2), (np.nan, 1.0, 2)])
+def test_log_axis_needs_nonzero_bounds_of_one_sign(lo, hi, points):
+    with pytest.raises(ValueError, match="log axis"):
+        Axis("C_om", lo, hi, points, "log").values()
+    assert Axis("C_om", lo, hi, points, "linear").values().size == points
+
+
+def test_axis_value_semantics_ignore_the_built_values():
+    import copy
+    import pickle
+
+    axis, twin = Axis("C_em", 0.1, 10.0, 5, "log"), Axis("C_em", 0.1, 10.0, 5, "log")
+    pickled = pickle.dumps(axis)
+    values = axis.values()
+    assert axis == twin and hash(axis) == hash(twin) and {twin: 1}[axis] == 1
+    assert repr(axis) == repr(twin)
+    # the built array is not pickled: a worker builds its own, read-only too
+    assert pickle.dumps(axis) == pickled
+    for clone in (pickle.loads(pickle.dumps(axis)), copy.deepcopy(axis)):
+        assert clone == axis
+        assert clone.values() is not values
+        assert clone.values().tobytes() == values.tobytes()
+        assert not clone.values().flags.writeable
+    wider = dataclasses.replace(axis, points=7)
+    assert wider != axis and wider.values().tobytes() == np.geomspace(0.1, 10.0, 7).tobytes()
+    assert dataclasses.replace(axis) == axis
+    assert dataclasses.replace(axis).values().tobytes() == values.tobytes()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        axis.points = 3
+
+
+@pytest.mark.parametrize("points", [2**62, 2**63 - 1])
+@pytest.mark.parametrize("scale", ["linear", "log"])
+def test_axis_no_array_can_hold_is_a_config_error(tmp_path, points, scale):
+    # numpy refuses both counts before it allocates anything
+    body = (
+        "[sweep]\nexperiment = fig2d_eof_map\n\n"
+        f"[axis C_om]\nmin = 0.5\nmax = 2\npoints = {points}\nscale = {scale}\n"
+    )
+    path = write_config(tmp_path, body)
+    message = rf"^\[axis C_om\] points: {points} values do not fit in one array$"
+    with pytest.raises(ConfigError, match=message):
+        parse_config(path)
+    assert main(["sweep", str(path), "--out", str(tmp_path)]) == EXIT_CONFIG
+    assert list(tmp_path.iterdir()) == [path]
 
 
 def test_serial_sweep_setup_does_not_import_multiprocessing(tmp_path):
