@@ -205,9 +205,9 @@ _ABS_TOL = 1e-12
 # more often and that goes away with raised malloc trim and mmap thresholds.
 _CHUNK_NODES = 2**11
 # Values (lanes x nodes) a lane group holds on one level, 128 kB, which also
-# bounds the elements of one call: the 30 tau lanes of a fig5b row go up to
-# 513 nodes as one group, with one node array, one integrand call, one
-# trapezoid and one stop test per level.
+# bounds the elements of one call: the 30 tau lanes of a fig5b row reach 513
+# nodes as one group, with one integrand call for all 513 nodes, one node array
+# and one stop test.
 _GROUP_ELEMENTS = 8 * _CHUNK_NODES
 
 
@@ -249,52 +249,55 @@ def _nested_trapezoids(fn, lanes: int, omega_max: float) -> np.ndarray:
 
     ``fn(rows, omegas)`` gives the values of the lanes ``rows`` (an index array)
     at ``omegas``, shape (rows.size, omegas.size), or (omegas.size,) for one lane.
-    linspace(-W, W, 2n - 1)[::2] is linspace(-W, W, n) exactly, so each doubling
-    evaluates ``fn`` only at the new midpoints.  The lanes go up the levels in
-    groups that hold at most _GROUP_ELEMENTS values (lanes x nodes) each, unless
-    one lane alone has more; a group splits as its levels grow, each part going
-    on to convergence in turn, so memory stays bounded however many lanes run
-    deep.  A group shares each level's nodes, one call of ``fn`` per
-    _CHUNK_NODES new nodes (`_evaluate`), so at most _GROUP_ELEMENTS elements a
-    call, one trapezoid along the last axis of its C-contiguous values, whose
-    row sums are the 1-D sums, and one stop test, so every lane stops at its
-    own doubling with the bits of a lone integral; since ``fn`` is pointwise,
-    neither grouping changes a total.  Every level's nodes are a view of the
-    finest level built so far, so groups that follow one another up the same
-    levels, as single deep lanes do, build each level's nodes once.  A lane
-    that runs out of doublings raises, the lowest such lane first.
+    linspace(-W, W, 2n - 1)[::2] is linspace(-W, W, n) exactly.  No lane can
+    stop on the first level, so a group's first call of ``fn`` covers the
+    2 * _INITIAL_POINTS - 1 nodes of the second, whose even-indexed values give
+    the first level's total; each further doubling evaluates ``fn`` only at the
+    new midpoints.  The lanes go up the levels in groups that hold at most
+    _GROUP_ELEMENTS values (lanes x nodes) each, unless one lane alone has
+    more; a group splits as its levels grow, each part going on to convergence
+    in turn, so memory stays bounded however many lanes run deep.  A group
+    shares each level's nodes, one call of ``fn`` per _CHUNK_NODES new nodes
+    (`_evaluate`), so at most _GROUP_ELEMENTS elements a call, one trapezoid
+    along the last axis of its values, whose row sums are the 1-D sums, and one
+    stop test, so every lane stops at its own doubling with the bits of a lone
+    integral; since ``fn`` is pointwise, neither grouping changes a total.
+    Every level's nodes are a view of the finest level built so far, so groups
+    that follow one another up the same levels, as single deep lanes do, build
+    each level's nodes once.  A lane that runs out of doublings raises, the
+    lowest such lane first.
     """
     totals = np.empty(lanes)
-    n = _INITIAL_POINTS
-    first = finest = np.linspace(-omega_max, omega_max, n)
-    # no lane can stop on the first level, so groups are sized for the second
-    fit = max(1, _GROUP_ELEMENTS // (2 * n - 1))
+    second = finest = np.linspace(-omega_max, omega_max, 2 * _INITIAL_POINTS - 1)
+    fit = max(1, _GROUP_ELEMENTS // second.size)
     # lane groups left, the lowest on top: (rows, their values and totals on the
     # level they have reached, the change of their last doubling, doublings)
     todo = [(np.arange(lo, min(lo + fit, lanes)), None, None, None, 0)
             for lo in reversed(range(0, lanes, fit))]
     while todo:
         rows, values, total, change, doubling = todo.pop()
-        if values is None:
-            values = _evaluate(fn, rows, first, np.empty((rows.size, first.size)))
-            total, change = np.trapezoid(values, first), np.full(rows.size, math.inf)
         while rows.size:
-            if doubling >= _MAX_DOUBLINGS:
+            if values is None:
+                omegas = second
+                values = _evaluate(fn, rows, omegas, np.empty((rows.size, omegas.size)))
+                prev = np.trapezoid(values[:, ::2], omegas[::2])
+            elif doubling >= _MAX_DOUBLINGS:
                 raise ValueError(f"frequency integral not converged on {values.shape[1]} nodes: "
                                  f"last change {change[0]:.3e} on a total of {total[0]:.3e}")
-            n = 2 * values.shape[1] - 1
-            fit = max(1, _GROUP_ELEMENTS // n)
-            if rows.size > fit:
-                todo += [tuple(x[lo : lo + fit] for x in (rows, values, total, change)) + (doubling,)
-                         for lo in reversed(range(0, rows.size, fit))]
-                break
-            if n > finest.size:
-                finest = np.linspace(-omega_max, omega_max, n)
-            omegas = finest[:: (finest.size - 1) // (n - 1)]
-            finer = np.empty((rows.size, n))
-            finer[:, ::2] = values
-            _evaluate(fn, rows, omegas[1::2], finer[:, 1::2])
-            values, prev = finer, total
+            else:
+                n = 2 * values.shape[1] - 1
+                fit = max(1, _GROUP_ELEMENTS // n)
+                if rows.size > fit:
+                    todo += [tuple(x[lo : lo + fit] for x in (rows, values, total, change)) + (doubling,)
+                             for lo in reversed(range(0, rows.size, fit))]
+                    break
+                if n > finest.size:
+                    finest = np.linspace(-omega_max, omega_max, n)
+                omegas = finest[:: (finest.size - 1) // (n - 1)]
+                finer = np.empty((rows.size, n))
+                finer[:, ::2] = values
+                _evaluate(fn, rows, omegas[1::2], finer[:, 1::2])
+                values, prev = finer, total
             total = np.trapezoid(values, omegas)
             change = np.abs(total - prev)
             done = change <= np.maximum(_REL_TOL * np.abs(total), _ABS_TOL)

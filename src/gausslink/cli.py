@@ -4,6 +4,7 @@ import argparse
 import math
 import os
 import sys
+from pathlib import Path
 
 from .heatmap import emit_heatmap
 from .selftest import run_selftest
@@ -64,6 +65,8 @@ def main(argv=None) -> int:
             raise ConfigError(f"{source}: must be at least 1")
         if args.svg and len(config.axes) != 2:
             raise ConfigError("--svg: heatmaps need a two-axis sweep")
+        if args.svg and Path(config.output).suffix.lower() == ".svg":
+            raise ConfigError(f"--svg: output {config.output!r} is the name of its own heatmap")
         result = run_sweep(config, out_dir=args.out, jobs=jobs)
         print(f"wrote {result.path} ({math.prod(a.points for a in result.axes)} rows)")
         if config.emit_svg or args.svg:

@@ -210,15 +210,17 @@ def _entanglement_rates(p: TransducerParams, taus) -> np.ndarray:
     Every tau is checked before anything is integrated.  The lanes share one
     nested trapezoid, which stops each lane at the doubling its one-lane
     integral stops at, with the same bits, and evaluates `_swapped_eof` once per
-    lane group and level (per node chunk, on levels past _CHUNK_NODES new
-    nodes).  The spectra, and so E_F, are even in omega bit for bit: on a node
-    array that is its own mirror image `_even` solves and swaps its nonnegative
-    half only and reflects the values.  The source spectra depend on the device
-    only: they are solved once per node array evaluated, keyed by the nodes
-    themselves (the nonnegative half of a mirror image, or the whole chunk), so
-    the cache holds one entry per level (per chunk) that every lane group reads.
-    It lives for this call and holds 3 floats (and the node itself as key) per
-    node evaluated for the deepest lane.
+    lane group on the first two levels' 513 nodes, then once per group and
+    further level (per node chunk, on levels past _CHUNK_NODES new nodes).  The
+    spectra, and so E_F, are even in omega bit for bit: on a node array that is
+    its own mirror image `_even` solves and swaps its nonnegative half only (257
+    of the first 513 nodes) and reflects the values.  The source spectra depend
+    on the device only: they are solved once per node array evaluated, keyed by
+    the nodes themselves (the nonnegative half of a mirror image, or the whole
+    chunk), so the cache holds one entry for the first two levels and one per
+    further level (per chunk), each read by every lane group.  It lives for this
+    call and holds 3 floats (and the node itself as key) per node evaluated for
+    the deepest lane.
     """
     taus = np.asarray(taus, dtype=float)
     _check_tau(taus)

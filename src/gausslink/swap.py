@@ -86,8 +86,9 @@ def _click_rates(p: TransducerParams, tau, dt) -> tuple:
     The photon-flux spectral density of the optical coupling output,
     (S_qq + S_pp - 2)/4 in vacuum units, is integrated over frequency once
     (divided by 2 pi), on the nonnegative half of each mirror-image node array
-    (`_even`); r_t scales it by each lane's path transmissivity.  With
-    two devices feeding the detectors the Bell rate follows the Poisson
+    (`_even`): the first call covers the first two levels' 513 nodes and solves
+    257 of them.  r_t scales the integral by each lane's path transmissivity.
+    With two devices feeding the detectors the Bell rate follows the Poisson
     heralding model r_B = 2 r_t exp(-r_t dt).
     """
     _check_tau(tau)

@@ -59,6 +59,8 @@ class NumericalError(Exception):
 
 
 AXIS_NAMES = ("C_om", "C_em", "kappa", "n_th", "tau")
+# metrics written as text, which a heatmap cannot color: fig2a's channel kind
+_TEXT_METRICS = ("kind",)
 
 FIXED_DEFAULTS = {
     "zeta_o": 1.0,
@@ -520,6 +522,8 @@ def parse_config(path) -> SweepConfig:
     svg_metric = sweep.pop("svg_metric", spec.svg_metric)
     if svg_metric not in spec.metrics:
         raise ConfigError(f"[sweep] svg_metric: {svg_metric!r} is not a metric of {name}")
+    if svg_metric in _TEXT_METRICS:
+        raise ConfigError(f"[sweep] svg_metric: {svg_metric!r} is text; a heatmap needs a number")
     if sweep:
         raise ConfigError(f"[sweep] {sorted(sweep)[0]}: unknown field")
 
@@ -550,6 +554,8 @@ def parse_config(path) -> SweepConfig:
         raise ConfigError(f"[axis {axes[1].name}]: duplicate axis name")
     if emit_svg and len(axes) != 2:
         raise ConfigError("[sweep] emit_svg: heatmaps need a two-axis sweep")
+    if emit_svg and Path(output).suffix.lower() == ".svg":
+        raise ConfigError(f"[sweep] output: {output!r} is the name of its own heatmap")
 
     return SweepConfig(
         experiment=name,

@@ -347,7 +347,8 @@ class TestIntegrateSpectrum:
             return np.exp(-(omegas**2))
 
         integrate_spectrum(gaussian, 10.0)
-        assert [len(x) for x in seen] == [257, 256]
+        # no lane stops on the first level: one call covers the second
+        assert [len(x) for x in seen] == [513]
         nodes = np.sort(np.concatenate(seen))
         assert np.array_equal(nodes, np.linspace(-10.0, 10.0, 513))
 
@@ -488,8 +489,8 @@ class TestNestedTrapezoids:
 
     def test_a_row_of_lanes_shares_each_level(self, monkeypatch):
         # 30 lanes that all converge on 513 nodes, as the tau lanes of a fig5b
-        # row do, go up as one group: two integrand calls and two trapezoids
-        # in all, one of each per level
+        # row do, go up as one group: one integrand call on the 513 nodes, and
+        # two trapezoids, one per level, the first on the even-indexed values
         width = np.geomspace(0.02, 0.1, 30)
         fn, fns = _lorentzians(np.ones(30), np.zeros(30), width)
         assert all(30 * n <= _GROUP_ELEMENTS for n in (257, 513))
@@ -498,7 +499,7 @@ class TestNestedTrapezoids:
         monkeypatch.setattr(np, "trapezoid", recording)
         totals = _nested_trapezoids(fn, 30, 1.0)
         monkeypatch.undo()
-        assert [(rows.size, omegas.size) for rows, omegas in calls] == [(30, 257), (30, 256)]
+        assert [(rows.size, omegas.size) for rows, omegas in calls] == [(30, 513)]
         assert [values.shape for values, _ in trapezoids] == [(30, 257), (30, 513)]
         assert _same_bits(totals, [earlier_integrate_spectrum(f, 1.0) for f in fns])
 
@@ -559,11 +560,12 @@ class TestEven:
     def test_deep_chunked_lanes_keep_their_totals(self):
         # a Lorentzian of width 1e-4 on [-1, 1] converges on 131,073 nodes: its
         # levels up to 4,097 nodes are mirror images and evaluated by halves,
-        # the 2,048-node chunks of the deeper ones are one-sided and whole
+        # the first two levels' 513 nodes in one call, and the 2,048-node chunks
+        # of the deeper ones are one-sided and whole
         lanes, _ = _lorentzians([1.0, 3.0], np.zeros(2), [1e-4, 2e-4])
         recording, calls = _recorded(lanes)
         totals = _nested_trapezoids(_even(recording), 2, 1.0)
         assert totals.tobytes() == _nested_trapezoids(lanes, 2, 1.0).tobytes()
         sizes = [omegas.size for _, omegas in calls]
-        assert sizes[:5] == [129, 128, 256, 512, 1024]
-        assert set(sizes[5:]) == {_CHUNK_NODES}
+        assert sizes[:4] == [257, 256, 512, 1024]
+        assert set(sizes[4:]) == {_CHUNK_NODES}

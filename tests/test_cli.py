@@ -69,6 +69,46 @@ class TestCliSweep:
         assert main(["sweep", str(cfg), "--out", str(tmp_path)]) == EXIT_OK
         assert (tmp_path / "one.csv").exists()
 
+    def test_text_svg_metric_is_refused_before_the_sweep(self, tmp_path, capsys):
+        # fig2a's channel kind is text: a heatmap of it once ran the whole
+        # sweep, wrote the CSV and then failed to read a number (exit 3)
+        body = (
+            "[sweep]\nexperiment = fig2a_gain_curves\noutput = kind.csv\n"
+            "emit_svg = true\nsvg_metric = kind\n"
+            "[axis kappa]\nmin = 0.5\nmax = 3\npoints = 4\n"
+            "[axis C_om]\nmin = 0.5\nmax = 2\npoints = 3\n"
+        )
+        cfg = tmp_path / "kind.ini"
+        cfg.write_text(body, encoding="utf-8")
+        with pytest.raises(ConfigError, match=r"\[sweep\] svg_metric: 'kind' is text"):
+            parse_config(cfg)
+        assert main(["sweep", str(cfg), "--out", str(tmp_path)]) == EXIT_CONFIG
+        assert "config error: [sweep] svg_metric: 'kind' is text" in capsys.readouterr().err
+        assert not (tmp_path / "kind.csv").exists()
+        cfg.write_text(body.replace("svg_metric = kind", "svg_metric = q_lb"), encoding="utf-8")
+        assert main(["sweep", str(cfg), "--out", str(tmp_path)]) == EXIT_OK
+        assert (tmp_path / "kind.csv").exists() and (tmp_path / "kind.svg").exists()
+
+    @pytest.mark.parametrize("output", ["map.svg", "map.SVG", "map.Svg"])
+    def test_svg_output_is_refused_with_a_heatmap(self, output, tmp_path, capsys):
+        # the heatmap goes to the output with suffix .svg: an output that
+        # already has it was overwritten by its own heatmap, and its CSV lost
+        body = SMALL_MAP.replace("map.csv", output)
+        cfg = tmp_path / "m.ini"
+        cfg.write_text(body, encoding="utf-8")
+        with pytest.raises(ConfigError, match=r"\[sweep\] output: .* its own heatmap"):
+            parse_config(cfg)
+        out = tmp_path / "out"
+        assert main(["sweep", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+        assert f"config error: [sweep] output: '{output}' is the name" in capsys.readouterr().err
+        assert not out.exists()
+        cfg.write_text(body.replace("emit_svg = true", "emit_svg = false"), encoding="utf-8")
+        assert main(["sweep", str(cfg), "--out", str(out), "--svg"]) == EXIT_CONFIG
+        assert f"config error: --svg: output '{output}' is the name" in capsys.readouterr().err
+        assert not out.exists()
+        assert main(["sweep", str(cfg), "--out", str(out)]) == EXIT_OK
+        assert [p.name for p in out.iterdir()] == [output]
+
     def test_config_error_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.ini"
         bad.write_text("[sweep]\nexperiment = nothing\n", encoding="utf-8")
