@@ -11,90 +11,96 @@ __all__ = [
     "entanglement_rate",
 ]
 
-# PPT test: a state is entangled where nu_min^2 < _PPT_THRESHOLD.  The margin
-# below 1 absorbs the few-ulp round-off of nu_min^2 = det_v / nu_max^2 on
-# states at the separability boundary, where nu_min = 1 exactly.
+# The PPT test of `_eof_tail`, which both EoF kernels end in: a form is
+# separable, E_F = 0, where nu_min^2 >= _PPT_THRESHOLD.  The margin below 1
+# absorbs the few-ulp round-off of nu_min^2 = det_v / nu_max^2 on states at
+# the separability boundary, where nu_min = 1 exactly.
 _PPT_THRESHOLD = 1.0 - 1e-9
 
 
-def _eof(u, v, w) -> tuple:
-    """Entanglement of formation of standard forms (ebits), with its intermediates.
+def _eof_tail(u, v, det_v, delta, w2, diff_sq, buf) -> np.ndarray:
+    """E_F (ebits) of standard forms (u I, v I, w Z) from a kernel's prelude:
+    det_v = (u v - w^2)^2, delta = u^2 + v^2 + 2 w^2, w2 = 2|w| and diff_sq =
+    (u - v)^2, None for a symmetric form.  It overwrites det_v, delta, w2 and
+    the scratch array buf, and reads u + v only past the PPT test.
 
-    Returns arrays (E_F, nu_min^2, gamma, beta_plus, beta_minus, r), where
-    nu_min is the smallest partial-transpose symplectic eigenvalue and r the
-    minimal disentangling anti-squeezing (Tserkis & Ralph, PRA 96, 062338,
-    2017), 0 where the PPT test finds the state separable.  For standard forms
-    the general beta_+- collapse to (u + v +- 2|w|)^2; a physical form has
-    u v - w^2 >= 1, so u + v > 2|w| and beta_- > 0.
+    r = ln(arg) / 4 with arg = (gamma - rad) / beta_- is the minimal
+    disentangling anti-squeezing (Tserkis & Ralph, PRA 96, 062338, 2017),
+    where beta_+- = (u + v +- 2|w|)^2 for standard forms; a physical form has
+    u v - w^2 >= 1, so u + v > 2|w| and beta_- > 0.  Lanes that fail the PPT
+    test or read arg <= 1 get arg = 1 before the log, so r = +0 and E_F = +0.
     """
-    u, v, w = np.asarray(u, dtype=float), np.asarray(v, dtype=float), np.abs(w)
-    if len({np.shape(x) for x in (u, v, w) if np.ndim(x)}) > 1:  # no update may broadcast up
-        u, v, w = np.broadcast_arrays(u, v, w)
-    # the textbook operations in the textbook order, the arrays among their
-    # temporaries updated in place: an augmented operation is in place on an
-    # array and the same operation on a 0-d value, where x **= 2 is pow(x, 2)
-    # as x ** 2 is, not x * x
-    ww = w * w
-    det_v = u * v
-    det_v -= ww
-    det_v **= 2
-    w2 = 2.0 * w
-    delta = u * u
-    delta += v * v
-    delta += w2 * w
     # nu_min^2 nu_max^2 = det_v: the small root from the large one, which does
     # not cancel where nu_min << nu_max, near the stability boundary
-    nu_max_sq = delta * delta
-    nu_max_sq -= 4.0 * det_v
-    nu_max_sq = np.sqrt(np.maximum(nu_max_sq, 0.0))
-    nu_max_sq += delta
-    nu_max_sq *= 0.5
-    nu_min_sq = det_v / nu_max_sq
-    gamma = det_v + 1.0
+    nu_sq = np.multiply(delta, delta, out=buf)
+    nu_sq -= det_v * 4.0
+    np.maximum(nu_sq, 0.0, out=nu_sq)
+    np.sqrt(nu_sq, out=nu_sq)
+    nu_sq += delta
+    nu_sq *= 0.5
+    np.divide(det_v, nu_sq, out=nu_sq)
+    ppt = nu_sq < _PPT_THRESHOLD
+    if not ppt.any():
+        return np.zeros(nu_sq.shape)
+    gamma = np.add(det_v, 1.0, out=det_v)
     gamma *= 2.0
-    delta = u - v
-    delta **= 2
-    gamma -= delta
-    beta_minus = u + v
-    beta_plus = beta_minus + w2
-    beta_plus **= 2
-    beta_minus -= w2
-    beta_minus **= 2
-    rad = gamma * gamma
-    rad -= beta_plus * beta_minus
-    rad = np.sqrt(np.maximum(rad, 0.0))
+    if diff_sq is not None:
+        gamma -= diff_sq
+    total = np.add(u, v, out=buf)
+    beta = np.add(total, w2, out=delta)
+    beta_minus = np.subtract(total, w2, out=total)
+    beta *= beta
+    beta_minus *= beta_minus
+    beta *= beta_minus
+    rad = np.multiply(gamma, gamma, out=w2)
+    rad -= beta
+    np.maximum(rad, 0.0, out=rad)
+    np.sqrt(rad, out=rad)
     with np.errstate(divide="ignore", invalid="ignore"):
-        arg = gamma - rad
+        arg = np.subtract(gamma, rad, out=rad)
         arg /= beta_minus
-        entangled = (nu_min_sq < _PPT_THRESHOLD) & (arg > 1.0)
-        if not entangled.any():  # r = 0 and E_F = 1 log2(1) - 0 = 0 on every lane
-            e_f, r = np.zeros((2,) + entangled.shape)
-            return e_f, nu_min_sq, gamma, beta_plus, beta_minus, r
-        r = np.zeros(entangled.shape)
-        np.log(arg, out=r, where=entangled)
+        entangled = arg > 1.0
+        entangled &= ppt
+        if not entangled.any():
+            return np.zeros(arg.shape)
+        np.putmask(arg, ~entangled, 1.0)
+        r = np.log(arg, out=arg)
         r *= 0.25
-        c2 = np.cosh(r)
-        c2 **= 2
-        s2 = np.sinh(r)
-        s2 **= 2
-        e_f = np.log2(c2)
+        c2 = np.cosh(r, out=beta_minus)
+        c2 *= c2
+        s2 = np.sinh(r, out=r)
+        s2 *= s2
+        e_f = np.log2(c2, out=beta)
         e_f *= c2
-        tail = np.log2(np.maximum(s2, 1e-300))
+        # s2 log2 s2 -> 0 as s2 -> 0: where s2 = 0 this reads log2(1e-300) 0 = -0,
+        # and E_F = 0 - (-0) = +0
+        tail = np.maximum(s2, 1e-300, out=gamma)
+        np.log2(tail, out=tail)
         tail *= s2
-        e_f -= np.where(s2 > 0, tail, 0.0)
-    return e_f, nu_min_sq, gamma, beta_plus, beta_minus, r
+        e_f -= tail
+    return e_f
+
+
+def _eof(u, v, w) -> np.ndarray:
+    """Entanglement of formation (ebits) of standard forms (u I, v I, w Z), from
+    float arrays u, v and w of one shape: `_eof_tail` on new arrays."""
+    w = np.abs(w)
+    w2 = 2.0 * w
+    det_v = (u * v - w * w) ** 2
+    delta = u * u + v * v + w2 * w
+    return _eof_tail(u, v, det_v, delta, w2, (u - v) ** 2, np.empty_like(w))
 
 
 def entanglement_of_formation(form: TwoModeStandardForm) -> float:
-    """Entanglement of formation of a symmetric-standard-form state (ebits).
+    """Entanglement of formation of a standard form (u I, v I, w Z) (ebits).
 
     E_F = cosh^2(r) log2 cosh^2(r) - sinh^2(r) log2 sinh^2(r) where r is the
     minimal anti-squeezing needed to disentangle the state.  Separable states
     (squared smallest partial-transpose symplectic eigenvalue at or above
     _PPT_THRESHOLD = 1 - 1e-9) return 0; the measure is invariant under the
-    local phase flip w -> -w.
+    local phase flip w -> -w.  The form is one lane of `_eof`.
     """
-    return float(_eof(form.u, form.v, form.w)[0])
+    return float(_eof(*np.array([[form.u], [form.v], [form.w]]))[0])
 
 
 def _check_tau(tau) -> None:
@@ -121,18 +127,15 @@ def _swapped_eof(u, v, w, tau) -> np.ndarray:
     """E_F of the swapped microwave pair after optical loss tau, from source
     form arrays (u, v, w) of one shape and a tau that broadcasts against them
     (a column of lanes against a row of frequencies).  It has the bits of
-    ``_eof(diag, diag, off)[0]`` with ``lossy_u, lossy_w = _optical_loss(u, w,
+    ``_eof(diag, diag, off)`` with ``lossy_u, lossy_w = _optical_loss(u, w,
     tau)`` and ``diag, off = _swap_form(lossy_u, v, lossy_w)``.
 
-    It runs the same operations in the same order on a few buffers updated in
-    place, with one product d d of the diagonal d for the composition's u v,
-    u u and v v.  Three steps that change no bit of E_F are left out: |off|,
-    as off >= +0 where u >= 1; gamma -= (u - v)^2, as that is +0 where d is
-    finite and a d that is not fails the PPT test; and zeroing the entropy
-    tail off the entangled elements, where r = +0 makes E_F = +0 - (-0).  It
-    returns zeros as soon as no element passes the PPT test, and sets arg to 1
-    off the entangled elements before its log, which reads r = +0 there as the
-    masked log does, but faster.
+    Its prelude runs the composition's operations in the same order on a few
+    buffers updated in place, with one product d d of the diagonal d for the
+    form's u v, u u and v v, and it ends in the `_eof_tail` that `_eof` ends
+    in.  It leaves out two steps that change no bit of E_F: |off|, as off >= +0
+    where u >= 1; and (u - v)^2, which is +0 where d is finite, while a d that
+    is not fails the PPT test.
     """
     lossy = tau * (u - 1.0)
     lossy += 1.0
@@ -149,49 +152,7 @@ def _swapped_eof(u, v, w, tau) -> np.ndarray:
     off *= w2
     delta += delta
     delta += off
-    nu_sq = np.multiply(delta, delta, out=off)
-    nu_sq -= det_v * 4.0
-    np.maximum(nu_sq, 0.0, out=nu_sq)
-    np.sqrt(nu_sq, out=nu_sq)
-    nu_sq += delta
-    nu_sq *= 0.5
-    np.divide(det_v, nu_sq, out=nu_sq)
-    ppt = nu_sq < _PPT_THRESHOLD
-    if not ppt.any():
-        return np.zeros(nu_sq.shape)
-    gamma = np.add(det_v, 1.0, out=det_v)
-    gamma *= 2.0
-    d += d
-    beta = np.add(d, w2, out=delta)
-    beta_minus = np.subtract(d, w2, out=d)
-    beta *= beta
-    beta_minus *= beta_minus
-    beta *= beta_minus
-    rad = np.multiply(gamma, gamma, out=w2)
-    rad -= beta
-    np.maximum(rad, 0.0, out=rad)
-    np.sqrt(rad, out=rad)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        arg = np.subtract(gamma, rad, out=rad)
-        arg /= beta_minus
-        entangled = arg > 1.0
-        entangled &= ppt
-        if not entangled.any():
-            return np.zeros(arg.shape)
-        np.putmask(arg, ~entangled, 1.0)
-        r = np.log(arg, out=arg)
-        r *= 0.25
-        c2 = np.cosh(r, out=beta_minus)
-        c2 *= c2
-        s2 = np.sinh(r, out=r)
-        s2 *= s2
-        e_f = np.log2(c2, out=beta)
-        e_f *= c2
-        tail = np.maximum(s2, 1e-300, out=gamma)
-        np.log2(tail, out=tail)
-        tail *= s2
-        e_f -= tail
-    return e_f
+    return _eof_tail(d, d, det_v, delta, w2, None, off)
 
 
 def _duan(u, v, w):

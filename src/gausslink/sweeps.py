@@ -232,12 +232,12 @@ def _eval_fig2a(columns):
 
 def _eval_fig2d(columns):
     stable, u, v, w = _source_forms(columns)
-    return stable, dict(u=u, v=v, w=w, e_f=_eof(u, v, w)[0])
+    return stable, dict(u=u, v=v, w=w, e_f=_eof(u, v, w))
 
 
 def _eval_fig4a(columns):
     stable, *_, diag, off = _swapped_forms(columns)
-    return stable, dict(u_mm=diag, w_mm=off, e_f_mm=_eof(diag, diag, off)[0])
+    return stable, dict(u_mm=diag, w_mm=off, e_f_mm=_eof(diag, diag, off))
 
 
 def _eval_fig4b(columns):
@@ -288,10 +288,10 @@ def _eval_custom(columns):
         v=v,
         w=w,
         duan=_duan(u, v, w),
-        e_f=_eof(u, v, w)[0],
+        e_f=_eof(u, v, w),
         q_lb_eqt=q[: u.size],
         kappa_opt=kappa[: u.size],
-        e_f_mm=_eof(diag, diag, off)[0],
+        e_f_mm=_eof(diag, diag, off),
         q_lb_mm=q[u.size :],
     )
 

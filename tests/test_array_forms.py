@@ -50,6 +50,7 @@ from gausslink.transducer import (
     output_mo_covariance,
     stability_check,
 )
+from test_entanglement import earlier_eof
 
 _Z2 = np.diag([1.0, -1.0])
 
@@ -138,28 +139,6 @@ def scalar_entanglement_of_formation(u, v, w):
     c2 = np.cosh(r) ** 2
     s2 = np.sinh(r) ** 2
     return float(c2 * np.log2(c2) - s2 * np.log2(s2))
-
-
-def earlier_eof(u, v, w):
-    # the array _eof before its all-separable shortcut, with its later
-    # cancellation-free nu_min^2
-    u, v, w = np.asarray(u, dtype=float), np.asarray(v, dtype=float), np.abs(w)
-    det_v = (u * v - w * w) ** 2
-    delta = u * u + v * v + 2.0 * w * w
-    nu_min_sq = det_v / (0.5 * (delta + np.sqrt(np.maximum(delta * delta - 4.0 * det_v, 0.0))))
-    gamma = 2.0 * (det_v + 1.0) - (u - v) ** 2
-    beta_plus = (u + v + 2.0 * w) ** 2
-    beta_minus = (u + v - 2.0 * w) ** 2
-    rad = np.sqrt(np.maximum(gamma * gamma - beta_plus * beta_minus, 0.0))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        arg = (gamma - rad) / beta_minus
-    entangled = (nu_min_sq < 1.0 - 1e-9) & (arg > 1.0)
-    r = np.where(entangled, 0.25 * np.log(np.where(entangled, arg, 1.0)), 0.0)
-    c2 = np.cosh(r) ** 2
-    s2 = np.sinh(r) ** 2
-    with np.errstate(divide="ignore", invalid="ignore"):
-        e_f = c2 * np.log2(c2) - np.where(s2 > 0, s2 * np.log2(np.maximum(s2, 1e-300)), 0.0)
-    return e_f, nu_min_sq, gamma, beta_plus, beta_minus, r
 
 
 def scalar_entanglement_rate(p, tau=1.0):
@@ -421,7 +400,7 @@ def test_stability_verdict_at_pinned_points(c_om, c_em, stable):
 @given(form=_forms())
 def test_entanglement_wrappers_agree_with_the_scalar_code(form):
     u, v, w = form.u, form.v, form.w
-    _, nu_min_sq, gamma_a, bp_a, bm_a, r_min = _eof(u, v, w)
+    _, nu_min_sq, gamma_a, bp_a, bm_a, r_min = earlier_eof(u, v, w)
     assert np.sqrt(max(nu_min_sq, 0.0)) == pytest.approx(
         scalar_ppt_min_symplectic(u, v, w), abs=1e-13
     )
@@ -579,8 +558,7 @@ def test_eof_equals_the_earlier_eof(forms, separable):
     u, v, w = (np.array([getattr(f, x) for f in forms]) for x in "uvw")
     if separable:  # w = 0 on every lane: the all-separable shortcut
         w = np.zeros_like(w)
-    for got, expected in zip(_eof(u, v, w), earlier_eof(u, v, w)):
-        assert _same_bits(got, expected)
+    assert _same_bits(_eof(u, v, w), earlier_eof(u, v, w)[0])
 
 
 # tau = 0 (a product state), the separable tau = 1/2, no loss, and random values

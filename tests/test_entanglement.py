@@ -37,7 +37,7 @@ class TestEntanglementOfFormation:
 
     def test_worked_value_with_radical_collapse(self):
         form = TwoModeStandardForm(17.0, 9.0, 12.0)
-        _, _, gamma, beta_plus, beta_minus, r_min = _eof(17.0, 9.0, 12.0)
+        _, _, gamma, beta_plus, beta_minus, r_min = earlier_eof(17.0, 9.0, 12.0)
         # gamma^2 = beta_+ beta_- exactly here, so r = ln(25)/4
         assert gamma == pytest.approx(100.0, abs=1e-9)
         assert beta_plus == pytest.approx(2500.0, abs=1e-9)
@@ -56,6 +56,20 @@ class TestEntanglementOfFormation:
             entropy, abs=1e-6
         )
 
+    def test_scalar_equals_its_lane_in_a_block(self):
+        # forms whose E_F moves in its last digits where det_v and (u - v)^2 are
+        # squared by libm pow instead of a product: a lone form reads the value
+        # its lane of a block (a fig2d row) reads
+        forms = [
+            TwoModeStandardForm(4.090238140274421, 2.0602267049564538, 1.8597768430924606),
+            TwoModeStandardForm(1.4508568290267965, 10.825080523830563, 2.121399467115294),
+            TwoModeStandardForm(4.693307003440328, 7.296822424488417, 5.26714480169941),
+        ]
+        lanes = _eof(*(np.array([getattr(f, x) for f in forms]) for x in "uvw"))
+        scalars = np.array([entanglement_of_formation(f) for f in forms])
+        assert scalars[0] == 0.00787451092913394
+        assert scalars.tobytes() == lanes.tobytes()
+
     def test_separable_thermal_pair(self):
         assert entanglement_of_formation(TwoModeStandardForm(3.0, 3.0, 0.0)) == 0.0
 
@@ -69,7 +83,7 @@ class TestEntanglementOfFormation:
         for _ in range(200):
             form = random_physical_form(rng)
             if entanglement_of_formation(form) > 0:
-                nu_min_sq = _eof(form.u, form.v, form.w)[1]
+                nu_min_sq = earlier_eof(form.u, form.v, form.w)[1]
                 assert np.sqrt(max(nu_min_sq, 0.0)) < 1.0 + 1e-9
 
     def test_epr_singular_guard(self, rng):
@@ -79,7 +93,7 @@ class TestEntanglementOfFormation:
             TwoModeStandardForm(3.0, 3.0, 3.0)
         for _ in range(200):
             form = random_physical_form(rng, umax=40.0)
-            assert _eof(form.u, form.v, form.w)[4] > 0.0
+            assert earlier_eof(form.u, form.v, form.w)[4] > 0.0
 
 
 class TestDuan:
@@ -135,7 +149,7 @@ def test_simplified_betas_match_general_form(rng):
         form = random_physical_form(rng, umax=40.0)
         u, v, w = form.u, form.v, abs(form.w)
         base = u * u + v * v + 2.0 * w * w + 2.0 * u * v + 2.0 * w * w
-        beta_plus, beta_minus = _eof(form.u, form.v, form.w)[3:5]
+        beta_plus, beta_minus = earlier_eof(form.u, form.v, form.w)[3:5]
         scale = max(1.0, beta_plus)
         assert abs(beta_plus - (base + 4.0 * w * (u + v))) <= 1e-12 * scale
         assert abs(beta_minus - (base - 4.0 * w * (u + v))) <= 1e-12 * scale
@@ -189,7 +203,7 @@ def _stable_devices(draw):
 
 
 def _e_f(u, v, w):
-    return float(_eof(u, v, w)[0])
+    return float(_eof(*np.atleast_1d(u, v, w))[0])
 
 
 def _e_f_mm(u, v, w, tau):
@@ -280,8 +294,10 @@ def test_q_lb_mm_does_not_decrease_with_tau(device, tau, gap):
 
 
 def earlier_eof(u, v, w) -> tuple:
-    """`_eof` as it was before its temporaries were updated in place: the same
-    operations in the same order, each in a new array, under two errstates."""
+    """(E_F, nu_min^2, gamma, beta_plus, beta_minus, r) of standard forms, as
+    `_eof` computed them before its temporaries were updated in place: the same
+    operations in the same order, each in a new array, under two errstates.
+    `_eof` returns its E_F with the same bits on arrays of one shape."""
     u, v, w = np.asarray(u, dtype=float), np.asarray(v, dtype=float), np.abs(w)
     det_v = (u * v - w * w) ** 2
     delta = u * u + v * v + 2.0 * w * w
@@ -306,13 +322,13 @@ def earlier_eof(u, v, w) -> tuple:
 
 
 def _assert_same_eof(u, v, w):
-    got, expected = _eof(u, v, w), earlier_eof(u, v, w)
-    assert len(got) == len(expected) == 6
-    for a, b in zip(got, expected):
-        a, b = np.asarray(a), np.asarray(b)
-        assert a.shape == b.shape
-        assert a.tobytes() == b.tobytes()
-        assert np.array_equal(np.signbit(a), np.signbit(b))
+    """`_eof` has the bits of the earlier E_F, on (u, v, w) broadcast to lanes of
+    one shape, as `entanglement_of_formation` makes a form one lane."""
+    u, v, w = np.broadcast_arrays(*np.atleast_1d(u, v, w))
+    got, expected = _eof(u, v, w), earlier_eof(u, v, w)[0]
+    assert got.shape == expected.shape == u.shape
+    assert got.tobytes() == expected.tobytes()
+    assert np.array_equal(np.signbit(got), np.signbit(expected))
 
 
 def _near_boundary_forms():
@@ -328,6 +344,7 @@ def _swapped(u, v, w, tau):
     return diag, diag, off
 
 
+# cases of 0-d values or of mixed shapes are broadcast to lanes of one shape
 _EOF_EDGES = {
     "0-d": (17.0, 9.0, 12.0),
     "0-d-arrays": (np.array(3.0), np.array(2.0), np.array(-1.5)),
@@ -345,8 +362,8 @@ _EOF_EDGES = {
     "near-boundary": _near_boundary_forms(),
     "near-boundary-swapped": _swapped(*_near_boundary_forms(), 0.9),
     "mixed-shapes": (np.array([[3.0, 9.0], [2.0, 40.0]]), 3.0, np.array([2.0, 1.0])),
-    # 0-d u and v square u - v as pow(u - v, 2), which a libm pow may round
-    # away from (u - v) * (u - v), as it does for this u - v on x86-64 glibc
+    # a u - v whose libm pow(u - v, 2) rounds away from (u - v) * (u - v) on
+    # x86-64 glibc, where lanes square by the product
     "0-d-u-v-with-w-lanes": (205.80276645593358, 1.0, np.array([0.0, 1.0, 10.0])),
 }
 
@@ -368,11 +385,10 @@ def test_eof_edge_forms_reach_their_regimes():
     w = _EOF_EDGES["w-subnormal-square-alone"][2]
     assert np.any(2.0 * w * w != 2.0 * (w * w))
     with np.errstate(invalid="ignore"):
-        assert np.isnan(_eof(*_EOF_EDGES["w-subnormal-square-alone"])[1]).any()
-    half = _eof(*_EOF_EDGES["swapped-at-half"])
-    assert np.all(half[0] == 0.0)
-    assert _eof(*_EOF_EDGES["pure"])[0].min() > 0.0
-    assert isinstance(_eof(17.0, 9.0, 12.0)[0], np.floating)
+        assert np.isnan(earlier_eof(*_EOF_EDGES["w-subnormal-square-alone"])[1]).any()
+    assert np.all(_eof(*_EOF_EDGES["swapped-at-half"]) == 0.0)
+    assert _eof(*_EOF_EDGES["pure"]).min() > 0.0
+    assert type(entanglement_of_formation(TwoModeStandardForm(17.0, 9.0, 12.0))) is float
 
 
 @settings(max_examples=200, deadline=None)
@@ -416,7 +432,7 @@ def _assert_same_swapped_eof(u, v, w, tau):
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         got = _swapped_eof(u, v, w, tau)
-        expected = _eof(*_swapped(u, v, w, tau))[0]
+        expected = _eof(*_swapped(u, v, w, tau))
     assert got.shape == expected.shape == (tau.size, np.size(u))
     assert got.tobytes() == expected.tobytes()
 
@@ -474,7 +490,8 @@ _SWAPPED_EOF_BLOCKS = {
 @pytest.mark.parametrize("case", sorted(_SWAPPED_EOF_BLOCKS))
 def test_swapped_eof_blocks_equal_the_composition(case):
     form, taus, ppt_lanes, entangled_lanes = _SWAPPED_EOF_BLOCKS[case]
-    e_f, nu_min_sq = _eof(*_swapped(*form, np.array(taus)[:, None]))[:2]
+    swapped = _swapped(*form, np.array(taus)[:, None])
+    e_f, nu_min_sq = _eof(*swapped), earlier_eof(*swapped)[1]
     assert np.any(nu_min_sq < _PPT_THRESHOLD, axis=1).sum() == ppt_lanes
     assert np.any(e_f > 0.0, axis=1).sum() == entangled_lanes
     _assert_same_swapped_eof(*form, taus)
