@@ -11,10 +11,9 @@ __all__ = [
     "entanglement_rate",
 ]
 
-# The PPT test of `_eof_tail`, which both EoF kernels end in: a form is
-# separable, E_F = 0, where nu_min^2 >= _PPT_THRESHOLD.  The margin below 1
-# absorbs the few-ulp round-off of nu_min^2 = det_v / nu_max^2 on states at
-# the separability boundary, where nu_min = 1 exactly.
+# `_eof_tail`'s PPT test: E_F = 0 where nu_min^2 >= _PPT_THRESHOLD.  The margin
+# below 1 absorbs the few-ulp round-off of nu_min^2 = det_v / nu_max^2 on
+# states at the separability boundary, where nu_min = 1 exactly.
 _PPT_THRESHOLD = 1.0 - 1e-9
 
 
@@ -29,6 +28,9 @@ def _eof_tail(u, v, det_v, delta, w2, diff_sq, buf) -> np.ndarray:
     where beta_+- = (u + v +- 2|w|)^2 for standard forms; a physical form has
     u v - w^2 >= 1, so u + v > 2|w| and beta_- > 0.  Lanes that fail the PPT
     test or read arg <= 1 get arg = 1 before the log, so r = +0 and E_F = +0.
+    Where gamma = 2 (det_v + 1) - (u - v)^2 passes about 1e16, gamma - rad
+    cancels: lanes that pass the PPT test but not arg > 1 take the same arg as
+    beta_+ / (gamma + rad), written beta_+ beta_- / (gamma + rad) / beta_-.
     """
     # nu_min^2 nu_max^2 = det_v: the small root from the large one, which does
     # not cancel where nu_min << nu_max, near the stability boundary
@@ -61,8 +63,11 @@ def _eof_tail(u, v, det_v, delta, w2, diff_sq, buf) -> np.ndarray:
         arg /= beta_minus
         entangled = arg > 1.0
         entangled &= ppt
-        if not entangled.any():
-            return np.zeros(arg.shape)
+        lost = ppt ^ entangled
+        if lost.any():
+            g, p = gamma[lost], beta[lost]
+            arg[lost] = p / (g + np.sqrt(np.maximum(g * g - p, 0.0))) / beta_minus[lost]
+            entangled[lost] = arg[lost] > 1.0
         np.putmask(arg, ~entangled, 1.0)
         r = np.log(arg, out=arg)
         r *= 0.25
@@ -98,7 +103,7 @@ def entanglement_of_formation(form: TwoModeStandardForm) -> float:
     minimal anti-squeezing needed to disentangle the state.  Separable states
     (squared smallest partial-transpose symplectic eigenvalue at or above
     _PPT_THRESHOLD = 1 - 1e-9) return 0; the measure is invariant under the
-    local phase flip w -> -w.  The form is one lane of `_eof`.
+    local phase flip w -> -w.
     """
     return float(_eof(*np.array([[form.u], [form.v], [form.w]]))[0])
 
@@ -132,10 +137,9 @@ def _swapped_eof(u, v, w, tau) -> np.ndarray:
 
     Its prelude runs the composition's operations in the same order on a few
     buffers updated in place, with one product d d of the diagonal d for the
-    form's u v, u u and v v, and it ends in the `_eof_tail` that `_eof` ends
-    in.  It leaves out two steps that change no bit of E_F: |off|, as off >= +0
-    where u >= 1; and (u - v)^2, which is +0 where d is finite, while a d that
-    is not fails the PPT test.
+    form's u v, u u and v v.  It leaves out two steps that change no bit of
+    E_F: |off|, as off >= +0 where u >= 1; and (u - v)^2, which is +0 where d
+    is finite, while a d that is not fails the PPT test.
     """
     lossy = tau * (u - 1.0)
     lossy += 1.0

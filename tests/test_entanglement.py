@@ -1,4 +1,6 @@
+import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -321,14 +323,35 @@ def earlier_eof(u, v, w) -> tuple:
     return e_f, nu_min_sq, gamma, beta_plus, beta_minus, r
 
 
+def exact_symmetric_eof(d, off) -> float:
+    """E_F of the symmetric form (d, d, off) from its smallest partial-transpose
+    symplectic eigenvalue nu = d - |off|, computed exactly from the floats:
+    E_F = c+ log2 c+ - c- log2 c- with c+- = (1 +- nu)^2 / (4 nu) (Giedke et
+    al., PRL 91, 107901, 2003)."""
+    nu = Fraction(float(d)) - abs(Fraction(float(off)))
+    if nu >= 1:
+        return 0.0
+    c_plus, c_minus = (float((1 + sign * nu) ** 2 / (4 * nu)) for sign in (1, -1))
+    return c_plus * math.log2(c_plus) - (c_minus * math.log2(c_minus) if c_minus else 0.0)
+
+
 def _assert_same_eof(u, v, w):
     """`_eof` has the bits of the earlier E_F, on (u, v, w) broadcast to lanes of
-    one shape, as `entanglement_of_formation` makes a form one lane."""
+    one shape, as `entanglement_of_formation` makes a form one lane.  The one
+    exception are lanes that pass the PPT test where the earlier E_F reads 0,
+    as its gamma - rad cancelled: where `_eof` reads more, the form must be
+    symmetric and E_F within 1e-15 d of the exact E_F of (d, d, off)."""
     u, v, w = np.broadcast_arrays(*np.atleast_1d(u, v, w))
-    got, expected = _eof(u, v, w), earlier_eof(u, v, w)[0]
+    got = _eof(u, v, w)
+    expected, nu_min_sq = earlier_eof(u, v, w)[:2]
     assert got.shape == expected.shape == u.shape
-    assert got.tobytes() == expected.tobytes()
+    mended = (nu_min_sq < _PPT_THRESHOLD) & (expected == 0.0) & (got != 0.0)
+    assert got[~mended].tobytes() == expected[~mended].tobytes()
     assert np.array_equal(np.signbit(got), np.signbit(expected))
+    d, off = u[mended], w[mended]
+    assert np.array_equal(d, v[mended])
+    exact = np.array([exact_symmetric_eof(*form) for form in zip(d, off)])
+    assert np.all(np.abs(got[mended] - exact) <= 1e-15 * d)
 
 
 def _near_boundary_forms():
@@ -476,12 +499,12 @@ def test_swapped_eof_edges_equal_the_composition(case, rng):
 
 
 # (forms, tau lanes, lanes that pass the PPT test, lanes with E_F > 0): blocks
-# that leave the kernel at each of its returns.  Thermal forms of u >= 8e8 near
-# the stability boundary pass the PPT test but read E_F = 0, as gamma - rad
-# cancels there.
+# that leave the kernel at its PPT return or run it through.  On thermal forms
+# of u >= 8e8 near the stability boundary gamma - rad cancels, and the lanes
+# that pass the PPT test take arg from beta_+ / (gamma + rad).
 _SWAPPED_EOF_BLOCKS = {
     "no-lane-passes-ppt": (_SWAPPED_EOF_EDGES["pure"], [0.0, 0.25, 0.5], 0, 0),
-    "no-lane-entangled": (_thermal_near_boundary_forms([3e-4, 1e-4]), [0.6, 0.9, 1.0], 3, 0),
+    "cancelled-lanes": (_thermal_near_boundary_forms([3e-4, 1e-4]), [0.6, 0.9, 1.0], 3, 3),
     "some-lanes-entangled": (_SWAPPED_EOF_EDGES["pure"], [0.0, 0.5, 0.9, 1.0], 2, 2),
     "every-lane-entangled": (_SWAPPED_EOF_EDGES["pure"], [0.7, np.nextafter(1.0, 0.0), 1.0], 3, 3),
 }
@@ -495,3 +518,20 @@ def test_swapped_eof_blocks_equal_the_composition(case):
     assert np.any(nu_min_sq < _PPT_THRESHOLD, axis=1).sum() == ppt_lanes
     assert np.any(e_f > 0.0, axis=1).sum() == entangled_lanes
     _assert_same_swapped_eof(*form, taus)
+    _assert_same_eof(*swapped)
+
+
+@pytest.mark.parametrize("d", [3e-4, 1e-4])
+def test_cancelled_lanes_equal_the_exact_eof(d):
+    # C_em = 2, n_th = 0.2 and C_om = 3 - d (u = 8.5e8 and 7.7e9): gamma =
+    # 2 (det_v + 1) passes 1e17, and the textbook gamma - rad cancels to
+    # arg <= 1 on lanes that pass the PPT test
+    source = tuple(np.array([x]) for x in _closed_form_uvw(3.0 - d, 2.0, 1.0, 1.0, 0.2))
+    taus = np.array([[0.6], [0.9], [1.0]])
+    diag, _, off = (x[:, 0] for x in _swapped(*source, taus))
+    expected, nu_min_sq = earlier_eof(diag, diag, off)[:2]
+    assert np.all(nu_min_sq < _PPT_THRESHOLD) and np.all(expected == 0.0)
+    exact = np.array([exact_symmetric_eof(*form) for form in zip(diag, off)])
+    assert exact == pytest.approx([0.0500, 0.588, 0.791], abs=1e-3)
+    for got in (_eof(diag, diag, off), _swapped_eof(*source, taus)[:, 0]):
+        assert np.all(np.abs(got - exact) <= 1e-15 * diag)
