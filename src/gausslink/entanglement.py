@@ -11,17 +11,15 @@ __all__ = [
     "entanglement_rate",
 ]
 
-# `_eof_tail`'s PPT test: E_F = 0 where nu_min^2 >= _PPT_THRESHOLD.  The margin
+# `_eof`'s PPT test: E_F = 0 where nu_min^2 >= _PPT_THRESHOLD.  The margin
 # below 1 absorbs the few-ulp round-off of nu_min^2 = det_v / nu_max^2 on
 # states at the separability boundary, where nu_min = 1 exactly.
 _PPT_THRESHOLD = 1.0 - 1e-9
 
 
-def _eof_tail(u, v, det_v, delta, w2, diff_sq, buf) -> np.ndarray:
-    """E_F (ebits) of standard forms (u I, v I, w Z) from a kernel's prelude:
-    det_v = (u v - w^2)^2, delta = u^2 + v^2 + 2 w^2, w2 = 2|w| and diff_sq =
-    (u - v)^2, None for a symmetric form.  It overwrites det_v, delta, w2 and
-    the scratch array buf, and reads u + v only past the PPT test.
+def _eof(u, v, w) -> np.ndarray:
+    """Entanglement of formation (ebits) of standard forms (u I, v I, w Z), from
+    float arrays u, v and w of one shape.
 
     r = ln(arg) / 4 with arg = (gamma - rad) / beta_- is the minimal
     disentangling anti-squeezing (Tserkis & Ralph, PRA 96, 062338, 2017),
@@ -31,10 +29,20 @@ def _eof_tail(u, v, det_v, delta, w2, diff_sq, buf) -> np.ndarray:
     Where gamma = 2 (det_v + 1) - (u - v)^2 passes about 1e16, gamma - rad
     cancels: lanes that pass the PPT test but not arg > 1 take the same arg as
     beta_+ / (gamma + rad), written beta_+ beta_- / (gamma + rad) / beta_-.
+
+    A symmetric form passed as one array (``v is u``) leaves out (u - v)^2, +0
+    wherever u is finite, while a u that is not fails the PPT test.  Past that
+    test a 2-D block works on the span of rows holding a lane that passes it;
+    the rows around read +0.  |w| becomes nu_min^2 and delta E_F in place.
     """
+    symmetric = v is u
+    w = np.abs(w)
+    w2 = 2.0 * w
+    det_v = (u * v - w * w) ** 2
+    delta = u * u + v * v + w2 * w
     # nu_min^2 nu_max^2 = det_v: the small root from the large one, which does
     # not cancel where nu_min << nu_max, near the stability boundary
-    nu_sq = np.multiply(delta, delta, out=buf)
+    nu_sq = np.multiply(delta, delta, out=w)
     nu_sq -= det_v * 4.0
     np.maximum(nu_sq, 0.0, out=nu_sq)
     np.sqrt(nu_sq, out=nu_sq)
@@ -43,11 +51,17 @@ def _eof_tail(u, v, det_v, delta, w2, diff_sq, buf) -> np.ndarray:
     np.divide(det_v, nu_sq, out=nu_sq)
     ppt = nu_sq < _PPT_THRESHOLD
     if not ppt.any():
-        return np.zeros(nu_sq.shape)
+        return np.zeros(ppt.shape)
+    out, at = delta, Ellipsis
+    if ppt.ndim == 2:
+        first, last = np.flatnonzero(ppt.any(axis=1))[[0, -1]]
+        at = slice(first, last + 1)
+        out[:first] = out[last + 1 :] = 0.0
+    u, v, det_v, delta, w2, ppt, buf = (x[at] for x in (u, v, det_v, delta, w2, ppt, nu_sq))
     gamma = np.add(det_v, 1.0, out=det_v)
     gamma *= 2.0
-    if diff_sq is not None:
-        gamma -= diff_sq
+    if not symmetric:
+        gamma -= (u - v) ** 2
     total = np.add(u, v, out=buf)
     beta = np.add(total, w2, out=delta)
     beta_minus = np.subtract(total, w2, out=total)
@@ -83,17 +97,7 @@ def _eof_tail(u, v, det_v, delta, w2, diff_sq, buf) -> np.ndarray:
         np.log2(tail, out=tail)
         tail *= s2
         e_f -= tail
-    return e_f
-
-
-def _eof(u, v, w) -> np.ndarray:
-    """Entanglement of formation (ebits) of standard forms (u I, v I, w Z), from
-    float arrays u, v and w of one shape: `_eof_tail` on new arrays."""
-    w = np.abs(w)
-    w2 = 2.0 * w
-    det_v = (u * v - w * w) ** 2
-    delta = u * u + v * v + w2 * w
-    return _eof_tail(u, v, det_v, delta, w2, (u - v) ** 2, np.empty_like(w))
+    return out
 
 
 def entanglement_of_formation(form: TwoModeStandardForm) -> float:
@@ -128,37 +132,6 @@ def _swap_form(u, v, w) -> tuple:
     return v - off, off
 
 
-def _swapped_eof(u, v, w, tau) -> np.ndarray:
-    """E_F of the swapped microwave pair after optical loss tau, from source
-    form arrays (u, v, w) of one shape and a tau that broadcasts against them
-    (a column of lanes against a row of frequencies).  It has the bits of
-    ``_eof(diag, diag, off)`` with ``lossy_u, lossy_w = _optical_loss(u, w,
-    tau)`` and ``diag, off = _swap_form(lossy_u, v, lossy_w)``.
-
-    Its prelude runs the composition's operations in the same order on a few
-    buffers updated in place, with one product d d of the diagonal d for the
-    form's u v, u u and v v.  It leaves out two steps that change no bit of
-    E_F: |off|, as off >= +0 where u >= 1; and (u - v)^2, which is +0 where d
-    is finite, while a d that is not fails the PPT test.
-    """
-    lossy = tau * (u - 1.0)
-    lossy += 1.0
-    off = np.sqrt(tau) * w
-    off *= off
-    lossy *= 2.0
-    off /= lossy
-    d = np.subtract(v, off, out=lossy)
-    delta = d * d
-    det_v = off * off
-    np.subtract(delta, det_v, out=det_v)
-    det_v *= det_v
-    w2 = off * 2.0
-    off *= w2
-    delta += delta
-    delta += off
-    return _eof_tail(d, d, det_v, delta, w2, None, off)
-
-
 def _duan(u, v, w):
     """u + v - 2w of floats or arrays; values below 1 certify entanglement."""
     return u + v - 2 * w
@@ -174,18 +147,16 @@ def _entanglement_rates(p: TransducerParams, taus) -> np.ndarray:
 
     Every tau is checked before anything is integrated.  The lanes share one
     nested trapezoid, which stops each lane at the doubling its one-lane
-    integral stops at, with the same bits, and evaluates `_swapped_eof` once per
-    lane group on the first two levels' 513 nodes, then once per group and
-    further level (per node chunk, on levels past _CHUNK_NODES new nodes).  The
-    spectra, and so E_F, are even in omega bit for bit: on a node array that is
-    its own mirror image `_even` solves and swaps its nonnegative half only (257
-    of the first 513 nodes) and reflects the values.  The source spectra depend
-    on the device only: they are solved once per node array evaluated, keyed by
-    the nodes themselves (the nonnegative half of a mirror image, or the whole
-    chunk), so the cache holds one entry for the first two levels and one per
-    further level (per chunk), each read by every lane group.  It lives for this
-    call and holds 3 floats (and the node itself as key) per node evaluated for
-    the deepest lane.
+    integral stops at, with the same bits.  E_F of the swapped pair is `_eof`
+    of `_swap_form` of `_optical_loss`, as for fig4a, taken once per lane group
+    on the first two levels' 513 nodes, then once per group and further level
+    (per chunk of _CHUNK_NODES new nodes).  The spectra, and so E_F, are even in
+    omega bit for bit: `_even` solves the nonnegative half of a node array that
+    is its own mirror image (257 of the first 513 nodes) and reflects the
+    values.  The source spectra, which depend on the device only, are cached
+    for this call keyed by the nodes evaluated: one entry for the first two
+    levels and one per further level (or chunk), read by every lane group, 3
+    floats and the node itself per node of the deepest lane.
     """
     taus = np.asarray(taus, dtype=float)
     _check_tau(taus)
@@ -196,7 +167,11 @@ def _entanglement_rates(p: TransducerParams, taus) -> np.ndarray:
         key = omegas.tobytes()
         if key not in spectra:
             spectra[key] = mo_standard_form_spectra(p, omegas)
-        return _swapped_eof(*spectra[key], taus[rows, None])
+        u, v, w = spectra[key]
+        # u and w become the lossy form, then (diag, off), freeing each block
+        u, w = _optical_loss(u, w, taus[rows, None])
+        u, w = _swap_form(u, v, w)
+        return _eof(u, u, w)
 
     return _nested_trapezoids(integrand, taus.size, _window(p)) / (2.0 * np.pi)
 

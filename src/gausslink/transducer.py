@@ -124,6 +124,10 @@ class TransducerParams:
             raise ValueError("extraction ratios must lie in [0, 1]")
         if not _all((c_om >= 0) & (c_em >= 0)):
             raise ValueError("cooperativities must be nonnegative")
+        # before the square roots of the couplings, which a negative one would warn in
+        for name, kappa in (("kappa_o", kappa_o), ("kappa_e", kappa_e), ("kappa_m", kappa_m)):
+            if not _all(kappa > 0):
+                raise ValueError(f"{name} must be positive")
         return cls(
             g_om=0.5 * np.sqrt(c_om * kappa_o * kappa_m),
             g_em=0.5 * np.sqrt(c_em * kappa_e * kappa_m),

@@ -155,6 +155,13 @@ class TestCliSweep:
         err = capsys.readouterr().err
         assert "numerical failure: fig2d_eof_map at C_om=1, C_em=0.2:" in err
 
+    def test_negative_linewidth_is_named_without_a_warning(self, tmp_path, capsys):
+        # pyproject makes a RuntimeWarning an error, as CI runs the CLI
+        cfg = tmp_path / "n.ini"
+        cfg.write_text(SMALL_MAP + "\n[fixed]\nkappa_o = -1\n", encoding="utf-8")
+        assert main(["sweep", str(cfg), "--out", str(tmp_path)]) == 3
+        assert "kappa_o" in capsys.readouterr().err
+
     def test_raw_value_error_is_a_numerical_failure(self, map_config, tmp_path, monkeypatch, capsys):
         # an error the sweep does not wrap in NumericalError exits 3 all the same
         def run_sweep(*args, **kwargs):

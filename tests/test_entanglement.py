@@ -13,7 +13,6 @@ from gausslink.entanglement import (
     _eof,
     _optical_loss,
     _swap_form,
-    _swapped_eof,
     duan_quantity,
     entanglement_of_formation,
     entanglement_rate,
@@ -440,7 +439,7 @@ def test_eof_equals_the_earlier_eof_on_swapped_spectra(device, taus):
     _assert_same_eof(*_swapped(u, v, w, np.array(taus)[:, None]))
 
 
-# --- the swapped-pair kernel against the composition it fuses -----------------
+# --- the swapped pair's E_F on blocks of lanes, as fig5b's integrand --------
 
 
 # tau lanes at the ends of [0, 1], one ulp below 1 and at the separability
@@ -449,15 +448,18 @@ _TAU_EDGES = np.array([0.0, 0.5, np.nextafter(1.0, 0.0), 1.0])
 
 
 def _assert_same_swapped_eof(u, v, w, tau):
-    """`_swapped_eof` has the bits of E_F of the composed swapped form, and
-    neither route warns."""
+    """`_eof` of the composed swapped block, its symmetric form passed as one
+    array, has the bits of `_eof` of each lane given as two separate arrays and
+    of the earlier E_F; neither `_eof` route warns."""
     tau = np.asarray(tau, dtype=float)[:, None]
+    diag, _, off = _swapped(u, v, w, tau)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        got = _swapped_eof(u, v, w, tau)
-        expected = _eof(*_swapped(u, v, w, tau))
+        got = _eof(diag, diag, off)
+        expected = np.array([_eof(d, d.copy(), o) for d, o in zip(diag, off)])
     assert got.shape == expected.shape == (tau.size, np.size(u))
     assert got.tobytes() == expected.tobytes()
+    _assert_same_eof(diag, diag, off)
 
 
 @settings(max_examples=200, deadline=None)
@@ -518,7 +520,6 @@ def test_swapped_eof_blocks_equal_the_composition(case):
     assert np.any(nu_min_sq < _PPT_THRESHOLD, axis=1).sum() == ppt_lanes
     assert np.any(e_f > 0.0, axis=1).sum() == entangled_lanes
     _assert_same_swapped_eof(*form, taus)
-    _assert_same_eof(*swapped)
 
 
 @pytest.mark.parametrize("d", [3e-4, 1e-4])
@@ -528,10 +529,33 @@ def test_cancelled_lanes_equal_the_exact_eof(d):
     # arg <= 1 on lanes that pass the PPT test
     source = tuple(np.array([x]) for x in _closed_form_uvw(3.0 - d, 2.0, 1.0, 1.0, 0.2))
     taus = np.array([[0.6], [0.9], [1.0]])
-    diag, _, off = (x[:, 0] for x in _swapped(*source, taus))
+    block = _swapped(*source, taus)
+    diag, _, off = (x[:, 0] for x in block)
     expected, nu_min_sq = earlier_eof(diag, diag, off)[:2]
     assert np.all(nu_min_sq < _PPT_THRESHOLD) and np.all(expected == 0.0)
     exact = np.array([exact_symmetric_eof(*form) for form in zip(diag, off)])
     assert exact == pytest.approx([0.0500, 0.588, 0.791], abs=1e-3)
-    for got in (_eof(diag, diag, off), _swapped_eof(*source, taus)[:, 0]):
+    for got in (_eof(diag, diag, off), _eof(*block)[:, 0]):
         assert np.all(np.abs(got - exact) <= 1e-15 * diag)
+
+
+@pytest.mark.parametrize(
+    "form",
+    [
+        _SWAPPED_EOF_EDGES["pure"],
+        _near_boundary_forms(),
+        _thermal_near_boundary_forms([3e-4, 1e-4]),
+    ],
+    ids=["physical", "near-threshold", "cancelled"],
+)
+def test_symmetric_shortcut_and_skipped_rows_change_no_bit(form):
+    # the tau < 1/2 rows hold no lane that passes the PPT test and are skipped;
+    # the others run the whole kernel, the cancelled forms through beta_+
+    diag, _, off = _swapped(*form, np.array([0.0, 0.25, 0.5, 0.6, 0.9, 1.0])[:, None])
+    e_f = _eof(diag, diag, off)
+    assert e_f.tobytes() == _eof(diag, diag.copy(), off).tobytes()
+    lanes = [_eof(d, d.copy(), o) for d, o in zip(diag, off)]
+    assert e_f.tobytes() == np.array(lanes).tobytes()
+    assert e_f[:2].tobytes() == np.zeros_like(e_f[:2]).tobytes()
+    assert not np.signbit(e_f).any()
+    assert np.all(e_f[3:].max(axis=1) > 0.0)

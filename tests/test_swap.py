@@ -7,7 +7,9 @@ from gausslink import entanglement, swap
 from gausslink.capacity import _nested_trapezoids, _window, integrate_spectrum
 from gausslink.entanglement import (
     _entanglement_rates,
-    _swapped_eof,
+    _eof,
+    _optical_loss,
+    _swap_form,
     entanglement_of_formation,
     entanglement_rate,
 )
@@ -317,7 +319,10 @@ def earlier_entanglement_rates(p, taus):
         key = omegas.tobytes()
         if key not in spectra:
             spectra[key] = mo_standard_form_spectra(p, omegas)
-        return _swapped_eof(*spectra[key], taus[rows, None])
+        u, v, w = spectra[key]
+        u, w = _optical_loss(u, w, taus[rows, None])
+        diag, off = _swap_form(u, v, w)
+        return _eof(diag, diag, off)
 
     return _nested_trapezoids(integrand, taus.size, _window(p)) / (2.0 * np.pi)
 

@@ -65,6 +65,12 @@ class TestParams:
         with pytest.raises(ValueError):
             make(1.0, 1.0, zo=1.2)
 
+    @pytest.mark.parametrize("name", ["kappa_o", "kappa_e", "kappa_m"])
+    def test_negative_linewidth_is_named_before_the_couplings(self, name):
+        # a RuntimeWarning is an error here: sqrt(C kappa_o kappa_m) may not warn
+        with pytest.raises(ValueError, match=f"^{name} must be positive$"):
+            TransducerParams.from_cooperativities(1.0, 1.0, **{name: -1.0})
+
 
 class TestStandardFormType:
     def test_vacuum_form(self):
