@@ -30,12 +30,10 @@ def _eof(u, v, w) -> np.ndarray:
     cancels: lanes that pass the PPT test but not arg > 1 take the same arg as
     beta_+ / (gamma + rad), written beta_+ beta_- / (gamma + rad) / beta_-.
 
-    A symmetric form passed as one array (``v is u``) leaves out (u - v)^2, +0
-    wherever u is finite, while a u that is not fails the PPT test.  Past that
-    test a 2-D block works on the span of rows holding a lane that passes it;
-    the rows around read +0.  |w| becomes nu_min^2 and delta E_F in place.
+    Past the PPT test it works on the span of rows (along the first axis)
+    holding a lane that passes it; the rows around read +0.  It writes
+    nu_min^2, then (u - v)^2, over its own |w|, and E_F over delta.
     """
-    symmetric = v is u
     w = np.abs(w)
     w2 = 2.0 * w
     det_v = (u * v - w * w) ** 2
@@ -52,16 +50,16 @@ def _eof(u, v, w) -> np.ndarray:
     ppt = nu_sq < _PPT_THRESHOLD
     if not ppt.any():
         return np.zeros(ppt.shape)
-    out, at = delta, Ellipsis
-    if ppt.ndim == 2:
-        first, last = np.flatnonzero(ppt.any(axis=1))[[0, -1]]
-        at = slice(first, last + 1)
-        out[:first] = out[last + 1 :] = 0.0
+    first, last = np.flatnonzero(ppt.any(axis=tuple(range(1, ppt.ndim))))[[0, -1]]
+    out = delta
+    out[:first] = out[last + 1 :] = 0.0
+    at = slice(first, last + 1)
     u, v, det_v, delta, w2, ppt, buf = (x[at] for x in (u, v, det_v, delta, w2, ppt, nu_sq))
     gamma = np.add(det_v, 1.0, out=det_v)
     gamma *= 2.0
-    if not symmetric:
-        gamma -= (u - v) ** 2
+    diff_sq = np.subtract(u, v, out=buf)
+    diff_sq *= diff_sq
+    gamma -= diff_sq
     total = np.add(u, v, out=buf)
     beta = np.add(total, w2, out=delta)
     beta_minus = np.subtract(total, w2, out=total)

@@ -448,9 +448,10 @@ _TAU_EDGES = np.array([0.0, 0.5, np.nextafter(1.0, 0.0), 1.0])
 
 
 def _assert_same_swapped_eof(u, v, w, tau):
-    """`_eof` of the composed swapped block, its symmetric form passed as one
-    array, has the bits of `_eof` of each lane given as two separate arrays and
-    of the earlier E_F; neither `_eof` route warns."""
+    """`_eof` of the composed swapped block, its diagonal passed once for both
+    modes as fig5b's integrand passes it, has the bits of `_eof` of each lane
+    alone, its diagonal passed as two arrays; neither call warns.  The block
+    then meets the earlier E_F through `_assert_same_eof`."""
     tau = np.asarray(tau, dtype=float)[:, None]
     diag, _, off = _swapped(u, v, w, tau)
     with warnings.catch_warnings():
@@ -548,14 +549,18 @@ def test_cancelled_lanes_equal_the_exact_eof(d):
     ],
     ids=["physical", "near-threshold", "cancelled"],
 )
-def test_symmetric_shortcut_and_skipped_rows_change_no_bit(form):
-    # the tau < 1/2 rows hold no lane that passes the PPT test and are skipped;
-    # the others run the whole kernel, the cancelled forms through beta_+
+def test_shared_diagonal_and_skipped_rows_change_no_bit(form):
+    # `_eof` writes over none of its inputs, so a diagonal passed once for both
+    # modes reads as its copy does.  The tau < 1/2 rows hold no lane that passes
+    # the PPT test and are skipped; the others run the whole kernel, the
+    # cancelled forms through beta_+.  The block flattened to one row skips
+    # the elements before and after its span instead.
     diag, _, off = _swapped(*form, np.array([0.0, 0.25, 0.5, 0.6, 0.9, 1.0])[:, None])
     e_f = _eof(diag, diag, off)
     assert e_f.tobytes() == _eof(diag, diag.copy(), off).tobytes()
     lanes = [_eof(d, d.copy(), o) for d, o in zip(diag, off)]
     assert e_f.tobytes() == np.array(lanes).tobytes()
+    assert e_f.tobytes() == _eof(diag.ravel(), diag.ravel(), off.ravel()).tobytes()
     assert e_f[:2].tobytes() == np.zeros_like(e_f[:2]).tobytes()
     assert not np.signbit(e_f).any()
     assert np.all(e_f[3:].max(axis=1) > 0.0)
