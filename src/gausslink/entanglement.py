@@ -50,10 +50,11 @@ def _eof(u, v, w) -> np.ndarray:
     ppt = nu_sq < _PPT_THRESHOLD
     if not ppt.any():
         return np.zeros(ppt.shape)
-    first, last = np.flatnonzero(ppt.any(axis=tuple(range(1, ppt.ndim))))[[0, -1]]
+    rows = np.flatnonzero(ppt.any(axis=tuple(range(1, ppt.ndim))))
+    first, stop = rows[0], rows[-1] + 1
     out = delta
-    out[:first] = out[last + 1 :] = 0.0
-    at = slice(first, last + 1)
+    out[:first] = out[stop:] = 0.0
+    at = slice(first, stop)
     u, v, det_v, delta, w2, ppt, buf = (x[at] for x in (u, v, det_v, delta, w2, ppt, nu_sq))
     gamma = np.add(det_v, 1.0, out=det_v)
     gamma *= 2.0
