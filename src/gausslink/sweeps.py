@@ -61,6 +61,8 @@ class NumericalError(Exception):
 AXIS_NAMES = ("C_om", "C_em", "kappa", "n_th", "tau")
 # metrics written as text, which a heatmap cannot color: fig2a's channel kind
 _TEXT_METRICS = ("kind",)
+# a sweep's floating-point policy for its blocks and axes: only underflow passes
+_raising = functools.partial(np.errstate, all="raise", under="ignore")
 
 FIXED_DEFAULTS = {
     "zeta_o": 1.0,
@@ -223,9 +225,8 @@ def _eval_fig2a(columns):
     kinds, eta, noise = _induced_channels(u, v, w, _at(columns["kappa"], stable))
     disp = eta == 1.0  # exactly the displacement lanes: elsewhere |kappa - 1| >= 1e-9
     raw = np.empty(eta.shape)
-    with np.errstate(divide="raise", invalid="raise"):  # as the scalar bounds' checks
-        raw[disp] = _coherent_info_displacement(noise[disp])
-        raw[~disp] = _coherent_info_loss_amp(eta[~disp], noise[~disp])
+    raw[disp] = _coherent_info_displacement(noise[disp])
+    raw[~disp] = _coherent_info_loss_amp(eta[~disp], noise[~disp])
     q_lb = np.maximum(raw, 0.0)
     return stable, dict(kind=kinds, eta_prime=eta, noise=noise, q_lb=q_lb, q_lb_raw=raw)
 
@@ -471,7 +472,10 @@ def _parse_axis(section: str, items: dict) -> Axis:
         raise ConfigError(f"[{section}] {sorted(extra)[0]}: unknown field")
     axis = Axis(name, lo, hi, points, scale)
     try:  # built here, and cached, so that an axis no array can hold is a config error
-        size = axis.values().size
+        with _raising():
+            size = axis.values().size
+    except FloatingPointError as exc:
+        raise ConfigError(f"[{section}] min, max: the values overflow: {exc}") from None
     except (ValueError, IndexError, OverflowError, MemoryError):
         size = None
     if size != points:
@@ -575,9 +579,9 @@ def _evaluate_block(experiment: str, fixed: dict, axes: tuple, rows: np.ndarray)
     ``rows``, one string per grid row.  The experiment gets each parameter in
     ``fixed`` as the float it is and each axis as a column over the block.
 
-    A ValueError or ArithmeticError is raised as NumericalError naming the
-    experiment and the axis values of the first point that fails alone: points
-    do not interact, so a failing block is re-run one point at a time.
+    Under `_raising`, a ValueError or ArithmeticError is raised as NumericalError
+    naming the experiment and the axis values of the first point that fails alone:
+    points do not interact, so a failing block is re-run one point at a time.
     """
     # looked up by name, in the worker too: the fig5 evaluators are closures,
     # which a process pool cannot pickle
@@ -587,17 +591,18 @@ def _evaluate_block(experiment: str, fixed: dict, axes: tuple, rows: np.ndarray)
     names = [axis.name for axis in axes]
     columns = dict(fixed)
     columns.update(zip(names, coords))
-    try:
-        stable, metrics = spec.evaluate(columns)
-    except (ValueError, ArithmeticError):
-        for i, point in enumerate(zip(*(c.tolist() for c in coords))):
-            columns.update((name, c[i : i + 1]) for name, c in zip(names, coords))
-            try:
-                spec.evaluate(columns)
-            except (ValueError, ArithmeticError) as exc:
-                where = ", ".join("%s=%.12g" % pair for pair in zip(names, point))
-                raise NumericalError(f"{experiment} at {where}: {exc}") from exc
-        raise
+    with _raising():
+        try:
+            stable, metrics = spec.evaluate(columns)
+        except (ValueError, ArithmeticError):
+            for i, point in enumerate(zip(*(c.tolist() for c in coords))):
+                columns.update((name, c[i : i + 1]) for name, c in zip(names, coords))
+                try:
+                    spec.evaluate(columns)
+                except (ValueError, ArithmeticError) as exc:
+                    where = ", ".join("%s=%.12g" % pair for pair in zip(names, point))
+                    raise NumericalError(f"{experiment} at {where}: {exc}") from exc
+            raise
     cells = [""] if second is None else ["%.12g," % x for x in second.tolist()]
     return _format_block(spec.metrics, rows, cells, stable, metrics)
 

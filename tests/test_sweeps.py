@@ -1,10 +1,12 @@
 import csv
 import dataclasses
 import io
+import re
 import subprocess
 import sys
 import time
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -546,6 +548,100 @@ points = 4
                     assert row[stable_at] == "0" and not any(cells), (name, row)
 
 
+# a 3 x 2 grid whose [fixed] value makes numpy overflow or take an invalid
+# operation at some point
+EXTREME_GRID = """
+[sweep]
+experiment = {experiment}
+output = extreme.csv
+
+[fixed]
+{field} = {value}
+
+[axis C_om]
+min = 0.5
+max = 2
+points = 3
+
+[axis tau]
+min = 0.25
+max = 1
+points = 2
+"""
+EXTREMES = {"n_th": "1e308", "C_em": "1e308", "kappa_m": "1e300", "kappa_o": "1e-320"}
+# (experiment, fixed field, the first point that fails alone and numpy's error)
+# for each pair of EXTREMES that hits a floating-point error on EXTREME_GRID
+EXTREME_FIXED = [
+    ("fig1a_dqt_boundary", "C_em", "C_om=2, tau=0.25: overflow"),
+    ("fig1a_dqt_boundary", "kappa_o", "C_om=0.5, tau=0.25: invalid value"),
+    *(
+        (experiment, field, "C_om=0.5, tau=0.25: overflow")
+        for experiment in ("fig2d_eof_map", "fig4a_mm_eof", "fig2bc_capacity_maps", "custom")
+        for field in ("n_th", "C_em", "kappa_m")
+    ),
+    ("custom", "kappa_o", "C_om=0.5, tau=0.25: invalid value"),
+    *(
+        (experiment, field, f"C_om=0.5, tau=0.25: {error}")
+        for experiment in ("fig5a_click_rate", "fig5b_homodyne_rate")
+        for field, error in (("n_th", "invalid value"), ("kappa_m", "overflow"))
+    ),
+]
+
+
+class TestFloatingPointPolicy:
+    """A block is evaluated with numpy raising on overflow, division by zero and
+    invalid operations, so such an error fails its point by name whatever the
+    interpreter's warning filter says."""
+
+    @pytest.mark.parametrize(
+        "experiment, field, failure", EXTREME_FIXED, ids=[f"{e}-{f}" for e, f, _ in EXTREME_FIXED]
+    )
+    def test_extreme_fixed_value_fails_its_point(self, tmp_path, capsys, experiment, field, failure):
+        # fig2d with kappa_m = 1e300 once wrote its rows, after the Routh-Hurwitz
+        # product a2 * a1 overflowed in stability_check
+        body = EXTREME_GRID.format(experiment=experiment, field=field, value=EXTREMES[field])
+        path = write_config(tmp_path, body)
+        message = f"{experiment} at {failure} encountered in "
+        with pytest.raises(NumericalError, match="^" + re.escape(message)):
+            run_sweep(parse_config(path), out_dir=tmp_path)
+        errors = []
+        for action in ("error", "ignore"):
+            with warnings.catch_warnings():
+                warnings.simplefilter(action, RuntimeWarning)
+                assert main(["sweep", str(path), "--out", str(tmp_path)]) == EXIT_NUMERICAL
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1]
+        assert errors[0].startswith("numerical failure: " + message)
+        assert not (tmp_path / "extreme.csv").exists()
+
+    def test_pool_workers_keep_the_policy(self, tmp_path, monkeypatch):
+        # three one-row blocks over two workers, which inherit no warning filter
+        # that would raise
+        monkeypatch.setattr(sweeps, "_BLOCK_POINTS", 2)
+        body = EXTREME_GRID.format(experiment="fig2d_eof_map", field="kappa_m", value="1e300")
+        cfg = parse_config(write_config(tmp_path, body))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            with pytest.raises(NumericalError, match="^fig2d_eof_map at C_om=0.5, tau=0.25: overflow"):
+                run_sweep(cfg, out_dir=tmp_path, jobs=2)
+
+    def test_overflow_in_an_evaluator_is_named(self, tmp_path, monkeypatch):
+        # the evaluator's own arithmetic overflows at the third of four points
+        spec = EXPERIMENTS["fig2d_eof_map"]
+
+        def evaluate(columns):
+            at = (columns["C_om"] == 2.0) & (columns["C_em"] == 1.0)
+            np.multiply(1e308, np.where(at, 10.0, 1.0))
+            return spec.evaluate(columns)
+
+        monkeypatch.setitem(EXPERIMENTS, spec.name, dataclasses.replace(spec, evaluate=evaluate))
+        cfg = parse_config(write_config(tmp_path, MINIMAL.replace("custom", spec.name)))
+        with pytest.raises(NumericalError) as info:
+            run_sweep(cfg, out_dir=tmp_path)
+        assert str(info.value) == "fig2d_eof_map at C_om=2, C_em=1: overflow encountered in multiply"
+        assert isinstance(info.value.__cause__, FloatingPointError)
+
+
 def test_axis_values():
     lin = Axis("C_om", 1.0, 3.0, 3, "linear")
     assert np.allclose(lin.values(), [1.0, 2.0, 3.0])
@@ -617,6 +713,25 @@ def test_axis_no_array_can_hold_is_a_config_error(tmp_path, points, scale):
     with pytest.raises(ConfigError, match=message):
         parse_config(path)
     assert main(["sweep", str(path), "--out", str(tmp_path)]) == EXIT_CONFIG
+    assert list(tmp_path.iterdir()) == [path]
+
+
+def test_axis_whose_values_overflow_is_a_config_error(tmp_path, capsys):
+    # the spacing of a linear axis from -1e308 to 1e308 overflows: an axis of
+    # nan would sweep, and fail at a point for the wrong reason
+    body = "[sweep]\nexperiment = fig2d_eof_map\n\n[axis C_om]\nmin = -1e308\nmax = 1e308\npoints = 3\n"
+    path = write_config(tmp_path, body)
+    message = r"^\[axis C_om\] min, max: the values overflow: overflow encountered in \w+$"
+    with pytest.raises(ConfigError, match=message):
+        parse_config(path)
+    errors = []
+    for action in ("error", "ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter(action, RuntimeWarning)
+            assert main(["sweep", str(path), "--out", str(tmp_path)]) == EXIT_CONFIG
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1]
+    assert errors[0].startswith("config error: [axis C_om] min, max: the values overflow: ")
     assert list(tmp_path.iterdir()) == [path]
 
 

@@ -494,8 +494,8 @@ class TestBoundKernel:
             _masked_bounds_at_gains(lanes.column(), gains).tobytes()
 
     def test_loss_amp_kernel_raises_under_the_callers_state(self):
-        # fig2a evaluates the kernel under divide/invalid = raise: n_e = 0 takes
-        # no log of 0, and a division by 1 - eta = 0 is not hidden
+        # a sweep evaluates the kernel with numpy raising on these errors: n_e = 0
+        # takes no log of 0, and a division by 1 - eta = 0 is not hidden
         eta, n_e = np.array([0.75, 4.0]), np.zeros(2)
         with np.errstate(divide="raise", invalid="raise"):
             assert np.array_equal(_coherent_info_loss_amp(eta, n_e), np.log2(eta / np.abs(1.0 - eta)))
