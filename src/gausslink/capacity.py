@@ -307,8 +307,3 @@ def _nested_trapezoids(fn, lanes: int, omega_max: float) -> np.ndarray:
             doubling += 1
     return totals
 
-
-def integrate_spectrum(fn, omega_max: float) -> float:
-    """Nested trapezoid of a vectorized, pointwise spectral function on [-W, W]:
-    the one-lane _nested_trapezoids."""
-    return float(_nested_trapezoids(lambda rows, omegas: fn(omegas), 1, omega_max)[0])

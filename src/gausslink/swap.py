@@ -10,10 +10,9 @@ the same optical outputs.
 
 import numpy as np
 
-from .capacity import _even, _window, integrate_spectrum
 from .entanglement import _check_tau, _optical_loss, _swap_form
 from .gaussian import GaussianState, general_dyne_condition, tensor, two_mode_squeezed
-from .transducer import TransducerParams, TwoModeStandardForm, _all, mo_standard_form_spectra
+from .transducer import TransducerParams, TwoModeStandardForm, _all, _drift_blue, _require_stable_blue
 
 __all__ = [
     "mm_swap_closed",
@@ -75,36 +74,34 @@ def apply_optical_loss(form: TwoModeStandardForm, tau: float) -> TwoModeStandard
     return TwoModeStandardForm(u=u, v=form.v, w=w)
 
 
-# flux densities below this are round-off, zeroed so a dark source integrates to 0
-_FLUX_FLOOR = 1e-12
-
-
 def _click_rates(p: TransducerParams, tau, dt) -> tuple:
-    """(r_t, r_B) of one device over lanes of tau and dt: optical photon rate
-    and heralded Bell-pair rate; the checks apply to every lane.
+    """(r_t, r_B) over lanes of devices, tau and dt: optical photon rate and
+    heralded Bell-pair rate; the checks apply to every lane.
 
-    The photon-flux spectral density of the optical coupling output,
-    (S_qq + S_pp - 2)/4 in vacuum units, is integrated over frequency once
-    (divided by 2 pi), on the nonnegative half of each mirror-image node array
-    (`_even`): the first call covers the first two levels' 513 nodes and solves
-    257 of them.  r_t scales the integral by each lane's path transmissivity.
-    With two devices feeding the detectors the Bell rate follows the Poisson
+    The optical photon rate is the steady-state kappa_o_c <a^dag a> (Gardiner &
+    Collett, PRA 31, 3761, 1985): with the drift M (mode order a^dag, b, c),
+    X = <x x^dag> solves M X + X M^H + D = 0, D = diag(0, kappa_m (n_th + 1),
+    kappa_e_c + kappa_e_i (n_th + 1)) the input noise; on the column-major
+    vec(X), one 9x9 solve (I kron M + conj(M) kron I) vec X = -vec D per lane.
+    r_t scales kappa_o_c Re X[0, 0] by each lane's path transmissivity.  With
+    two devices feeding the detectors the Bell rate follows the Poisson
     heralding model r_B = 2 r_t exp(-r_t dt).
     """
     _check_tau(tau)
     if not _all(dt > 0):
         raise ValueError("pulse duration must be positive")
-
-    @_even
-    def flux(omegas):
-        u, _, _ = mo_standard_form_spectra(p, omegas)
-        # optical q and p spectra coincide, so S_qq + S_pp - 2 = 2 (u - 1);
-        # the flux density is nonnegative
-        excess = np.maximum(u - 1.0, 0.0)
-        excess[excess < _FLUX_FLOOR] = 0.0
-        return excess / 2.0
-
-    r_t = tau * integrate_spectrum(flux, _window(p)) / (2.0 * np.pi)
+    _require_stable_blue(p)
+    m = _drift_blue(p)
+    eye = np.eye(3)
+    # entry [..., i, k, j, l] is row 3 i + k, column 3 j + l of each Kronecker product
+    lhs = eye[:, None, :, None] * m[..., None, :, None, :]
+    lhs += m.conj()[..., :, None, :, None] * eye[None, :, None, :]
+    noise = np.zeros(np.broadcast(m[..., 0, 0], p.n_th, p.kappa_e_c, p.kappa_e_i).shape + (9, 1))
+    noise[..., 4, 0] = -p.kappa_m * (p.n_th + 1.0)
+    noise[..., 8, 0] = -(p.kappa_e_c + p.kappa_e_i * (p.n_th + 1.0))
+    x = np.linalg.solve(lhs.reshape(lhs.shape[:-4] + (9, 9)), noise)
+    # adding 0.0 turns a dark source's -0 to +0
+    r_t = tau * (p.kappa_o_c * x[..., 0, 0].real + 0.0)
     return r_t, 2.0 * r_t * np.exp(-r_t * dt)
 
 

@@ -249,32 +249,34 @@ def _eval_fig4b(columns):
     )
 
 
-def _by_device(per_lane: tuple, rates, metrics: tuple):
-    """Evaluator of a block grouped by device, a device being the values of the
-    swept columns but ``per_lane``.  Each device is built from Python floats,
-    as from a single point, and checked for stability once; each stable one
-    fills ``metrics`` on its lanes with ``rates(p, *per-lane columns)``."""
+def _eval_fig5a(columns):
+    stable = np.broadcast_to(stability_check(_params(columns, "blue")), _shape(columns))
+    lanes = {k: _at(x, stable) for k, x in columns.items()}
+    r_t, r_b = _click_rates(_params(lanes, "blue"), lanes["tau"], lanes["pulse_duration"])
+    return stable, dict(r_t=r_t, r_B=r_b)
 
-    def evaluate(columns):
-        stable = np.zeros(_shape(columns), dtype=bool)
-        keys = [k for k in columns if k not in per_lane and getattr(columns[k], "ndim", 0)]
-        lanes = {}
-        devices = zip(*(columns[k].tolist() for k in keys)) if keys else [()] * stable.size
-        for i, device in enumerate(devices):
-            lanes.setdefault(device, []).append(i)
-        by_lane = [np.broadcast_to(columns[k], stable.shape) for k in per_lane]
-        values = [np.empty(stable.size) for _ in metrics]
-        point = dict(columns)
-        for device, idx in lanes.items():
-            point.update(zip(keys, device))
-            p = _params(point, "blue")
-            if stability_check(p):
-                stable[idx] = True
-                for column, x in zip(values, rates(p, *(c[idx] for c in by_lane))):
-                    column[idx] = x
-        return stable, {name: column[stable] for name, column in zip(metrics, values)}
 
-    return evaluate
+def _eval_fig5b(columns):
+    """fig5b's block grouped by device, a device being the values of the swept
+    columns but tau.  Each device is built from Python floats, as from a single
+    point, and checked for stability once; each stable one fills e_r on its tau
+    lanes with one `_entanglement_rates` call, which shares the spectra."""
+    stable = np.zeros(_shape(columns), dtype=bool)
+    keys = [k for k in columns if k != "tau" and getattr(columns[k], "ndim", 0)]
+    lanes = {}
+    devices = zip(*(columns[k].tolist() for k in keys)) if keys else [()] * stable.size
+    for i, device in enumerate(devices):
+        lanes.setdefault(device, []).append(i)
+    tau = np.broadcast_to(columns["tau"], stable.shape)
+    e_r = np.empty(stable.size)
+    point = dict(columns)
+    for device, idx in lanes.items():
+        point.update(zip(keys, device))
+        p = _params(point, "blue")
+        if stability_check(p):
+            stable[idx] = True
+            e_r[idx] = _entanglement_rates(p, tau[idx])
+    return stable, dict(e_r=e_r[stable])
 
 
 def _eval_custom(columns):
@@ -393,7 +395,7 @@ EXPERIMENTS = {
         ExperimentSpec(
             "fig5a_click_rate",
             ("r_t", "r_B"),
-            _by_device(("tau", "pulse_duration"), _click_rates, ("r_t", "r_B")),
+            _eval_fig5a,
             _axes_fig5(),
             {"C_em": 10.0},
             "r_B",
@@ -401,7 +403,7 @@ EXPERIMENTS = {
         ExperimentSpec(
             "fig5b_homodyne_rate",
             ("e_r",),
-            _by_device(("tau",), lambda p, tau: (_entanglement_rates(p, tau),), ("e_r",)),
+            _eval_fig5b,
             _axes_fig5(),
             {"C_em": 10.0},
             "e_r",
@@ -583,8 +585,6 @@ def _evaluate_block(experiment: str, fixed: dict, axes: tuple, rows: np.ndarray)
     naming the experiment and the axis values of the first point that fails alone:
     points do not interact, so a failing block is re-run one point at a time.
     """
-    # looked up by name, in the worker too: the fig5 evaluators are closures,
-    # which a process pool cannot pickle
     spec = EXPERIMENTS[experiment]
     second = axes[1].values() if len(axes) == 2 else None
     coords = _block_coords(rows, second)

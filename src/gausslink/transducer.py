@@ -10,6 +10,7 @@ from the common resonance and may be in any unit consistent with the decay
 rates (only rate ratios matter).
 """
 
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -124,10 +125,13 @@ class TransducerParams:
             raise ValueError("extraction ratios must lie in [0, 1]")
         if not _all((c_om >= 0) & (c_em >= 0)):
             raise ValueError("cooperativities must be nonnegative")
-        # before the square roots of the couplings, which a negative one would warn in
+        # before the square roots of the couplings, which a negative one would warn
+        # in; a subnormal one leaves the couplings and rates without precision
         for name, kappa in (("kappa_o", kappa_o), ("kappa_e", kappa_e), ("kappa_m", kappa_m)):
-            if not _all(kappa > 0):
-                raise ValueError(f"{name} must be positive")
+            if not _all(kappa >= sys.float_info.min):  # the least normal float
+                if not _all(kappa > 0):
+                    raise ValueError(f"{name} must be positive")
+                raise ValueError(f"{name} must be a normal float, at least 2.225e-308")
         return cls(
             g_om=0.5 * np.sqrt(c_om * kappa_o * kappa_m),
             g_em=0.5 * np.sqrt(c_em * kappa_e * kappa_m),
@@ -223,7 +227,7 @@ def _require(p: TransducerParams, detuning: str):
 
 
 def _require_stable_blue(p: TransducerParams):
-    if not stability_check(p):
+    if not _all(stability_check(p)):
         raise ValueError("blue-detuned parameters are unstable")
 
 

@@ -24,7 +24,6 @@ from gausslink.capacity import (
     coherent_info_displacement,
     coherent_info_loss_amp,
     g_function,
-    integrate_spectrum,
     q_lb_loss_amp,
 )
 from gausslink import entanglement
@@ -37,7 +36,13 @@ from gausslink.entanglement import (
     entanglement_of_formation,
 )
 from gausslink.gaussian import check_physical
-from gausslink.swap import _click_rates, apply_optical_loss, mm_standard_form, mm_swap_closed
+from gausslink.swap import (
+    _click_rates,
+    apply_optical_loss,
+    click_rate,
+    mm_standard_form,
+    mm_swap_closed,
+)
 from gausslink.sweeps import FIXED_DEFAULTS, _source_forms
 from gausslink.teleport import _UNIT_GAIN_TOL, _induced_channels
 from gausslink.transducer import (
@@ -50,7 +55,9 @@ from gausslink.transducer import (
     output_mo_covariance,
     stability_check,
 )
+from test_capacity import integrate_spectrum
 from test_entanglement import earlier_eof
+from test_swap import wide_window_photon_rate
 
 _Z2 = np.diag([1.0, -1.0])
 
@@ -178,23 +185,6 @@ def scalar_induced_channel(form, kappa):
         raise ValueError("negative effective occupation: source form is unphysical")
     kind = THERMAL_LOSS if kappa < 1.0 else THERMAL_AMP
     return BosonicChannelKind(kind, kappa**2, max(n_e, 0.0))
-
-
-def scalar_click_rate(p, tau, dt):
-    if not 0.0 <= tau <= 1.0:
-        raise ValueError("tau must lie in [0, 1]")
-    if dt <= 0:
-        raise ValueError("pulse duration must be positive")
-
-    def flux(omegas):
-        u, _, _ = mo_standard_form_spectra(p, omegas)
-        excess = np.maximum(u - 1.0, 0.0)
-        excess[excess < 1e-12] = 0.0
-        return excess / 2.0
-
-    r_t = tau * integrate_spectrum(flux, _window(p)) / (2.0 * np.pi)
-    r_b = 2.0 * r_t * np.exp(-r_t * dt)
-    return float(r_t), float(r_b)
 
 
 # --- strategies ----------------------------------------------------------------
@@ -535,14 +525,39 @@ def test_induced_channels_equal_the_scalar_code(lanes):
     ),
 )
 def test_click_rates_equal_the_scalar_code(pt, lanes):
-    # stable, and away from C_om = 1 + C_em, where the flux integral converges
+    # the lanes of one call equal one-lane calls bit for bit, and the flux
+    # spectrum integrated on a wide window, wherever that converges: away from
+    # C_om = 1 + C_em, whose narrow spectra would take it past 2**20 nodes
     p = _params(pt)
     assume(pt["C_om"] < 0.99 * (1.0 + pt["C_em"]) and scalar_stability_check(p))
     tau, dt = (np.array(x) for x in zip(*lanes))
     r_t, r_b = _click_rates(p, tau, dt)
-    expected = np.array([scalar_click_rate(p, *lane) for lane in lanes])
-    assert _same_bits(r_t, expected[:, 0])
-    assert _same_bits(r_b, expected[:, 1])
+    lane_by_lane = np.array([click_rate(p, *lane) for lane in lanes])
+    assert _same_bits(r_t, lane_by_lane[:, 0])
+    assert _same_bits(r_b, lane_by_lane[:, 1])
+    try:
+        rate = wide_window_photon_rate(p)
+    except ValueError as exc:
+        assert "not converged" in str(exc)
+        return
+    assert r_t == pytest.approx(tau * rate, rel=1e-8, abs=1e-12)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    points=st.lists(_points(), min_size=1, max_size=6),
+    taus=st.lists(st.floats(0.0, 1.0), min_size=6, max_size=6),
+)
+def test_device_lanes_equal_one_device_calls(points, taus):
+    # one device per lane, as fig5a's block evaluator solves them, thresholds
+    # included; a fixed pulse length, as the sweeps pass it
+    points = [pt for pt in points if stability_check(_params(pt))]
+    assume(points)
+    tau = np.array(taus[: len(points)])
+    r_t, r_b = _click_rates(_params(_columns(points)), tau, np.full(tau.size, 2.5))
+    lane_by_lane = np.array([click_rate(_params(pt), t, 2.5) for pt, t in zip(points, tau)])
+    assert _same_bits(r_t, lane_by_lane[:, 0])
+    assert _same_bits(r_b, lane_by_lane[:, 1])
 
 
 @pytest.mark.parametrize("tau, dt, match", [(1.2, 1.0, "tau"), (0.5, 0.0, "pulse duration")])

@@ -20,7 +20,6 @@ from gausslink.capacity import (
     dqt_capacity_boundary,
     g_function,
     _nested_trapezoids,
-    integrate_spectrum,
     q_lb_displacement,
     q_lb_loss_amp,
 )
@@ -247,6 +246,12 @@ def _earlier_chunked(fn, omegas: np.ndarray) -> np.ndarray:
     return np.concatenate(
         [fn(omegas[lo : lo + _EARLIER_CHUNK_NODES]) for lo in range(0, omegas.size, _EARLIER_CHUNK_NODES)]
     )
+
+
+def integrate_spectrum(fn, omega_max):
+    """Nested trapezoid of a vectorized, pointwise spectral function on [-W, W]:
+    the one-lane _nested_trapezoids, whose policy the tests below pin."""
+    return float(_nested_trapezoids(lambda rows, omegas: fn(omegas), 1, omega_max)[0])
 
 
 def earlier_integrate_spectrum(fn, omega_max):

@@ -2,7 +2,10 @@
 per-point gain search that preceded the batched one (the thermal grids: with
 the per-point direct-conversion channel that preceded the array one; the
 fig5b thermal blocks: with the per-point homodyne integral; the default fig5b
-grid and the 41-lane fig5b block: with one 1-D trapezoid per tau lane).
+grid and the 41-lane fig5b block: with one 1-D trapezoid per tau lane).  The
+fig5a grids were re-recorded with the steady-state photon rate, once every
+r_t agreed with the flux spectrum integrated on [-W, W], W = 2560 max(kappa),
+to 1e-8.
 
 Determinism tests compare two runs of the same code; these compare against
 bytes written by an earlier implementation, so a refactor that moves a single
@@ -125,7 +128,7 @@ SMALL = {
     "fig2d_eof_map": "8e101639632f997f44be5619ccd0c4e826295f831362b54a7f8303af19668237",
     "fig4a_mm_eof": "3ca99243ccd022ba7212aacfc5107c25c9508ff4e4ccca082edab31de341ef89",
     "fig4b_mm_capacity": "6fe14727b67ed471c396269cad2a30bfed9e757b7c1f38ff2c482d6986a281da",
-    "fig5a_click_rate": "2aed60ad1289e1d0a5ac9161fe790772f17cdd27161ed4259421ddcedef01c91",
+    "fig5a_click_rate": "177be3d7a53b1d44da624028f33fdf0e8b7ae5bfe18a776a9470f76454b8d024",
     "fig5b_homodyne_rate": "f779b4d3595fba27f7b558cef572d9ada73aa646268f5edd9b5fe94b8971dd20",
     "custom": "c99b3b03b5a33111c7b4e8425a5773a24c30eb33cc8438ce29c1e7df85f7fa96",
 }
@@ -286,12 +289,12 @@ THERMAL_BLOCKS = {
     "fig5a-C_om-tau": (
         "fig5a_click_rate",
         _THERMAL_RATE_GRID,
-        "d2df068261fc14bad883c47c3ed68d72c77fc61472b0bf41751e28d2ac7fbd33",
+        "de1e0303c0aaf44f3aab91c9d2d99319502362fe66d5a341e643d67ee1f831e0",
     ),
     "fig5a-tau-C_em": (
         "fig5a_click_rate",
         _THERMAL_RATE_GRID_T,
-        "d926de39c34c6243f9e10d1184e87f9c8e3e45b8b8bea49ab607c3db17658fdf",
+        "4e732fb71b22a23ae7625395847d65b2af4bba322b1aea377f7d25ecf8be0763",
     ),
     "fig5b-C_om-tau": (
         "fig5b_homodyne_rate",
@@ -382,8 +385,8 @@ def test_thermal_block_grid(case, tmp_path):
 
 # grids longer than one row block (sweeps._BLOCK_POINTS): a closed-form map,
 # and a (tau, C_om) fig5a grid, whose devices each have a lane in every row
-# and so span every block; recorded when one job evaluated the whole grid as
-# one block
+# and so span every block; fig2d's recorded when one job evaluated the whole
+# grid as one block
 _MULTI_BLOCK_CC = """
 [axis C_om]
 min = 0.1
@@ -418,7 +421,7 @@ MULTI_BLOCK = {
     "fig5a-tau-C_om": (
         "fig5a_click_rate",
         _MULTI_BLOCK_RATE,
-        "76379b228cfc552f4ca3103d314a68a2027e06217776f5e1ba9bdf234cc891bb",
+        "13a618394a5c7a54ae2908ccf8cea0a90b652b29088d4cf84e92e92c9ebd2828",
     ),
 }
 

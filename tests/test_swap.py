@@ -1,10 +1,11 @@
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from gausslink import entanglement, swap
-from gausslink.capacity import _nested_trapezoids, _window, integrate_spectrum
+from gausslink import entanglement
+from gausslink.capacity import _nested_trapezoids, _window
 from gausslink.entanglement import (
     _entanglement_rates,
     _eof,
@@ -16,7 +17,6 @@ from gausslink.entanglement import (
 from gausslink.gaussian import symplectic_form
 from gausslink.selftest import random_physical_form, random_stable_blue_params
 from gausslink.swap import (
-    _FLUX_FLOOR,
     _click_rates,
     apply_optical_loss,
     click_rate,
@@ -29,10 +29,10 @@ from gausslink.teleport import optimize_gain
 from gausslink.transducer import (
     TransducerParams,
     TwoModeStandardForm,
-    _drift_blue,
     mo_standard_form_spectra,
     output_mo_covariance,
 )
+from test_capacity import integrate_spectrum
 
 WORKED = TwoModeStandardForm(17.0, 9.0, 12.0)
 Z2 = np.diag([1.0, -1.0])
@@ -181,19 +181,52 @@ class TestOpticalLoss:
             apply_optical_loss(WORKED, -0.1)
 
 
-def lyapunov_photon_rate(p):
-    """Exact optical photon rate R of a stable blue device, the oracle of the
-    windowed flux integral: the steady state X = <x x^dag> of the drift M
-    (mode order a^dag, b, c) solves M X + X M^H + D = 0, with D the input
-    noise, and R = kappa_o_c Re X[0, 0] (Gardiner & Collett, PRA 31, 3761,
-    1985).  The Kronecker form acts on the column-major vec(X)."""
-    m = _drift_blue(p)
-    eye = np.eye(3)
-    noise = np.diag(
-        [0.0, p.kappa_m * (p.n_th + 1.0), p.kappa_e_c + p.kappa_e_i * (p.n_th + 1.0)]
-    )
-    vec = np.linalg.solve(np.kron(eye, m) + np.kron(m.conj(), eye), -noise.ravel(order="F"))
-    return p.kappa_o_c * vec.reshape(3, 3, order="F")[0, 0].real
+# W of the wide-window trapezoid, in units of max(kappa): the flux falls off as
+# omega^-4, so its tails beyond W are below 1e-10 of the rate on the devices here
+_WIDE_WINDOW = 1024.0
+
+
+def wide_window_photon_rate(p):
+    """Optical photon rate of a stable blue device integrated from its spectra,
+    independently of the steady-state solve of `_click_rates`: the nested
+    trapezoid of the flux density (u(omega) - 1) / 2 of the optical output over
+    [-W, W], W = _WIDE_WINDOW max(kappa), divided by 2 pi.  It raises
+    ValueError where the trapezoid does not converge, as on narrow spectra."""
+    window = _WIDE_WINDOW * max(p.kappa_o, p.kappa_e, p.kappa_m)
+    flux = lambda omegas: (mo_standard_form_spectra(p, omegas)[0] - 1.0) / 2.0  # noqa: E731
+    return integrate_spectrum(flux, window) / (2.0 * np.pi)
+
+
+def fraction_photon_rate(p) -> Fraction:
+    """kappa_o_c Re X[0, 0] of the steady state M X + X M^H + D = 0 of a blue
+    device, solved exactly in rationals from the exact values of its float
+    fields: (I kron M + conj(M) kron I) vec X = -vec D, with M = R + i I (mode
+    order a^dag, b, c), split into real and imaginary parts and solved by
+    Gauss-Jordan elimination."""
+    ko, km, ke, g_om, g_em = map(Fraction, (p.kappa_o, p.kappa_m, p.kappa_e, p.g_om, p.g_em))
+    re = [[-ko / 2, 0, 0], [0, -km / 2, 0], [0, 0, -ke / 2]]
+    im = [[0, -g_om, 0], [g_om, 0, g_em], [0, g_em, 0]]
+    eye = [[int(i == j) for j in range(3)] for i in range(3)]
+
+    def kron(a, b):
+        return [[a[r // 3][c // 3] * b[r % 3][c % 3] for c in range(9)] for r in range(9)]
+
+    a_re = [[x + y for x, y in zip(*rows)] for rows in zip(kron(eye, re), kron(re, eye))]
+    a_im = [[x - y for x, y in zip(*rows)] for rows in zip(kron(eye, im), kron(im, eye))]
+    noise = [0] * 9
+    noise[4] = km * (Fraction(p.n_th) + 1)
+    noise[8] = Fraction(p.kappa_e_c) + Fraction(p.kappa_e_i) * (Fraction(p.n_th) + 1)
+    # [[a_re, -a_im], [a_im, a_re]] [Re vec X; Im vec X] = [-vec D; 0], augmented
+    rows = [a_re[r] + [-x for x in a_im[r]] + [-noise[r]] for r in range(9)]
+    rows += [a_im[r] + a_re[r] + [0] for r in range(9)]
+    for col in range(18):
+        pivot = next(r for r in range(col, 18) if rows[r][col] != 0)
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        rows[col] = [x / rows[col][col] for x in rows[col]]
+        for r in range(18):
+            if r != col and rows[r][col] != 0:
+                rows[r] = [x - rows[r][col] * y for x, y in zip(rows[r], rows[col])]
+    return Fraction(p.kappa_o_c) * rows[0][18]
 
 
 class TestClickRate:
@@ -246,8 +279,11 @@ class TestClickRate:
         ],
     )
     def test_lyapunov_oracle_exact_values(self, device, exact):
+        # rates known in closed form: the steady-state solve gives them to a few ulp
         p = TransducerParams.from_cooperativities(*device, "blue")
-        assert lyapunov_photon_rate(p) == pytest.approx(exact, rel=1e-12, abs=1e-12)
+        r_t, _ = click_rate(p, 1.0, 1.0)
+        assert r_t == pytest.approx(exact, rel=1e-14, abs=0.0)
+        assert float(fraction_photon_rate(p)) == pytest.approx(exact, rel=1e-15, abs=0.0)
 
     @pytest.mark.parametrize(
         "device",
@@ -261,12 +297,42 @@ class TestClickRate:
         ],
     )
     def test_windowed_flux_misses_only_the_tails(self, device):
-        # the flux is integrated over [-W, W] only: r_t falls short of the
-        # exact rate by the Lorentzian tails, 1.8e-6 to 1.9e-4 relative here
+        # integrated over a window wide enough that its tails are below 1e-10,
+        # the flux spectrum gives the steady-state rate; the W = 10 max(kappa)
+        # window fig5a once used fell short by 1.8e-6 to 1.9e-4 here
         p = TransducerParams.from_cooperativities(*device, "blue")
-        exact = lyapunov_photon_rate(p)
         r_t, _ = click_rate(p, 1.0, 1.0)
-        assert 0.0 <= (exact - r_t) / exact < 2e-4
+        assert r_t == pytest.approx(wide_window_photon_rate(p), rel=1e-8, abs=0.0)
+
+    @pytest.mark.parametrize(
+        "gap, bound", [(1e-4, 1e-10), (1e-6, 2e-8), (1e-8, 1e-6)], ids=["1e-4", "1e-6", "1e-8"]
+    )
+    def test_exact_near_the_threshold(self, gap, bound):
+        # d = 1 + C_em - C_om: the solve's round-off follows the system's
+        # condition number, about 5 / d (5.5e-12, 1.3e-9 and 8.8e-8 measured);
+        # the windowed flux integral did not converge at d = 1e-4
+        p = _blue(3.0 - gap, 2.0)
+        exact = fraction_photon_rate(p)
+        r_t, _ = click_rate(p, 1.0, 1.0)
+        assert abs(r_t - exact) <= bound * exact
+        if gap == 1e-4:
+            assert float(exact) == pytest.approx(44997.50007, rel=1e-10)
+
+    def test_weak_source_is_not_zeroed(self):
+        # the windowed flux integral zeroed flux densities below 1e-12 and read 0
+        p = _blue(1e-20, 2.0, zeta_o=0.9, kappa_o=1.3, kappa_e=0.7)
+        r_t, r_b = click_rate(p, 1.0, 1.0)
+        exact = fraction_photon_rate(p)
+        assert r_t > 0.0 and r_b > 0.0
+        assert r_t == pytest.approx(float(exact), rel=1e-14, abs=0.0)
+        assert float(exact) == pytest.approx(3.9e-21, rel=1e-12)
+
+    @pytest.mark.parametrize("n_th", [0.0, 0.5])
+    def test_dark_source_is_positive_zero(self, n_th):
+        r_t, r_b = _click_rates(_blue(0.0, 2.0, n_th=n_th), np.array([0.0, 1.0]), np.ones(2))
+        assert r_t.tolist() == r_b.tolist() == [0.0, 0.0]
+        assert not np.signbit(r_t).any() and not np.signbit(r_b).any()
+        assert fraction_photon_rate(_blue(0.0, 2.0, n_th=n_th)) == 0
 
 
 def _mm_capacity(form):
@@ -327,19 +393,6 @@ def earlier_entanglement_rates(p, taus):
     return _nested_trapezoids(integrand, taus.size, _window(p)) / (2.0 * np.pi)
 
 
-def earlier_click_rates(p, tau, dt):
-    """`_click_rates` as it was before its flux evaluated half of each
-    mirror-image node array: every node solved."""
-
-    def flux(omegas):
-        excess = np.maximum(mo_standard_form_spectra(p, omegas)[0] - 1.0, 0.0)
-        excess[excess < _FLUX_FLOOR] = 0.0
-        return excess / 2.0
-
-    r_t = tau * integrate_spectrum(flux, _window(p)) / (2.0 * np.pi)
-    return r_t, 2.0 * r_t * np.exp(-r_t * dt)
-
-
 # windows W = 10 max(kappa): 10 and 17, whose node arrays are their own mirror
 # images, and 1.23, whose are not
 _WINDOWS = {
@@ -352,23 +405,26 @@ _WINDOWS = {
 @pytest.mark.parametrize("kappas", _WINDOWS.values(), ids=_WINDOWS.keys())
 @pytest.mark.parametrize("c_om, c_em, n_th", [(0.5, 1.0, 0.0), (1.0, 2.0, 0.1), (1.5, 10.0, 0.02)])
 def test_rates_equal_the_earlier_rates(kappas, c_om, c_em, n_th, monkeypatch):
+    # fig5b's rates keep the earlier bits; fig5a's photon rate, a steady-state
+    # solve that integrates no spectrum, agrees with the wide-window trapezoid
     p = _blue(c_om, c_em, zeta_o=0.9, zeta_e=0.8, n_th=n_th, **kappas)
     tau, dt = np.array([0.0, 0.5, 1.0]), np.array([1.0, 0.3, 2.0])
-    expected = (earlier_entanglement_rates(p, tau),) + earlier_click_rates(p, tau, dt)
-    sizes = {}
-    for module in (entanglement, swap):
-        def spectra(p, omegas, seen=sizes.setdefault(module, [])):
-            seen.append(omegas.size)
-            return mo_standard_form_spectra(p, omegas)
+    expected = earlier_entanglement_rates(p, tau)
+    seen = []
 
-        monkeypatch.setattr(module, "mo_standard_form_spectra", spectra)
+    def spectra(p, omegas):
+        seen.append(omegas.size)
+        return mo_standard_form_spectra(p, omegas)
+
+    monkeypatch.setattr(entanglement, "mo_standard_form_spectra", spectra)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        got = (_entanglement_rates(p, tau),) + _click_rates(p, tau, dt)
-    for a, b in zip(got, expected):
-        assert a.tobytes() == b.tobytes()
-    assert expected[0][-1] > 0.0 and expected[1][-1] > 0.0
+        got = _entanglement_rates(p, tau)
+        r_t, r_b = _click_rates(p, tau, dt)
+    assert got.tobytes() == expected.tobytes()
+    assert expected[-1] > 0.0 and r_t[-1] > 0.0
+    assert r_t == pytest.approx(tau * wide_window_photon_rate(p), rel=1e-8, abs=0.0)
+    assert r_b.tobytes() == (2.0 * r_t * np.exp(-r_t * dt)).tobytes()
     # the first call covers the first two levels' 513 nodes, and solves the
     # spectra on their nonnegative half when they are a mirror image
-    first = [513] if "kappa_m" in kappas else [257]
-    assert [seen[:1] for seen in sizes.values()] == [first, first]
+    assert seen[:1] == ([513] if "kappa_m" in kappas else [257])

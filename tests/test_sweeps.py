@@ -7,13 +7,14 @@ import sys
 import time
 import tracemalloc
 import warnings
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import gausslink.sweeps as sweeps
-from gausslink.cli import EXIT_CONFIG, EXIT_NUMERICAL, main
+from gausslink.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
 from gausslink.transducer import TransducerParams
 from gausslink.sweeps import (
     Axis,
@@ -569,21 +570,25 @@ max = 1
 points = 2
 """
 EXTREMES = {"n_th": "1e308", "C_em": "1e308", "kappa_m": "1e300", "kappa_o": "1e-320"}
-# (experiment, fixed field, the first point that fails alone and numpy's error)
-# for each pair of EXTREMES that hits a floating-point error on EXTREME_GRID
+# (experiment, fixed field, the first point that fails alone and why) for each
+# pair of EXTREMES that fails a point on EXTREME_GRID: with numpy's error, or
+# with the device's rejection of the subnormal linewidth, which every
+# experiment builds
 EXTREME_FIXED = [
-    ("fig1a_dqt_boundary", "C_em", "C_om=2, tau=0.25: overflow"),
-    ("fig1a_dqt_boundary", "kappa_o", "C_om=0.5, tau=0.25: invalid value"),
+    ("fig1a_dqt_boundary", "C_em", "C_om=2, tau=0.25: overflow encountered in "),
     *(
-        (experiment, field, "C_om=0.5, tau=0.25: overflow")
+        (experiment, field, "C_om=0.5, tau=0.25: overflow encountered in ")
         for experiment in ("fig2d_eof_map", "fig4a_mm_eof", "fig2bc_capacity_maps", "custom")
         for field in ("n_th", "C_em", "kappa_m")
     ),
-    ("custom", "kappa_o", "C_om=0.5, tau=0.25: invalid value"),
+    ("fig5a_click_rate", "kappa_m", "C_om=0.5, tau=0.25: overflow encountered in "),
     *(
-        (experiment, field, f"C_om=0.5, tau=0.25: {error}")
-        for experiment in ("fig5a_click_rate", "fig5b_homodyne_rate")
+        ("fig5b_homodyne_rate", field, f"C_om=0.5, tau=0.25: {error} encountered in ")
         for field, error in (("n_th", "invalid value"), ("kappa_m", "overflow"))
+    ),
+    *(
+        (experiment, "kappa_o", "C_om=0.5, tau=0.25: kappa_o must be a normal float, at least ")
+        for experiment in EXPERIMENTS
     ),
 ]
 
@@ -601,7 +606,7 @@ class TestFloatingPointPolicy:
         # product a2 * a1 overflowed in stability_check
         body = EXTREME_GRID.format(experiment=experiment, field=field, value=EXTREMES[field])
         path = write_config(tmp_path, body)
-        message = f"{experiment} at {failure} encountered in "
+        message = f"{experiment} at {failure}"
         with pytest.raises(NumericalError, match="^" + re.escape(message)):
             run_sweep(parse_config(path), out_dir=tmp_path)
         errors = []
@@ -613,6 +618,57 @@ class TestFloatingPointPolicy:
         assert errors[0] == errors[1]
         assert errors[0].startswith("numerical failure: " + message)
         assert not (tmp_path / "extreme.csv").exists()
+
+    def test_fig5a_sweeps_the_largest_bath_occupation(self, tmp_path, capsys):
+        # fig5a's photon rate is linear in the input noise: at n_th = 1e308 it
+        # reads 1e8 times its n_th = 1e300 values, and r_B = 2 r_t exp(-r_t dt)
+        # underflows to 0; the windowed flux integral failed here with an
+        # invalid value
+        rates = {}
+        for value in ("1e300", "1e308"):
+            body = EXTREME_GRID.format(experiment="fig5a_click_rate", field="n_th", value=value)
+            path = write_config(tmp_path, body)
+            for action in ("error", "ignore"):
+                with warnings.catch_warnings():
+                    warnings.simplefilter(action, RuntimeWarning)
+                    assert main(["sweep", str(path), "--out", str(tmp_path)]) == EXIT_OK
+                with open(tmp_path / "extreme.csv", newline="", encoding="utf-8") as fh:
+                    rows = list(csv.DictReader(fh))
+                assert rates.setdefault(value, rows) == rows
+        assert capsys.readouterr().err == ""
+        assert len(rates["1e308"]) == 6
+        for low, high in zip(rates["1e300"], rates["1e308"]):
+            assert high["stable"] == "1" and high["r_B"] == low["r_B"] == "0"
+            assert Decimal(high["r_t"]) == Decimal(low["r_t"]) * 10**8 > 0
+
+    @pytest.mark.parametrize(
+        "experiment, fixed, axis, name",
+        [
+            ("custom", {"kappa_e": "5e-324"}, "[axis C_om]\nmin = 5e-324\nmax = 1e-12\npoints = 3\n",
+             "kappa_e"),
+            ("fig1a_dqt_boundary", {"kappa_m": "5e-324", "kappa_e": "1e300", "zeta_o": "5e-324"},
+             "", "kappa_m"),
+            ("fig1a_dqt_boundary", {"kappa_m": "1e-320"}, "", "kappa_m"),
+        ],
+        ids=["custom-kappa_e", "fig1a-kappa_m-kappa_e-zeta_o", "fig1a-kappa_m"],
+    )
+    def test_subnormal_linewidth_is_named(self, tmp_path, capsys, experiment, fixed, axis, name):
+        # these exited 3 blaming the model: a conversion efficiency of 1, or
+        # numpy's bare "Singular matrix"
+        lines = [f"{key} = {value}" for key, value in fixed.items()]
+        body = f"[sweep]\nexperiment = {experiment}\noutput = subnormal.csv\n[fixed]\n"
+        path = write_config(tmp_path, body + "\n".join(lines) + "\n" + axis)
+        for action in ("error", "ignore"):
+            with warnings.catch_warnings():
+                warnings.simplefilter(action, RuntimeWarning)
+                assert main(["sweep", str(path), "--out", str(tmp_path)]) == EXIT_NUMERICAL
+            err = capsys.readouterr().err
+            assert re.fullmatch(
+                rf"numerical failure: {experiment} at [^:]+: {name} must be a normal float, "
+                r"at least 2\.225e-308\n",
+                err,
+            ), err
+        assert not (tmp_path / "subnormal.csv").exists()
 
     def test_pool_workers_keep_the_policy(self, tmp_path, monkeypatch):
         # three one-row blocks over two workers, which inherit no warning filter

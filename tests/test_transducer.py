@@ -71,6 +71,15 @@ class TestParams:
         with pytest.raises(ValueError, match=f"^{name} must be positive$"):
             TransducerParams.from_cooperativities(1.0, 1.0, **{name: -1.0})
 
+    @pytest.mark.parametrize("name", ["kappa_o", "kappa_e", "kappa_m"])
+    @pytest.mark.parametrize("value", [5e-324, 1e-320, np.nextafter(np.finfo(float).tiny, 0.0)])
+    def test_subnormal_linewidth_is_named(self, name, value):
+        # a subnormal linewidth once failed later, as a conversion efficiency
+        # of 1 or a singular matrix; the least normal float is accepted
+        with pytest.raises(ValueError, match=f"^{name} must be a normal float, at least 2.225e-308$"):
+            TransducerParams.from_cooperativities(1.0, 1.0, **{name: value})
+        TransducerParams.from_cooperativities(1.0, 1.0, **{name: np.finfo(float).tiny})
+
 
 class TestStandardFormType:
     def test_vacuum_form(self):

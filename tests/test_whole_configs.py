@@ -1,6 +1,7 @@
 """One property over whole configs: whatever a config holds, `gausslink sweep`
 exits 0, 2 or 3 with a message that says where, and never with a traceback or
-a RuntimeWarning."""
+a RuntimeWarning; and a sweep that exits 0 writes the same bytes however its
+grid is cut into blocks and spread over workers."""
 
 import contextlib
 import csv
@@ -13,6 +14,8 @@ from pathlib import Path
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import pytest
+from gausslink import sweeps
 from gausslink.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
 from gausslink.sweeps import AXIS_NAMES, EXPERIMENTS, FIXED_DEFAULTS
 
@@ -57,7 +60,7 @@ def configs(draw):
         lines.append("[fixed]")
         lines += [f"{key} = {value(key)}" for key in fixed]
     names = draw(st.lists(st.sampled_from(AXIS_NAMES), min_size=1, max_size=2, unique=True))
-    most = 2 if experiment.startswith("fig5") else 3
+    most = 2 if experiment == "fig5b_homodyne_rate" else 3
     for name in names:
         lo, hi = value(name), value(name)
         if draw(st.integers(0, 9)) < 9:  # mostly in order, where both are numbers
@@ -75,19 +78,26 @@ def configs(draw):
     return "\n".join(lines) + "\n", experiment, names
 
 
+def _sweep(path: Path, out: Path, *flags) -> tuple:
+    """Exit code, stderr and written CSV bytes (None if none) of one in-process
+    `gausslink sweep` with RuntimeWarnings as errors."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main(["sweep", str(path), "--out", str(out), *flags])
+    csv_path = out / "out.csv"
+    return code, stderr.getvalue(), csv_path.read_bytes() if csv_path.exists() else None
+
+
 @settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(configs())
-def test_any_config_exits_0_2_or_3_and_says_where(config):
+@given(configs(), st.integers(0, 9))
+def test_any_config_exits_0_2_or_3_and_says_where(config, pool):
     text, experiment, names = config
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp, "sweep.ini")
         path.write_text(text, encoding="utf-8")
-        out, err = io.StringIO(), io.StringIO()
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = main(["sweep", str(path), "--out", tmp])
-        err = err.getvalue()
+        code, err, written = _sweep(path, Path(tmp))
         if code == EXIT_CONFIG:
             assert re.fullmatch(r"config error: [^\n]*\[[^\]\n]+\][^\n]*\n", err), err
         elif code == EXIT_NUMERICAL:
@@ -96,10 +106,15 @@ def test_any_config_exits_0_2_or_3_and_says_where(config):
         else:
             assert code == EXIT_OK and err == "", (code, err)
             metrics = EXPERIMENTS[experiment].metrics
-            with open(Path(tmp, "out.csv"), newline="", encoding="utf-8") as fh:
-                rows = list(csv.DictReader(fh))
+            rows = list(csv.DictReader(io.StringIO(written.decode("utf-8"), newline="")))
             assert rows
             for row in rows:
                 assert row["stable"] in ("0", "1")
                 if row["stable"] == "1":
                     assert all(row[m] != "" for m in metrics), row
+            # one grid row per block, and on one example in ten two workers
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(sweeps, "_BLOCK_POINTS", 1)
+                assert _sweep(path, Path(tmp, "rows")) == (EXIT_OK, "", written)
+            if pool == 0:
+                assert _sweep(path, Path(tmp, "jobs2"), "--jobs", "2") == (EXIT_OK, "", written)
